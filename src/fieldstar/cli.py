@@ -7,11 +7,12 @@ Exit codes: 0 success (and zero residual for verify), 1 nonzero residual,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import random
 import sys
 
-from .jets import FieldExpr, complex_system, mi_zero
+from .jets import FieldExpr, FieldSystem, complex_system, mi_zero
 from .kernels import MixedKernelError
 from .parser import ParseError, parse_expr, parse_functional, parse_kernel
 from .poisson import ConditionBViolation, Functional, bracket_fn
@@ -30,18 +31,20 @@ from .euler_lagrange import variational_derivative
 
 def _session(args) -> SessionConfig:
     cfg = load_config_file(args.config) if args.config else SessionConfig()
-    if getattr(args, "dim", None):
-        cfg = SessionConfig(dim=args.dim, constants=cfg.constants,
-                            functions=cfg.functions, kernel_text=cfg.kernel_text,
-                            order=cfg.order, tolerance=cfg.tolerance,
-                            seed=cfg.seed, hamiltonian_text=cfg.hamiltonian_text)
-    if getattr(args, "kernel", None):
-        cfg.kernel_text = args.kernel
-    if getattr(args, "order", None):
-        cfg.order = args.order
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    return cfg
+    changes = {}
+    dim = getattr(args, "dim", None)
+    if dim is not None:
+        if dim < 1:
+            raise ConfigError("session dimension must be >= 1")
+        # keep the declared fields, at the new dimension
+        changes["dim"] = dim
+        changes["system"] = FieldSystem(dim, list(cfg.system.sorts.values()))
+    for option, name in (("kernel", "kernel_text"), ("order", "order"),
+                         ("seed", "seed")):
+        value = getattr(args, option, None)
+        if value is not None:
+            changes[name] = value
+    return dataclasses.replace(cfg, **changes)
 
 
 def _emit(value, args) -> None:

@@ -18,7 +18,6 @@ then function symbols, then jet variables graded-lexicographically).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .rationals import GRat, ONE, ZERO
 
@@ -366,12 +365,3 @@ def _accumulate(terms: dict, mon: tuple, c: GRat):
         terms[mon] = acc
     else:
         del terms[mon]
-
-
-def canonical_equal(a: FieldExpr, b: FieldExpr) -> bool:
-    """Decidable equality: a - b normalizes to the empty expression."""
-    return a == b
-
-
-def gaussian(re=0, im=0) -> GRat:
-    return GRat(Fraction(re), Fraction(im))

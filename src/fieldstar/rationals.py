@@ -3,91 +3,149 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class GRat:
-    """An element of Q[i], stored as a pair of Fractions.
+    """An element of Q[i], stored as three ints: the value (a + b*i)/d.
 
-    Immutable; all arithmetic returns new instances.
+    The fields are normalized so that d > 0 and gcd(a, b, d) == 1; equal
+    values therefore have equal fields.  Immutable; all arithmetic returns
+    new instances built by ``_make``, without going through ``Fraction``.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            re, im = Fraction(re), Fraction(im)
+            d = lcm(re.denominator, im.denominator)
+            # both parts are in lowest terms, so gcd(a, b, d) is already 1
+            a = re.numerator * (d // re.denominator)
+            b = im.numerator * (d // im.denominator)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, *_):
         raise AttributeError("GRat is immutable")
 
+    __delattr__ = __setattr__
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
     def __add__(self, other):
-        other = _coerce(other)
-        return GRat(self.re + other.re, self.im + other.im)
+        if type(other) is not GRat:
+            other = _coerce(other)
+        d, e = self._d, other._d
+        if d == e:
+            return _make(self._a + other._a, self._b + other._b, d)
+        return _make(self._a * e + other._a * d, self._b * e + other._b * d,
+                     d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        return GRat(self.re - other.re, self.im - other.im)
+        if type(other) is not GRat:
+            other = _coerce(other)
+        d, e = self._d, other._d
+        if d == e:
+            return _make(self._a - other._a, self._b - other._b, d)
+        return _make(self._a * e - other._a * d, self._b * e - other._b * d,
+                     d * e)
 
     def __rsub__(self, other):
         return _coerce(other) - self
 
     def __mul__(self, other):
-        other = _coerce(other)
-        return GRat(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GRat:
+            other = _coerce(other)
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _make(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
+        # (a + bi)/d / ((c + ei)/f) = (a + bi)(c - ei) f / (d (c^2 + e^2))
+        if type(other) is not GRat:
+            other = _coerce(other)
+        a, b, c, e, f = self._a, self._b, other._a, other._b, other._d
+        n = c * c + e * e
+        if n == 0:
             raise ZeroDivisionError("division by zero GRat")
-        return GRat(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
+        return _make((a * c + b * e) * f, (b * c - a * e) * f, self._d * n)
 
     def __neg__(self):
-        return GRat(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def conjugate(self) -> "GRat":
-        return GRat(self.re, -self.im)
+        return _make(self._a, -self._b, self._d)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self._a != 0 or self._b != 0
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.re == other and self.im == 0
         if isinstance(other, GRat):
-            return self.re == other.re and self.im == other.im
+            return (self._a == other._a and self._b == other._b
+                    and self._d == other._d)
+        if isinstance(other, int):
+            return self._b == 0 and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return (self._b == 0 and self._a == other.numerator
+                    and self._d == other.denominator)
         return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
+        # equal to the hash of the int or Fraction of the same value
+        if self._b == 0:
+            return hash(self._a) if self._d == 1 else hash(self.re)
         return hash((self.re, self.im))
 
     def __complex__(self):
-        return complex(self.re, self.im)
+        return complex(self._a / self._d, self._b / self._d)
 
     def __repr__(self):
         return f"GRat({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i" if self.im != 1 else "i"
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im}i" if im != 1 else "i"
+        sign = "+" if im > 0 else "-"
+        mag = abs(im)
         istr = "i" if mag == 1 else f"{mag}i"
-        return f"({self.re}{sign}{istr})"
+        return f"({re}{sign}{istr})"
+
+
+# The slot setters write the fields without going through __setattr__.
+_set_a = GRat._a.__set__
+_set_b = GRat._b.__set__
+_set_d = GRat._d.__set__
+_new = object.__new__
+
+
+def _make(a: int, b: int, d: int) -> GRat:
+    """The GRat (a + b*i)/d for d > 0, brought to lowest terms."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    x = _new(GRat)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
+    return x
 
 
 def _coerce(value) -> GRat:

@@ -43,10 +43,12 @@ class SessionConfig:
     hamiltonian_text: str | None = None
 
     def __post_init__(self):
-        if self.system is None:
-            self.system = real_system(self.dim)
         if self.dim < 1:
             raise ConfigError("session dimension must be >= 1")
+        if self.order < 0:
+            raise ConfigError("series order must be >= 0")
+        if self.system is None:
+            self.system = real_system(self.dim)
         if self.dim != self.system.dim:
             raise ConfigError("field system dimension disagrees with session")
 
@@ -91,7 +93,13 @@ def _build_system(dim: int, entries: list) -> FieldSystem:
             sorts.append(FieldSort(pair, "antiholomorphic", name))
         else:
             raise ConfigError(f"unknown field kind {kind!r}")
-    return FieldSystem(dim, tuple(sorts))
+    system = FieldSystem(dim, tuple(sorts))
+    primaries = system.primary_sorts()
+    if len(primaries) != 1:
+        # brackets and stars pair exactly one field with its conjugate
+        raise ConfigError("only one field (one conjugate pair) is supported, "
+                          f"got {len(primaries)}: {', '.join(primaries)}")
+    return system
 
 
 def load_config(data: dict) -> SessionConfig:

@@ -131,7 +131,7 @@ def exp_sigma(S: HbarSeries, a: str, b: str, P: Kernel, system: FieldSystem,
             except StopIteration:
                 terminated = True
                 break
-            piece = Tk.scale(GRat(1, 0) / GRat(factorial(k)))
+            piece = Tk.scale(ONE / GRat(factorial(k)))
             coeffs[j + k] = coeffs.get(j + k, TensorExpr.zero(S.dim)) + piece
         if not terminated and j + k > K:
             # could not prove termination within the order budget

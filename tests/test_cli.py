@@ -3,6 +3,7 @@ import json
 import pytest
 
 from fieldstar.cli import main
+from fieldstar.session import ConfigError, load_config
 
 KG_CONFIG = {
     "dim": 3,
@@ -28,18 +29,20 @@ NLS_CONFIG = {
 }
 
 
+def _write(tmp_path, name, config):
+    path = tmp_path / name
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
 @pytest.fixture
 def kg_config(tmp_path):
-    path = tmp_path / "kg.json"
-    path.write_text(json.dumps(KG_CONFIG))
-    return str(path)
+    return _write(tmp_path, "kg.json", KG_CONFIG)
 
 
 @pytest.fixture
 def nls_config(tmp_path):
-    path = tmp_path / "nls.json"
-    path.write_text(json.dumps(NLS_CONFIG))
-    return str(path)
+    return _write(tmp_path, "nls.json", NLS_CONFIG)
 
 
 def test_eom_prints_wave_equation(kg_config, capsys):
@@ -116,3 +119,43 @@ def test_peierls_eval_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["kind"] == "spectral"
     assert len(payload["data"]) == 5
+
+
+def test_dim_override_keeps_declared_fields(tmp_path, capsys):
+    config = dict(NLS_CONFIG, hamiltonian="d1(psi)*d1(psibar)"
+                                          " + kappa*(psi*psibar)^2")
+    path = _write(tmp_path, "nls.json", config)
+    assert main(["eom", "--config", path, "--field", "psi", "--dim", "1"]) == 0
+    assert capsys.readouterr().out.strip() \
+        == "-laplacian(psi) + 2*kappa*psi^2*psibar"
+
+
+def test_order_zero_is_honoured(capsys):
+    assert main(["star", "phi", "pi", "--dim", "1", "--kernel", "delta",
+                 "--order", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "hbar^0: phi{x}*pi{y}" in out
+    assert "hbar^1" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["star", "phi", "pi", "--dim", "1", "--order", "-1"],
+    ["classify", "--dim", "0"],
+    ["bracket", "phi", "pi", "--dim", "-2"],
+])
+def test_out_of_range_order_or_dim_exits_two(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_config_with_two_field_pairs_is_rejected(tmp_path, capsys):
+    config = {"dim": 1, "fields": [
+        {"name": "phi", "kind": "real", "pair": "pi"},
+        {"name": "chi", "kind": "real", "pair": "rho"}]}
+    with pytest.raises(ConfigError):
+        load_config(config)
+    path = _write(tmp_path, "two.json", config)
+    assert main(["bracket", "--config", path, "phi", "pi"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
