@@ -119,9 +119,13 @@ def cmd_classify(args) -> int:
 def cmd_verify(args) -> int:
     from . import verify as V
 
+    trials = args.trials
+    if trials < 1:
+        # a suite run that checks nothing must not report PASS
+        print("error: --trials must be >= 1", file=sys.stderr)
+        return 2
     cfg = _session(args)
     rng = random.Random(cfg.seed)
-    trials = args.trials
     system = complex_system(cfg.dim) if args.pairing == "complex" \
         else cfg.system
     kernels = [parse_kernel(args.kernel, cfg.context())] if args.kernel \
@@ -156,6 +160,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_peierls_eval(args) -> int:
+    if args.modes < 0:
+        print("error: --modes must be >= 0", file=sys.stderr)
+        return 2
     import numpy as np
 
     from .peierls import green_eval

@@ -66,6 +66,8 @@ class GRat:
         return _coerce(other) - self
 
     def __mul__(self, other):
+        if type(other) is int:
+            return _make(self._a * other, self._b * other, self._d)
         if type(other) is not GRat:
             other = _coerce(other)
         a, b, c, e = self._a, self._b, other._a, other._b

@@ -19,6 +19,9 @@ finalized into a TensorExpr.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
+
 from .jets import (
     FieldSystem,
     func_atom,
@@ -28,74 +31,110 @@ from .jets import (
     mi_zero,
 )
 from .kernels import Kernel, bracket_sign
-from .rationals import GRat, ONE, ZERO
-from .tensor import TensorExpr, _canon_located, delta_atom
+from .rationals import GRat
+from .tensor import TensorExpr, _accumulate, _canon_located, delta_atom
+
+
+_label = itemgetter(0)  # the label of a located atom
 
 
 def _acc(works: dict, key, c: GRat):
-    if not c:
+    acc = works.get(key)
+    if acc is None:
+        works[key] = c
         return
-    acc = works.get(key, ZERO) + c
+    acc = acc + c
     if acc:
         works[key] = acc
     else:
         del works[key]
 
 
-def _indices_at(mon, label: str, sort: str, dim: int):
-    found = set()
-    for lab, atom in mon:
-        if lab != label:
-            continue
-        if atom[0] == "j" and atom[1] == sort:
-            found.add(atom[2])
-        elif atom[0] == "f" and atom[3] == sort:
-            found.add(mi_zero(dim))
-    return sorted(found)
-
-
 def _jet_partial_mon(mon, label: str, sort: str, index):
     """Derivative of a located monomial by one jet variable; list of
-    (monomial, multiplicity) contributions including the chain rule."""
+    (monomial, int multiplicity) contributions including the chain rule."""
     out = []
     target = (label, jet_atom(sort, index))
     for pos, latom in enumerate(mon):
         if latom == target:
-            mult = mon.count(latom)
             rest = list(mon)
             del rest[pos]
-            out.append((tuple(rest), GRat(mult)))
+            out.append((tuple(rest), mon.count(latom)))
             break
     if mi_order(index) == 0:
         for pos, (lab, atom) in enumerate(mon):
             if lab == label and atom[0] == "f" and atom[3] == sort:
                 rest = list(mon)
                 rest[pos] = (lab, func_atom(atom[1], atom[3], atom[2] + 1, atom[4]))
-                out.append((_canon_located(rest), ONE))
+                out.append((_canon_located(rest), 1))
     return out
 
 
-def _derive(works: dict, label: str, sort: str, side: int, dim: int) -> dict:
-    """One paired (jet partial x spatial-on-pending-atom) derivation pass."""
+def _block_partials(block, label: str, sort: str, side: int, dim: int) -> list:
+    """Every (new block, index, int factor) that one derivation pass makes
+    from the atoms at one label; the factor holds the multiplicity and, on
+    the b side, the parity sign (-1)^|index|."""
+    indices = set()
+    for _lab, atom in block:
+        if atom[0] == "j" and atom[1] == sort:
+            indices.add(atom[2])
+        elif atom[0] == "f" and atom[3] == sort:
+            indices.add(mi_zero(dim))
+    out = []
+    for index in sorted(indices):
+        sign = -1 if side == 1 and mi_order(index) % 2 == 1 else 1
+        for new_block, mult in _jet_partial_mon(block, label, sort, index):
+            out.append((new_block, index, sign * mult))
+    return out
+
+
+def _derive(works: dict, label: str, sort: str, side: int, dim: int,
+            memo: dict) -> dict:
+    """One paired (jet partial x spatial-on-pending-atom) derivation pass.
+
+    Located monomials sort by label first, so the atoms at ``label`` form
+    one block and the derivative of ``pre + block + post`` is
+    ``pre + new_block + post``, already canonical.  ``memo`` holds the
+    partials of each (block, sort, side) met so far and each gamma + index;
+    the two kinds of key differ in length.
+    """
     out: dict = {}
     for (mon, deltas, gamma), c in works.items():
-        for index in _indices_at(mon, label, sort, dim):
-            cc = -c if (side == 1 and mi_order(index) % 2 == 1) else c
-            for new_mon, mult in _jet_partial_mon(mon, label, sort, index):
-                _acc(out, (new_mon, deltas, mi_add(gamma, index)), cc * mult)
+        lo = bisect_left(mon, label, key=_label)
+        hi = bisect_right(mon, label, lo, key=_label)
+        block = mon[lo:hi]
+        parts = memo.get((block, sort, side))
+        if parts is None:
+            parts = _block_partials(block, label, sort, side, dim)
+            memo[(block, sort, side)] = parts
+        if not parts:
+            continue
+        pre, post = mon[:lo], mon[hi:]
+        for new_block, index, factor in parts:
+            new_gamma = memo.get((gamma, index))
+            if new_gamma is None:
+                new_gamma = memo[(gamma, index)] = mi_add(gamma, index)
+            if factor == 1:
+                cc = c
+            elif factor == -1:
+                cc = -c
+            else:
+                cc = c * factor
+            _acc(out, (pre + new_block + post, deltas, new_gamma), cc)
     return out
 
 
 def _finalize(works: dict, a: str, b: str, dim: int) -> TensorExpr:
     terms: dict = {}
+    atoms: dict = {}  # gamma -> (canonical delta atom, whether it flips sign)
     for (mon, deltas, gamma), c in works.items():
-        atom, sign = delta_atom(a, b, gamma)
-        key = (mon, tuple(sorted(deltas + (atom,))))
-        acc = terms.get(key, ZERO) + c * sign
-        if acc:
-            terms[key] = acc
-        else:
-            del terms[key]
+        found = atoms.get(gamma)
+        if found is None:
+            atom, sign = delta_atom(a, b, gamma)
+            found = atoms[gamma] = (atom, sign != 1)
+        atom, flip = found
+        _accumulate(terms, mon, tuple(sorted(deltas + (atom,))),
+                    -c if flip else c)
     return TensorExpr(dim, terms)
 
 
@@ -124,27 +163,16 @@ def sigma_terms(T: TensorExpr, a: str, b: str, P: Kernel, system: FieldSystem,
     works: dict = {}
     for (mon, deltas), c in T.terms.items():
         for gamma, cg in P.terms.items():
-            _acc(works, (mon, deltas, gamma), c * cg)
+            cc = c * cg
+            if cc:
+                _acc(works, (mon, deltas, gamma), cc)
+    memo: dict = {}
     while works:
-        part_a = _derive(_derive(works, a, p, 0, dim), b, q, 1, dim)
-        part_b = _derive(_derive(works, a, q, 0, dim), b, p, 1, dim)
+        part_a = _derive(_derive(works, a, p, 0, dim, memo), b, q, 1, dim, memo)
+        part_b = _derive(_derive(works, a, q, 0, dim, memo), b, p, 1, dim, memo)
         works = part_a
         for key, c in part_b.items():
             _acc(works, key, c if sign > 0 else -c)
         if not works:
             return
         yield _finalize(works, a, b, dim)
-
-
-def sigma_power(T: TensorExpr, a: str, b: str, P: Kernel, system: FieldSystem,
-                k: int, sign: int | None = None) -> TensorExpr:
-    """The k-th power alone; k = 0 is the bare product (no kernel)."""
-    if k < 0:
-        raise ValueError("negative operator power")
-    if k == 0:
-        return T
-    last = TensorExpr.zero(T.dim)
-    for j, term in enumerate(sigma_terms(T, a, b, P, system, sign), start=1):
-        if j == k:
-            return term
-    return last

@@ -79,13 +79,6 @@ class HbarSeries:
             return NotImplemented
         return self.dim == other.dim and self.coeffs == other.coeffs
 
-    def at_unit(self) -> TensorExpr:
-        """Sum of coefficients: the series with the parameter set to one."""
-        total = TensorExpr.zero(self.dim)
-        for v in self.coeffs.values():
-            total = total + v
-        return total
-
     def __repr__(self):
         ks = sorted(self.coeffs)
         return f"HbarSeries(orders={ks}, K={self.order}, exact={self.exact})"
@@ -156,15 +149,6 @@ def star_fn(f: FieldExpr, g: FieldExpr, P: Kernel, system: FieldSystem,
 star_density = star_fn
 
 
-def sigma_power(f: FieldExpr, g: FieldExpr, P: Kernel, system: FieldSystem,
-                k: int, a: str = "x", b: str = "y") -> TensorExpr:
-    """The raw k-th operator power on f@a g@b; k = 0 is the bare product."""
-    from .sigma import sigma_power as _sp
-
-    T = TensorExpr.from_field(f, a) * TensorExpr.from_field(g, b)
-    return _sp(T, a, b, P, system, k)
-
-
 def star_grouped(A: HbarSeries, labels_a, B: HbarSeries, labels_b, P: Kernel,
                  system: FieldSystem, order: int | None = None,
                  reverse_pairs: bool = False) -> HbarSeries:
@@ -184,22 +168,6 @@ def star_grouped(A: HbarSeries, labels_a, B: HbarSeries, labels_b, P: Kernel,
         pairs.reverse()
     for x, y in pairs:
         S = exp_sigma(S, x, y, P, system, K)
-    return S
-
-
-def star_chain(factors: list, P: Kernel, system: FieldSystem,
-               order: int = 6) -> HbarSeries:
-    """Multi-factor star: one exp factor per label pair i < j."""
-    labels = [lab for _, lab in factors]
-    if len(set(labels)) != len(labels):
-        raise LabelCollision("chain labels must be distinct")
-    S = None
-    for f, lab in factors:
-        S = to_series(f, lab, order) if S is None else \
-            series_mul(S, to_series(f, lab, order))
-    for i in range(len(labels)):
-        for j in range(i + 1, len(labels)):
-            S = exp_sigma(S, labels[i], labels[j], P, system, order)
     return S
 
 

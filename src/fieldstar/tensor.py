@@ -287,7 +287,11 @@ def _accumulate(terms: dict, mon: tuple, deltas: tuple, c: GRat):
     if not c:
         return
     key = (mon, deltas)
-    acc = terms.get(key, ZERO) + c
+    acc = terms.get(key)
+    if acc is None:
+        terms[key] = c
+        return
+    acc = acc + c
     if acc:
         terms[key] = acc
     else:

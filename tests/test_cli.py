@@ -150,6 +150,18 @@ def test_out_of_range_order_or_dim_exits_two(argv, capsys):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "jacobi", "--trials", "-1"],
+    ["verify", "duality", "--dim", "1", "--trials", "0"],
+    ["peierls", "eval", "--modes", "-1"],
+])
+def test_out_of_range_trials_or_modes_exits_two(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_config_with_two_field_pairs_is_rejected(tmp_path, capsys):
     config = {"dim": 1, "fields": [
         {"name": "phi", "kind": "real", "pair": "pi"},

@@ -111,6 +111,13 @@ def test_negation_and_conjugate_match_sympy(a):
     assert_normalized(a.conjugate())
 
 
+@given(wide_grats, st.sampled_from((0, 1, -1)) | st.integers(-10**6, 10**6))
+def test_int_product_equals_grat_product_in_normal_form(a, k):
+    for product in (a * k, k * a):
+        assert fields(product) == fields(a * GRat(k))
+        assert_normalized(product)
+
+
 @given(wide_grats, wide_grats)
 def test_equal_values_have_identical_fields_and_hashes(a, b):
     assume(b)

@@ -1,0 +1,208 @@
+"""The block-memoized operator kernel against the per-monomial reference.
+
+``sigma_terms`` differentiates each label block of a located monomial once
+per call.  The reference below is the per-monomial derivation it replaced,
+kept verbatim so that every power can be compared term by term.
+"""
+
+from itertools import islice
+
+from hypothesis import example, given, settings, strategies as st
+
+from fieldstar.jets import (
+    complex_system,
+    const_atom,
+    func_atom,
+    jet_atom,
+    mi_add,
+    mi_order,
+    mi_zero,
+    real_system,
+)
+from fieldstar.kernels import bracket_sign
+from fieldstar.randexpr import multi_indices
+from fieldstar.rationals import GRat, ONE, ZERO
+from fieldstar.sigma import _sort_pair, sigma_terms
+from fieldstar.tensor import TensorExpr, _accumulate, _canon_located, delta_atom
+from fieldstar.verify import default_kernels
+
+POWERS = 3
+
+
+# -- reference: the per-monomial derivation ---------------------------------
+
+def _ref_acc(works: dict, key, c: GRat):
+    if not c:
+        return
+    acc = works.get(key, ZERO) + c
+    if acc:
+        works[key] = acc
+    else:
+        del works[key]
+
+
+def _ref_indices_at(mon, label: str, sort: str, dim: int):
+    found = set()
+    for lab, atom in mon:
+        if lab != label:
+            continue
+        if atom[0] == "j" and atom[1] == sort:
+            found.add(atom[2])
+        elif atom[0] == "f" and atom[3] == sort:
+            found.add(mi_zero(dim))
+    return sorted(found)
+
+
+def _ref_jet_partial_mon(mon, label: str, sort: str, index):
+    out = []
+    target = (label, jet_atom(sort, index))
+    for pos, latom in enumerate(mon):
+        if latom == target:
+            mult = mon.count(latom)
+            rest = list(mon)
+            del rest[pos]
+            out.append((tuple(rest), GRat(mult)))
+            break
+    if mi_order(index) == 0:
+        for pos, (lab, atom) in enumerate(mon):
+            if lab == label and atom[0] == "f" and atom[3] == sort:
+                rest = list(mon)
+                rest[pos] = (lab, func_atom(atom[1], atom[3], atom[2] + 1, atom[4]))
+                out.append((_canon_located(rest), ONE))
+    return out
+
+
+def _ref_derive(works: dict, label: str, sort: str, side: int, dim: int) -> dict:
+    out: dict = {}
+    for (mon, deltas, gamma), c in works.items():
+        for index in _ref_indices_at(mon, label, sort, dim):
+            cc = -c if (side == 1 and mi_order(index) % 2 == 1) else c
+            for new_mon, mult in _ref_jet_partial_mon(mon, label, sort, index):
+                _ref_acc(out, (new_mon, deltas, mi_add(gamma, index)), cc * mult)
+    return out
+
+
+def _ref_finalize(works: dict, a: str, b: str) -> dict:
+    terms: dict = {}
+    for (mon, deltas, gamma), c in works.items():
+        atom, sign = delta_atom(a, b, gamma)
+        key = (mon, tuple(sorted(deltas + (atom,))))
+        acc = terms.get(key, ZERO) + c * sign
+        if acc:
+            terms[key] = acc
+        else:
+            del terms[key]
+    return terms
+
+
+def reference_powers(T, a, b, P, system, count: int) -> list:
+    """The term dicts of the first ``count`` nonzero operator powers."""
+    sign = bracket_sign(P)
+    p, q = _sort_pair(system)
+    dim = T.dim
+    works: dict = {}
+    for (mon, deltas), c in T.terms.items():
+        for gamma, cg in P.terms.items():
+            _ref_acc(works, (mon, deltas, gamma), c * cg)
+    out = []
+    while works and len(out) < count:
+        part_a = _ref_derive(_ref_derive(works, a, p, 0, dim), b, q, 1, dim)
+        part_b = _ref_derive(_ref_derive(works, a, q, 0, dim), b, p, 1, dim)
+        works = part_a
+        for key, c in part_b.items():
+            _ref_acc(works, key, c if sign > 0 else -c)
+        if works:
+            out.append(_ref_finalize(works, a, b))
+    return out
+
+
+# -- random tensor expressions -----------------------------------------------
+
+LABELS = ("x", "y", "z")
+
+
+@st.composite
+def cases(draw):
+    """(dim, pairing, kernel index, operator labels, term specs).
+
+    A term spec is (coefficient parts, {label: atoms}, deltas), where an
+    atom is ("j", sort index, multi-index), ("f", arg sort index, order) or
+    ("c",) and a delta is (label, label, multi-index).  Any label may carry
+    no atoms, which leaves an empty block.
+    """
+    dim = draw(st.sampled_from((1, 3)))
+    indices = multi_indices(dim, 2)
+    labels = LABELS[:draw(st.integers(2, 3))]
+    a, b = draw(st.permutations(labels))[:2]
+    jet = st.tuples(st.just("j"), st.integers(0, 1), st.sampled_from(indices))
+    # mostly jets, so that most draws reach a nonzero power
+    atom = st.one_of(
+        jet, jet, jet,
+        st.tuples(st.just("f"), st.integers(0, 1), st.integers(0, 1)),
+        st.just(("c",)),
+    )
+    delta = st.tuples(st.sampled_from(labels), st.sampled_from(labels),
+                      st.sampled_from(indices)).filter(lambda d: d[0] != d[1])
+    term = st.tuples(
+        st.tuples(st.integers(-3, 3), st.integers(-2, 2)),
+        st.fixed_dictionaries({lab: st.lists(atom, max_size=5)
+                               for lab in labels}),
+        st.lists(delta, max_size=1),
+    )
+    return (dim, draw(st.sampled_from(("real", "complex"))),
+            draw(st.integers(0, 1)), (a, b),
+            draw(st.lists(term, min_size=1, max_size=3)))
+
+
+def build(case):
+    dim, pairing, kernel, (a, b), specs = case
+    system = real_system(dim) if pairing == "real" else complex_system(dim)
+    sorts = _sort_pair(system)
+    terms: dict = {}
+    for (re, im), by_label, deltas in specs:
+        located = []
+        for lab, atoms in by_label.items():
+            for atom in atoms:
+                if atom[0] == "j":
+                    located.append((lab, jet_atom(sorts[atom[1]], atom[2])))
+                elif atom[0] == "f":
+                    located.append((lab, func_atom("U", sorts[atom[1]], atom[2])))
+                else:
+                    located.append((lab, const_atom("m")))
+        delta_atoms = tuple(sorted(delta_atom(l1, l2, g)[0]
+                                   for l1, l2, g in deltas))
+        _accumulate(terms, _canon_located(located), delta_atoms, GRat(re, im))
+    T = TensorExpr(dim, terms)
+    return T, a, b, default_kernels(dim)[kernel], system
+
+
+# three labels: y carries no atoms in the first term, z none in the second;
+# phi twice at z and U(phi) twice at x exercise the multiplicities
+EMPTY_BLOCKS = (3, "real", 1, ("z", "x"), [
+    ((2, 1), {"x": [("j", 1, (1, 0, 0)), ("j", 1, (0, 0, 0)),
+                    ("f", 0, 0), ("f", 0, 0)],
+              "y": [],
+              "z": [("j", 0, (0, 0, 0)), ("j", 0, (0, 0, 0)),
+                    ("j", 1, (0, 2, 0)), ("j", 1, (0, 0, 0))]},
+     [("x", "y", (1, 0, 0))]),
+    ((-1, 0), {"x": [("j", 0, (0, 0, 1))], "y": [("j", 1, (0, 0, 0))],
+               "z": []}, [("y", "z", (0, 1, 0))]),
+])
+
+
+@settings(max_examples=150, deadline=None)
+@example(EMPTY_BLOCKS)
+@given(cases())
+def test_powers_match_per_monomial_reference(case):
+    T, a, b, P, system = build(case)
+    powers = list(islice(sigma_terms(T, a, b, P, system), POWERS))
+    # insertion order too: render's laplacian grouping can depend on it
+    assert [list(power.terms.items()) for power in powers] \
+        == [list(terms.items())
+            for terms in reference_powers(T, a, b, P, system, POWERS)]
+    assert all(power.dim == T.dim for power in powers)
+
+
+def test_empty_blocks_case_reaches_three_powers():
+    T, a, b, P, system = build(EMPTY_BLOCKS)
+    assert len(reference_powers(T, a, b, P, system, POWERS)) == POWERS
