@@ -126,7 +126,7 @@ def atom_key(atom: tuple):
     if atom[0] == "j":
         return (2, atom[1], mi_grlex(atom[2]))
     if atom[0] == "f":
-        return (1, atom[1], atom[2])
+        return (1, atom[1], atom[2], atom[3], atom[4])
     return (0, atom[1])
 
 

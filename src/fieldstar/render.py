@@ -114,7 +114,9 @@ def _laplacian_groups(expr: FieldExpr):
                 direction = index.index(2) + 1
                 rest = mon[:pos] + mon[pos + 1:]
                 candidates.setdefault((rest, atom[1]), {})[direction] = (mon, c)
-        for (rest, sort), hits in candidates.items():
+        # in key order, so that a monomial in two complete groups goes to
+        # the same one whatever the insertion order of the terms
+        for (rest, sort), hits in sorted(candidates.items()):
             if len(hits) != dim:
                 continue
             coeffs = {c for _m, c in hits.values()}

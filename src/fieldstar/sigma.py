@@ -11,15 +11,23 @@ All spatial derivatives produced by one operator instance act on the single
 kernel atom that instance inserts; powers of the operator keep accumulating
 derivatives on that same atom.
 
-Work terms track the pending kernel atom explicitly as (a, b, gamma) with
-gamma counted on the a side; a derivative from the b side folds in with the
-parity sign (-1)^|beta|.  The atom is canonicalized only when a power is
-finalized into a TensorExpr.
+The a-side partials touch only the atoms at a and the b-side partials only
+the rest, and A and B commute, so on a product L (x) R the k-th power is
+
+    sum_i C(k,i) s^(k-i) (d_{p,a}^i d_{q,a}^(k-i) L) (x) (d_{q,b}^i d_{p,b}^(k-i) R).
+
+``sigma_terms`` therefore splits T into a short sum of such products,
+differentiates each factor on its own and multiplies.  A factor's work
+terms track the index gamma it adds to the pending atom.  The atom is
+d_lo^gamma delta(lo - hi) for the label pair in order, so derivatives from
+the hi side, and kernel indices when a > b, fold in the parity sign
+(-1)^|index|.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from math import comb
 from operator import itemgetter
 
 from .jets import (
@@ -31,23 +39,11 @@ from .jets import (
     mi_zero,
 )
 from .kernels import Kernel, bracket_sign
-from .rationals import GRat
-from .tensor import TensorExpr, _accumulate, _canon_located, delta_atom
+from .rationals import ONE
+from .tensor import TensorExpr, _acc, _canon_located
 
 
 _label = itemgetter(0)  # the label of a located atom
-
-
-def _acc(works: dict, key, c: GRat):
-    acc = works.get(key)
-    if acc is None:
-        works[key] = c
-        return
-    acc = acc + c
-    if acc:
-        works[key] = acc
-    else:
-        del works[key]
 
 
 def _jet_partial_mon(mon, label: str, sort: str, index):
@@ -73,7 +69,7 @@ def _jet_partial_mon(mon, label: str, sort: str, index):
 def _block_partials(block, label: str, sort: str, side: int, dim: int) -> list:
     """Every (new block, index, int factor) that one derivation pass makes
     from the atoms at one label; the factor holds the multiplicity and, on
-    the b side, the parity sign (-1)^|index|."""
+    the side that carries the parity, the sign (-1)^|index|."""
     indices = set()
     for _lab, atom in block:
         if atom[0] == "j" and atom[1] == sort:
@@ -124,18 +120,64 @@ def _derive(works: dict, label: str, sort: str, side: int, dim: int,
     return out
 
 
-def _finalize(works: dict, a: str, b: str, dim: int) -> TensorExpr:
-    terms: dict = {}
-    atoms: dict = {}  # gamma -> (canonical delta atom, whether it flips sign)
-    for (mon, deltas, gamma), c in works.items():
-        found = atoms.get(gamma)
-        if found is None:
-            atom, sign = delta_atom(a, b, gamma)
-            found = atoms[gamma] = (atom, sign != 1)
-        atom, flip = found
-        _accumulate(terms, mon, tuple(sorted(deltas + (atom,))),
-                    -c if flip else c)
-    return TensorExpr(dim, terms)
+def _factor(T: TensorExpr, a: str) -> list:
+    """T as a sum of products L (x) R; a list of (L, R) work dicts.
+
+    Terms with equal rest (atoms off ``a`` plus deltas) form a row
+    {a-block: c}.  Proportional rows over the same a-blocks, in the same
+    order, share one L: the first such row divided by its first
+    coefficient.  A product input therefore gives one pair.
+    """
+    zero = mi_zero(T.dim)
+    rows: dict = {}
+    for (mon, deltas), c in T.terms.items():
+        lo = bisect_left(mon, a, key=_label)
+        hi = bisect_right(mon, a, lo, key=_label)
+        rows.setdefault((mon[:lo] + mon[hi:], deltas), {})[mon[lo:hi]] = c
+    pairs = []
+    shapes: dict = {}  # a-blocks of a row -> [(ratios to the first, R)]
+    for (rest, deltas), row in rows.items():
+        blocks = tuple(row)
+        values = list(row.values())
+        c = values[0]
+        for ratios, R in shapes.get(blocks, ()):
+            if all(v == r * c for v, r in zip(values[1:], ratios)):
+                break
+        else:
+            ratios = [v / c for v in values[1:]]
+            R = {}
+            shapes.setdefault(blocks, []).append((ratios, R))
+            pairs.append(({(block, (), zero): r for block, r
+                           in zip(blocks, [ONE] + ratios)}, R))
+        R[(rest, deltas, zero)] = c
+    return pairs
+
+
+def _product(out: dict, X: dict, Y: dict, kernel: list, a: str, canon,
+             atoms: dict, memo: dict):
+    """Accumulate X (x) Y (x) kernel into ``out``; ``kernel`` lists each
+    (gamma, coefficient) with the binomial and parity already folded in,
+    and ``canon(deltas, gamma)`` gives the delta part of the output key,
+    cached in ``atoms`` per (deltas, alpha, beta + gamma)."""
+    kernel = [(g, None if kc == 1 else kc) for g, kc in kernel]
+    by_alpha: dict = {}
+    for (block, _deltas, alpha), cx in X.items():
+        by_alpha.setdefault(alpha, []).append((block, cx))
+    for (rest, deltas, beta), cy in Y.items():
+        cut = bisect_left(rest, a, key=_label)
+        pre, post = rest[:cut], rest[cut:]
+        for gamma, kc in kernel:
+            bg = memo.get((beta, gamma))
+            if bg is None:
+                bg = memo[(beta, gamma)] = mi_add(beta, gamma)
+            cr = cy if kc is None else cy * kc
+            for alpha, entries in by_alpha.items():
+                dkey = atoms.get((deltas, alpha, bg))
+                if dkey is None:
+                    dkey = atoms[(deltas, alpha, bg)] = canon(
+                        deltas, mi_add(alpha, bg))
+                for block, cx in entries:
+                    _acc(out, (pre + block + post, dkey), cx * cr)
 
 
 def _sort_pair(system: FieldSystem) -> tuple[str, str]:
@@ -152,7 +194,9 @@ def sigma_terms(T: TensorExpr, a: str, b: str, P: Kernel, system: FieldSystem,
 
     Each yielded TensorExpr is the raw k-th power (no 1/k! factor), with the
     inserted kernel atom canonicalized.  The generator stops as soon as a
-    power vanishes identically; all higher powers then vanish as well.
+    power vanishes identically; all higher powers then vanish as well.  (A
+    power that vanishes only once its inserted atom joins an equal delta
+    atom of T is yielded, empty.)
     """
     if a == b:
         raise ValueError(f"operator label pair coincides: {a!r}")
@@ -160,19 +204,61 @@ def sigma_terms(T: TensorExpr, a: str, b: str, P: Kernel, system: FieldSystem,
         sign = bracket_sign(P)
     p, q = _sort_pair(system)
     dim = T.dim
-    works: dict = {}
-    for (mon, deltas), c in T.terms.items():
-        for gamma, cg in P.terms.items():
-            cc = c * cg
-            if cc:
-                _acc(works, (mon, deltas, gamma), cc)
+    lo, hi = sorted((a, b))
+    side_a, side_b = (0, 1) if a == lo else (1, 0)
+    kernel = [(g, c if side_a == 0 or mi_order(g) % 2 == 0 else -c)
+              for g, c in P.terms.items()]
+
+    def canonical(deltas, gamma):
+        return tuple(sorted(deltas + ((lo, hi, gamma),)))
+
+    def pending(deltas, gamma):
+        return deltas, gamma
+
+    def power(canon, atoms: dict) -> dict:
+        out: dict = {}
+        for _start, lines in pairs:
+            for j, X, Y in lines:
+                f = comb(k, j) * sign ** j
+                _product(out, X, Y, kernel if f == 1 else
+                         [(g, c * f) for g, c in kernel], a, canon, atoms,
+                         memo)
+        return out
+
+    def meets() -> bool:
+        # the inserted atom can only meet a delta atom of T on its labels
+        return any(d[0] == lo and d[1] == hi for _mon, deltas in T.terms
+                   for d in deltas)
+
     memo: dict = {}
-    while works:
-        part_a = _derive(_derive(works, a, p, 0, dim, memo), b, q, 1, dim, memo)
-        part_b = _derive(_derive(works, a, q, 0, dim, memo), b, p, 1, dim, memo)
-        works = part_a
-        for key, c in part_b.items():
-            _acc(works, key, c if sign > 0 else -c)
-        if not works:
+    atoms: dict = {}
+    # per pair: the current (X, Y) of lineage 0 of the next power, or None
+    # once it vanished, and the live lineages (j, X, Y), where j counts the
+    # B factors: X = d_{p,a}^i d_{q,a}^j L and Y = d_{q,b}^i d_{p,b}^j R
+    pairs = [((L, R), [(0, L, R)]) for L, R in _factor(T, a)]
+    k = 0
+    while pairs:
+        k += 1
+        live = []
+        for start, lines in pairs:
+            new_lines = []
+            for j, X, Y in lines:
+                X = _derive(X, a, p, side_a, dim, memo)
+                Y = _derive(Y, b, q, side_b, dim, memo) if X else None
+                if Y:
+                    new_lines.append((j, X, Y))
+            if start is not None:
+                X = _derive(start[0], a, q, side_a, dim, memo)
+                Y = _derive(start[1], b, p, side_b, dim, memo) if X else None
+                start = (X, Y) if Y else None
+                if Y:
+                    new_lines.append((k, X, Y))
+            if new_lines:
+                live.append((start, new_lines))
+        pairs = live
+        out = power(canonical, atoms)
+        # the next power can be nonzero only if this one is before the
+        # inserted atom joins the deltas
+        if not out and not (meets() and power(pending, {})):
             return
-        yield _finalize(works, a, b, dim)
+        yield TensorExpr(dim, out)

@@ -25,7 +25,7 @@ from .poisson import (
     _related_multi,
     bracket_fn,
 )
-from .rationals import GRat, ONE, ZERO
+from .rationals import GRat, ONE
 from .sigma import sigma_terms, _sort_pair
 from .tensor import NonIntegrableTerm, TensorExpr
 
@@ -102,6 +102,11 @@ def series_mul(A: HbarSeries, B: HbarSeries) -> HbarSeries:
     return out
 
 
+def _put(coeffs: dict, k: int, T: TensorExpr):
+    acc = coeffs.get(k)
+    coeffs[k] = T if acc is None else acc + T
+
+
 def exp_sigma(S: HbarSeries, a: str, b: str, P: Kernel, system: FieldSystem,
               order: int | None = None) -> HbarSeries:
     """Apply the exponential of one operator instance to a series."""
@@ -111,7 +116,7 @@ def exp_sigma(S: HbarSeries, a: str, b: str, P: Kernel, system: FieldSystem,
     for j, Tj in S.coeffs.items():
         if j > K:
             continue
-        coeffs[j] = coeffs.get(j, TensorExpr.zero(S.dim)) + Tj
+        _put(coeffs, j, Tj)
         gen = sigma_terms(Tj, a, b, P, system)
         k = 0
         terminated = False
@@ -124,8 +129,8 @@ def exp_sigma(S: HbarSeries, a: str, b: str, P: Kernel, system: FieldSystem,
             except StopIteration:
                 terminated = True
                 break
-            piece = Tk.scale(ONE / GRat(factorial(k)))
-            coeffs[j + k] = coeffs.get(j + k, TensorExpr.zero(S.dim)) + piece
+            _put(coeffs, j + k,
+                 Tk if k == 1 else Tk.scale(ONE / GRat(factorial(k))))
         if not terminated and j + k > K:
             # could not prove termination within the order budget
             try:

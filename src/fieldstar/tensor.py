@@ -20,7 +20,7 @@ from .jets import (
     mi_unit,
     mi_zero,
 )
-from .rationals import GRat, ONE, ZERO
+from .rationals import GRat, ONE
 
 
 class NonIntegrableTerm(ValueError):
@@ -92,11 +92,7 @@ class TensorExpr:
         self._check(other)
         terms = dict(self.terms)
         for key, c in other.terms.items():
-            acc = terms.get(key, ZERO) + c
-            if acc:
-                terms[key] = acc
-            else:
-                terms.pop(key, None)
+            _acc(terms, key, c)
         return TensorExpr(self.dim, terms)
 
     def __sub__(self, other: "TensorExpr") -> "TensorExpr":
@@ -110,8 +106,16 @@ class TensorExpr:
         terms: dict = {}
         for (m1, d1), c1 in self.terms.items():
             for (m2, d2), c2 in other.terms.items():
-                _accumulate(terms, _canon_located(m1 + m2),
-                            tuple(sorted(d1 + d2)), c1 * c2)
+                # located monomials sort by label first, so factors whose
+                # label ranges do not overlap join by concatenation
+                if not m1 or not m2 or m1[-1][0] < m2[0][0]:
+                    mon = m1 + m2
+                elif m2[-1][0] < m1[0][0]:
+                    mon = m2 + m1
+                else:
+                    mon = _canon_located(m1 + m2)
+                _accumulate(terms, mon, tuple(sorted(d1 + d2)) if d1 and d2
+                            else d1 + d2, c1 * c2)
         return TensorExpr(self.dim, terms)
 
     def scale(self, c) -> "TensorExpr":
@@ -283,10 +287,8 @@ class TensorExpr:
         return result
 
 
-def _accumulate(terms: dict, mon: tuple, deltas: tuple, c: GRat):
-    if not c:
-        return
-    key = (mon, deltas)
+def _acc(terms: dict, key, c: GRat):
+    """Add a nonzero ``c`` at ``key``, dropping the key if it cancels."""
     acc = terms.get(key)
     if acc is None:
         terms[key] = c
@@ -296,3 +298,8 @@ def _accumulate(terms: dict, mon: tuple, deltas: tuple, c: GRat):
         terms[key] = acc
     else:
         del terms[key]
+
+
+def _accumulate(terms: dict, mon: tuple, deltas: tuple, c: GRat):
+    if c:
+        _acc(terms, (mon, deltas), c)

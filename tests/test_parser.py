@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -129,6 +130,19 @@ def test_canonical_json_is_deterministic():
     g = parse_expr("1/2*pi + i*phi^2", CTX1)
     assert dumps_canonical(to_json(f)) == dumps_canonical(to_json(g))
     assert '"kind":"expr"' in dumps_canonical(to_json(f))
+
+
+def test_rendering_does_not_depend_on_term_order():
+    # phi[2,0,0]*pi[2,0,0] completes both the laplacian(pi) group of
+    # phi[2,0,0] and the laplacian(phi) group of pi[2,0,0]
+    f = parse_expr("phi[2,0,0]*(pi[2,0,0]+pi[0,2,0]+pi[0,0,2])"
+                   " + (phi[0,2,0]+phi[0,0,2])*pi[2,0,0]", CTX3)
+    items = list(f.terms.items())
+    assert len(items) == 5
+    rendered = {render_field_expr(FieldExpr(3, dict(order)))
+                for order in permutations(items)}
+    assert rendered == {"phi[2,0,0]*laplacian(pi) + phi[0,0,2]*pi[2,0,0]"
+                        " + phi[0,2,0]*pi[2,0,0]"}
 
 
 def test_zero_renders_as_zero():

@@ -1,8 +1,10 @@
-"""The block-memoized operator kernel against the per-monomial reference.
+"""The factored operator kernel against the per-monomial reference.
 
-``sigma_terms`` differentiates each label block of a located monomial once
-per call.  The reference below is the per-monomial derivation it replaced,
-kept verbatim so that every power can be compared term by term.
+``sigma_terms`` splits T into products L (x) R, differentiates each factor
+on its own and multiplies.  The reference below is a per-monomial
+derivation of the whole product, so that every power can be compared term
+by term.  Powers are compared as values (term dicts); rendering does not
+depend on insertion order (tests/test_parser.py).
 """
 
 from itertools import islice
@@ -10,6 +12,7 @@ from itertools import islice
 from hypothesis import example, given, settings, strategies as st
 
 from fieldstar.jets import (
+    FieldExpr,
     complex_system,
     const_atom,
     func_atom,
@@ -19,10 +22,10 @@ from fieldstar.jets import (
     mi_zero,
     real_system,
 )
-from fieldstar.kernels import bracket_sign
+from fieldstar.kernels import Kernel, bracket_sign
 from fieldstar.randexpr import multi_indices
 from fieldstar.rationals import GRat, ONE, ZERO
-from fieldstar.sigma import _sort_pair, sigma_terms
+from fieldstar.sigma import _factor, _sort_pair, sigma_terms
 from fieldstar.tensor import TensorExpr, _accumulate, _canon_located, delta_atom
 from fieldstar.verify import default_kernels
 
@@ -196,13 +199,89 @@ EMPTY_BLOCKS = (3, "real", 1, ("z", "x"), [
 def test_powers_match_per_monomial_reference(case):
     T, a, b, P, system = build(case)
     powers = list(islice(sigma_terms(T, a, b, P, system), POWERS))
-    # insertion order too: render's laplacian grouping can depend on it
-    assert [list(power.terms.items()) for power in powers] \
-        == [list(terms.items())
-            for terms in reference_powers(T, a, b, P, system, POWERS)]
+    assert [power.terms for power in powers] \
+        == reference_powers(T, a, b, P, system, POWERS)
     assert all(power.dim == T.dim for power in powers)
 
 
 def test_empty_blocks_case_reaches_three_powers():
     T, a, b, P, system = build(EMPTY_BLOCKS)
     assert len(reference_powers(T, a, b, P, system, POWERS)) == POWERS
+
+
+# -- fixed cases: how T splits into products ----------------------------------
+
+def jet(sort, index, c=1):
+    return FieldExpr.jet(sort, index).scale(c)
+
+
+def at(f, label):
+    return TensorExpr.from_field(f, label)
+
+
+F = jet("phi", (1,)) * jet("phi", (0,)) * jet("pi", (0,), GRat(2, 1)) \
+    + jet("phi", (0,)) ** 3 + jet("pi", (2,), -3) * jet("phi", (1,))
+G = jet("pi", (1,)) * jet("pi", (0,)) ** 2 \
+    + jet("phi", (1,), GRat(0, 1)) * jet("pi", (0,))
+SYSTEM = real_system(1)
+
+
+def check_powers(T, a, b, P, count=POWERS):
+    """Compare the first powers with the reference; return how many
+    products the kernel split T into."""
+    powers = [power.terms for power in islice(sigma_terms(T, a, b, P, SYSTEM),
+                                              count)]
+    assert powers == reference_powers(T, a, b, P, SYSTEM, count)
+    assert len(powers) == count
+    return len(_factor(T, a))
+
+
+def test_product_is_one_pair_on_either_side():
+    for P in default_kernels(1):
+        assert check_powers(at(F, "x") * at(G, "y"), "x", "y", P) == 1
+        assert check_powers(at(F, "x") * at(G, "y"), "y", "x", P) == 1
+
+
+def test_proportional_rows_with_different_scalars_are_one_pair():
+    # the rows at G's two terms are F scaled by 1 and by i, and the
+    # row at z (with its own delta) is F scaled by -1/2
+    T = at(F, "x") * at(G, "y") \
+        + at(F.scale(GRat(-1, 2)), "x") * at(jet("phi", (0,)), "z") \
+        * TensorExpr.from_kernel(Kernel.delta(1), "y", "z")
+    for P in default_kernels(1):
+        assert check_powers(T, "x", "y", P) == 1
+
+
+def test_non_proportional_rows_fall_back_to_one_pair_each():
+    # (phi + pi)*phi and (phi - pi)*phi share their blocks but not their
+    # ratio; phi[1]*phi has other blocks
+    phi, pi = jet("phi", (0,)), jet("pi", (0,))
+    T = at((phi + pi) * phi, "x") * at(G, "y") \
+        + at((phi - pi) * phi, "x") * at(pi * pi, "y") \
+        + at(jet("phi", (1,)) * phi, "x") * at(F, "y")
+    for P in default_kernels(1):
+        assert check_powers(T, "x", "y", P, 2) == 3
+
+
+def test_block_with_function_atoms_of_both_sorts():
+    U_phi = FieldExpr.function("U", "phi", 1)
+    U_pi = FieldExpr.function("U", "pi", 1)
+    T = at(U_phi * U_pi * jet("pi", (1,)), "x") * at(U_pi * U_phi + G, "y")
+    for P in default_kernels(1):
+        assert check_powers(T, "x", "y", P) == 1
+        assert check_powers(T, "y", "x", P) == 1
+
+
+def test_power_cancelled_by_an_equal_delta_atom_is_yielded_empty():
+    # at power one, pi[1]@x*phi@y*delta{x,y} with d1 delta inserted meets
+    # phi@x*pi@y*d1 delta{x,y} with delta inserted, and the two cancel;
+    # the reference works before the atom joins, so it yields {} and stops
+    T, a, b, _P, _system = build((1, "real", 0, ("x", "y"), [
+        ((1, 0), {"x": [("j", 1, (1,))], "y": [("j", 0, (0,))]},
+         [("x", "y", (0,))]),
+        ((1, 0), {"x": [("j", 0, (0,))], "y": [("j", 1, (0,))]},
+         [("x", "y", (1,))]),
+    ]))
+    powers = list(sigma_terms(T, a, b, Kernel.delta(1), SYSTEM))
+    assert [power.terms for power in powers] == [{}] \
+        == reference_powers(T, a, b, Kernel.delta(1), SYSTEM, POWERS)

@@ -1,4 +1,8 @@
+from functools import reduce
+from operator import mul
+
 import pytest
+from hypothesis import given, strategies as st
 
 from fieldstar.jets import FieldExpr
 from fieldstar.kernels import Kernel
@@ -12,6 +16,34 @@ def u(index=(0,)):
 
 def xi(index=(0,)):
     return FieldExpr.jet("pi", index)
+
+
+# function atoms that differ only in their argument sort or vanishing flag
+FACTORS = (
+    FieldExpr.function("U", "phi", 1),
+    FieldExpr.function("U", "pi", 1),
+    FieldExpr.function("U", "pi", 1, order=1),
+    FieldExpr.function("U", "phi", 1, vanishes=False),
+    FieldExpr.jet("pi", (1,)) + FieldExpr.const(GRat(1, 2), 1),
+)
+
+
+def test_function_atoms_of_both_sorts_commute():
+    U_phi, U_pi = FACTORS[:2]
+    assert U_phi * U_pi == U_pi * U_phi
+    assert (U_phi * U_pi - U_pi * U_phi).is_zero()
+
+
+@given(st.lists(st.sampled_from(FACTORS), min_size=1, max_size=4),
+       st.lists(st.sampled_from(FACTORS), min_size=1, max_size=4))
+def test_products_with_function_atoms_commute_and_cancel(us, vs):
+    f, g = reduce(mul, us), reduce(mul, vs)
+    assert f * g == g * f
+    assert (f * g - g * f).is_zero()
+    for a, b in (("x", "x"), ("x", "y"), ("y", "x")):
+        F, G = TensorExpr.from_field(f, a), TensorExpr.from_field(g, b)
+        assert F * G == G * F
+        assert (F * G - G * F).is_zero()
 
 
 def test_delta_atom_canonicalizes_label_order():
