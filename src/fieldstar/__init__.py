@@ -14,7 +14,6 @@ from .euler_lagrange import (
     apply_el,
     dual_derivative,
     duality_residual,
-    el_derivative,
     el_power_duality_residual,
     variational_derivative,
 )
@@ -39,7 +38,6 @@ from .poisson import (
     ConditionBViolation,
     Functional,
     LabelCollision,
-    bracket_density,
     bracket_fn,
     bracket_functional_density,
     bracket_functionals,
@@ -87,7 +85,6 @@ __all__ = [
     "apply_dual",
     "apply_el",
     "assoc_residuals",
-    "bracket_density",
     "bracket_fn",
     "bracket_functional_density",
     "bracket_functionals",
@@ -97,7 +94,6 @@ __all__ = [
     "complex_system",
     "dual_derivative",
     "duality_residual",
-    "el_derivative",
     "el_power_duality_residual",
     "equation_of_motion",
     "jacobi_residual",

@@ -9,11 +9,19 @@ Schrodinger equation example.
 
 from __future__ import annotations
 
-from .jets import FieldExpr, FieldSystem, complex_system, mi_unit, real_system
+from .jets import (
+    FieldExpr,
+    FieldSystem,
+    _acc,
+    complex_system,
+    conjugate_atom,
+    mi_unit,
+    real_system,
+)
 from .kernels import Kernel
 from .poisson import Functional, bracket_fn, bracket_functional_density
 from .rationals import GRat, I, ONE
-from .tensor import TensorExpr
+from .tensor import TensorExpr, _canon_located
 
 
 def real_complex_equivalence(P: Kernel, dim: int,
@@ -98,19 +106,9 @@ def conjugation_residual(f: FieldExpr, g: FieldExpr, P: Kernel,
 
 
 def _conjugate_tensor(T: TensorExpr, system: FieldSystem) -> TensorExpr:
-    from .jets import func_atom, jet_atom
-    from .tensor import _canon_located, _accumulate
-
     terms: dict = {}
     for (mon, deltas), c in T.terms.items():
-        atoms = []
-        for lab, atom in mon:
-            if atom[0] == "j":
-                atoms.append((lab, jet_atom(system.partner(atom[1]), atom[2])))
-            elif atom[0] == "f":
-                atoms.append((lab, func_atom(atom[1], system.partner(atom[3]),
-                                             atom[2], atom[4])))
-            else:
-                atoms.append((lab, atom))
-        _accumulate(terms, _canon_located(atoms), deltas, c.conjugate())
+        located = _canon_located((lab, conjugate_atom(atom, system))
+                                 for lab, atom in mon)
+        _acc(terms, (located, deltas), c.conjugate())
     return TensorExpr(T.dim, terms)

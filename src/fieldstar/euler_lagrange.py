@@ -8,12 +8,12 @@ are the variational (Euler) operators.
 
 from __future__ import annotations
 
-from .jets import FieldExpr, mi_add, mi_order, mi_zero
-from .rationals import GRat, ONE, ZERO
-from .tensor import TensorExpr
+from .jets import FieldExpr, TermDict, _acc, mi_add, mi_unit, mi_zero
+from .rationals import ONE
+from .tensor import TensorExpr, _delta_leibniz
 
 
-class ELOperator:
+class ELOperator(TermDict):
     """A polynomial in generators (sort, index), attached to one point label.
 
     Monomials are sorted tuples of (sort, index) generators; multiplication
@@ -21,12 +21,15 @@ class ELOperator:
     compose and spatial derivative exponents add).
     """
 
-    __slots__ = ("dim", "label", "terms")
+    __slots__ = ("label",)
 
     def __init__(self, dim: int, label: str, terms: dict | None = None):
-        self.dim = dim
+        super().__init__(dim, terms)
         self.label = label
-        self.terms = terms if terms is not None else {}
+
+    @classmethod
+    def zero(cls, dim: int, label: str) -> "ELOperator":
+        return cls(dim, label, {})
 
     @classmethod
     def identity(cls, dim: int, label: str) -> "ELOperator":
@@ -38,50 +41,28 @@ class ELOperator:
         d = len(index) if dim is None else dim
         return cls(d, label, {((sort, index),): ONE})
 
-    def __add__(self, other: "ELOperator") -> "ELOperator":
-        if (self.dim, self.label) != (other.dim, other.label):
-            raise ValueError("operator label or dimension mismatch")
-        terms = dict(self.terms)
-        for mon, c in other.terms.items():
-            acc = terms.get(mon, ZERO) + c
-            if acc:
-                terms[mon] = acc
-            else:
-                terms.pop(mon, None)
+    # the label is part of the shape: sums keep it, and labels never mix
+
+    def _like(self, terms: dict) -> "ELOperator":
         return ELOperator(self.dim, self.label, terms)
 
-    def __neg__(self) -> "ELOperator":
-        return self.scale(-1)
-
-    def __sub__(self, other: "ELOperator") -> "ELOperator":
-        return self + (-other)
-
-    def scale(self, c) -> "ELOperator":
-        c = c if isinstance(c, GRat) else GRat(c)
-        if not c:
-            return ELOperator(self.dim, self.label, {})
-        return ELOperator(self.dim, self.label,
-                          {m: v * c for m, v in self.terms.items()})
-
-    def compose(self, other: "ELOperator") -> "ELOperator":
-        """Operator product: generator multisets merge, coefficients multiply."""
+    def _check(self, other: "ELOperator"):
         if (self.dim, self.label) != (other.dim, other.label):
             raise ValueError("operator label or dimension mismatch")
-        terms: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mon = tuple(sorted(m1 + m2))
-                acc = terms.get(mon, ZERO) + c1 * c2
-                if acc:
-                    terms[mon] = acc
-                else:
-                    terms.pop(mon, None)
-        return ELOperator(self.dim, self.label, terms)
 
     def __eq__(self, other):
         if not isinstance(other, ELOperator):
             return NotImplemented
         return (self.dim, self.label, self.terms) == (other.dim, other.label, other.terms)
+
+    def compose(self, other: "ELOperator") -> "ELOperator":
+        """Operator product: generator multisets merge, coefficients multiply."""
+        self._check(other)
+        terms: dict = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                _acc(terms, tuple(sorted(m1 + m2)), c1 * c2)
+        return ELOperator(self.dim, self.label, terms)
 
 
 def _spatial_on_kernel(T: TensorExpr, label: str, index) -> TensorExpr:
@@ -91,49 +72,20 @@ def _spatial_on_kernel(T: TensorExpr, label: str, index) -> TensorExpr:
     total derivative on the label's field content instead (the substitution
     semantics for intermediate groupings without a kernel factor).
     """
-    result_terms: dict = {}
-    out = TensorExpr(T.dim, result_terms)
-    kernel_part = TensorExpr.zero(T.dim)
-    field_part = TensorExpr.zero(T.dim)
-    for (mon, deltas), c in T.terms.items():
-        t = TensorExpr(T.dim, {(mon, deltas): c})
-        if any(label in (a, b) for a, b, _ in deltas):
-            kernel_part = kernel_part + t
-        else:
-            field_part = field_part + t
+    kernel = {key: c for key, c in T.terms.items()
+              if any(label in (a, b) for a, b, _g in key[1])}
+    field = {key: c for key, c in T.terms.items() if key not in kernel}
     # kernel-carrying terms: differentiate only delta atoms
-    done = TensorExpr.zero(T.dim)
-    work = kernel_part
     for direction, k in enumerate(index, start=1):
+        e = mi_unit(T.dim, direction)
         for _ in range(k):
-            work = _delta_derivative(work, label, direction)
-    done = work
-    if not field_part.is_zero() and mi_order(tuple(index)) > 0:
-        done = done + field_part.total_derivative_multi_at(label, index)
-    elif mi_order(tuple(index)) == 0:
-        done = done + field_part
-    return done
-
-
-def _delta_derivative(T: TensorExpr, label: str, direction: int) -> TensorExpr:
-    """Leibniz derivative over the delta atoms carrying the label only."""
-    from .jets import mi_unit
-    from .tensor import _accumulate
-
-    e = mi_unit(T.dim, direction)
-    terms: dict = {}
-    for (mon, deltas), c in T.terms.items():
-        for pos, (a, b, gamma) in enumerate(deltas):
-            if pos > 0 and deltas[pos] == deltas[pos - 1]:
-                continue
-            if label not in (a, b):
-                continue
-            mult = deltas.count((a, b, gamma))
-            sign = ONE if label == a else -ONE
-            rest = list(deltas)
-            rest[pos] = (a, b, mi_add(gamma, e))
-            _accumulate(terms, mon, tuple(sorted(rest)), c * sign * mult)
-    return TensorExpr(T.dim, terms)
+            work, kernel = kernel, {}
+            for (mon, deltas), c in work.items():
+                _delta_leibniz(kernel, mon, deltas, c, label, e)
+    result = TensorExpr(T.dim, kernel)
+    if field:
+        result = result + TensorExpr(T.dim, field).total_derivative_multi_at(label, index)
+    return result
 
 
 def apply_el(op: ELOperator, T: TensorExpr) -> TensorExpr:
@@ -148,29 +100,6 @@ def apply_el(op: ELOperator, T: TensorExpr) -> TensorExpr:
             total = mi_add(total, index)
         piece = _spatial_on_kernel(piece, op.label, total)
         result = result + piece
-    return result
-
-
-def el_derivative(T: TensorExpr, sort: str, label: str, power: int = 1) -> TensorExpr:
-    """The formal sum over all indices of (jet partial x spatial derivative),
-    truncated to the variables actually present, applied ``power`` times."""
-    result = T
-    for _ in range(power):
-        step = TensorExpr.zero(T.dim)
-        indices = set()
-        for (mon, _deltas) in result.terms:
-            for lab, atom in mon:
-                if lab != label:
-                    continue
-                if atom[0] == "j" and atom[1] == sort:
-                    indices.add(atom[2])
-                elif atom[0] == "f" and atom[3] == sort:
-                    indices.add(mi_zero(T.dim))
-        for index in sorted(indices):
-            piece = result.jet_partial_at(label, sort, index)
-            piece = _spatial_on_kernel(piece, label, index)
-            step = step + piece
-        result = step
     return result
 
 
@@ -219,16 +148,6 @@ def dual_derivative(f: FieldExpr, sort: str, power: int = 1) -> FieldExpr:
 def variational_derivative(f: FieldExpr, sort: str) -> FieldExpr:
     """Functional derivative of the integral of f with respect to one field."""
     return dual_derivative(f, sort, power=1)
-
-
-def pointwise_variation(f: FieldExpr, sort: str, label: str, partner: str) -> TensorExpr:
-    """Variation of a density at a point: the related operator applied to a
-    bare delta, leaving the kernel explicit."""
-    from .kernels import Kernel
-
-    T = TensorExpr.from_field(f, label) * TensorExpr.from_kernel(
-        Kernel.delta(f.dim), label, partner)
-    return el_derivative(T, sort, label)
 
 
 def duality_residual(op: ELOperator, f: FieldExpr, partner: str) -> FieldExpr:

@@ -134,10 +134,83 @@ def _canon_monomial(atoms) -> tuple:
     return tuple(sorted(atoms, key=atom_key))
 
 
-class FieldExpr:
-    """A commutative polynomial in jet variables over Q[i].
+# ---------------------------------------------------------------------------
+# calculus on bare-atom monomials, one copy of each rule: a rule returns
+# its contributions [(monomial, int multiplicity)]
 
-    Immutable by convention; never mutate ``terms`` after construction.
+def _partial_mon(mon: tuple, sort: str, index: MultiIndex) -> list:
+    """Partial derivative by the jet variable sort[index].
+
+    The chain rule promotes U^(k)(s_0) to U^(k+1)(s_0) when differentiating
+    by the order-zero jet of its argument sort.
+    """
+    out = []
+    target = ("j", sort, index)
+    if target in mon:
+        pos = mon.index(target)
+        out.append((mon[:pos] + mon[pos + 1:], mon.count(target)))
+    if not any(index):
+        for pos, atom in enumerate(mon):
+            if atom[0] == "f" and atom[3] == sort:
+                out.append((_canon_monomial(
+                    mon[:pos] + (func_atom(atom[1], sort, atom[2] + 1, atom[4]),)
+                    + mon[pos + 1:]), 1))
+    return out
+
+
+def _derivative_mon(mon: tuple, e: MultiIndex) -> list:
+    """Total derivative along the unit index ``e``: Leibniz over the atoms,
+    with U^(k)(s_0) prolonged to U^(k+1)(s_0) * s_e."""
+    out = []
+    for pos, atom in enumerate(mon):
+        if pos > 0 and atom == mon[pos - 1]:
+            # identical factors contribute equal terms; counted once below
+            continue
+        if atom[0] == "j":
+            new = (jet_atom(atom[1], mi_add(atom[2], e)),)
+        elif atom[0] == "f":
+            new = (func_atom(atom[1], atom[3], atom[2] + 1, atom[4]),
+                   jet_atom(atom[3], e))
+        else:  # constants differentiate to zero
+            continue
+        out.append((_canon_monomial(mon[:pos] + new + mon[pos + 1:]),
+                    mon.count(atom)))
+    return out
+
+
+def conjugate_atom(atom: tuple, system: FieldSystem) -> tuple:
+    """The atom with its sort swapped for the conjugate partner."""
+    if atom[0] == "j":
+        return jet_atom(system.partner(atom[1]), atom[2])
+    if atom[0] == "f":
+        return func_atom(atom[1], system.partner(atom[3]), atom[2], atom[4])
+    return atom
+
+
+def _times(c: GRat, k: int) -> GRat:
+    """c * k for an int multiplicity, without arithmetic when k is +-1."""
+    return c if k == 1 else -c if k == -1 else c * k
+
+
+def _acc(terms: dict, key, c):
+    """Add a nonzero ``c`` at ``key``, dropping the key if the sum cancels."""
+    acc = terms.get(key)
+    if acc is None:
+        terms[key] = c
+        return
+    acc = acc + c
+    if acc:
+        terms[key] = acc
+    else:
+        del terms[key]
+
+
+class TermDict:
+    """A finite sum of keyed terms with nonzero Q[i] coefficients.
+
+    ``terms`` maps keys (monomials, multi-indices, ...) to coefficients;
+    subclasses give the keys their meaning and their products.  Immutable
+    by convention; never mutate ``terms`` after construction.
     """
 
     __slots__ = ("dim", "terms")
@@ -146,11 +219,55 @@ class FieldExpr:
         self.dim = dim
         self.terms = terms if terms is not None else {}
 
-    # -- constructors -------------------------------------------------------
-
     @classmethod
-    def zero(cls, dim: int) -> "FieldExpr":
+    def zero(cls, dim: int):
         return cls(dim, {})
+
+    def _like(self, terms: dict):
+        """A value of the same class and shape with other terms."""
+        return type(self)(self.dim, terms)
+
+    def _check(self, other):
+        if self.dim != other.dim:
+            raise DimensionMismatch(f"dimension {self.dim} != {other.dim}")
+
+    def __add__(self, other):
+        self._check(other)
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            _acc(terms, key, c)
+        return self._like(terms)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def scale(self, c):
+        c = c if isinstance(c, GRat) else GRat(c)
+        if not c:
+            return self._like({})
+        return self._like({k: v * c for k, v in self.terms.items()})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.dim == other.dim and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.dim, frozenset(self.terms.items())))
+
+
+class FieldExpr(TermDict):
+    """A commutative polynomial in jet variables over Q[i]."""
+
+    __slots__ = ()
+
+    # -- constructors -------------------------------------------------------
 
     @classmethod
     def const(cls, value, dim: int) -> "FieldExpr":
@@ -176,45 +293,13 @@ class FieldExpr:
 
     # -- ring structure -----------------------------------------------------
 
-    def _check(self, other: "FieldExpr"):
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"dimension {self.dim} != {other.dim}")
-
-    def __add__(self, other: "FieldExpr") -> "FieldExpr":
-        self._check(other)
-        terms = dict(self.terms)
-        for mon, c in other.terms.items():
-            acc = terms.get(mon, ZERO) + c
-            if acc:
-                terms[mon] = acc
-            else:
-                terms.pop(mon, None)
-        return FieldExpr(self.dim, terms)
-
-    def __sub__(self, other: "FieldExpr") -> "FieldExpr":
-        return self + (-other)
-
-    def __neg__(self) -> "FieldExpr":
-        return FieldExpr(self.dim, {m: -c for m, c in self.terms.items()})
-
     def __mul__(self, other: "FieldExpr") -> "FieldExpr":
         self._check(other)
         terms: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mon = _canon_monomial(m1 + m2)
-                acc = terms.get(mon, ZERO) + c1 * c2
-                if acc:
-                    terms[mon] = acc
-                else:
-                    terms.pop(mon, None)
+                _acc(terms, _canon_monomial(m1 + m2), c1 * c2)
         return FieldExpr(self.dim, terms)
-
-    def scale(self, c) -> "FieldExpr":
-        c = c if isinstance(c, GRat) else GRat(c)
-        if not c:
-            return FieldExpr.zero(self.dim)
-        return FieldExpr(self.dim, {m: v * c for m, v in self.terms.items()})
 
     def __pow__(self, k: int) -> "FieldExpr":
         if k < 0:
@@ -224,17 +309,6 @@ class FieldExpr:
             result = result * self
         return result
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldExpr):
-            return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.terms.items())))
-
     def __repr__(self):
         from .render import render_field_expr
 
@@ -242,52 +316,23 @@ class FieldExpr:
 
     # -- calculus -----------------------------------------------------------
 
-    def jet_partial(self, sort: str, index: MultiIndex) -> "FieldExpr":
-        """Formal partial derivative with respect to one jet variable.
-
-        The chain rule promotes U^(k)(s_0) to U^(k+1)(s_0) when
-        differentiating by the order-zero jet of its argument sort.
-        """
-        index = tuple(index)
-        target = jet_atom(sort, index)
-        at_origin = mi_order(index) == 0
+    def _each_term(self, rule) -> "FieldExpr":
+        """Apply a monomial rule (see ``_partial_mon``) to every term."""
         terms: dict = {}
         for mon, c in self.terms.items():
-            for pos, atom in enumerate(mon):
-                if atom == target:
-                    mult = mon.count(atom)
-                    rest = list(mon)
-                    del rest[pos]
-                    _accumulate(terms, tuple(rest), c * mult)
-                    break
-            for pos, atom in enumerate(mon):
-                if atom[0] == "f" and atom[3] == sort and at_origin:
-                    rest = list(mon)
-                    rest[pos] = func_atom(atom[1], atom[3], atom[2] + 1, atom[4])
-                    _accumulate(terms, _canon_monomial(rest), c)
+            for new, mult in rule(mon):
+                _acc(terms, new, _times(c, mult))
         return FieldExpr(self.dim, terms)
+
+    def jet_partial(self, sort: str, index: MultiIndex) -> "FieldExpr":
+        """Formal partial derivative with respect to one jet variable."""
+        index = tuple(index)
+        return self._each_term(lambda mon: _partial_mon(mon, sort, index))
 
     def total_derivative(self, direction: int) -> "FieldExpr":
         """Total spatial derivative: prolongation plus Leibniz over products."""
         e = mi_unit(self.dim, direction)
-        terms: dict = {}
-        for mon, c in self.terms.items():
-            for pos, atom in enumerate(mon):
-                if pos > 0 and mon[pos] == mon[pos - 1]:
-                    # identical factors contribute equal terms; scale once below
-                    continue
-                mult = mon.count(atom)
-                if atom[0] == "j":
-                    rest = list(mon)
-                    rest[pos] = jet_atom(atom[1], mi_add(atom[2], e))
-                    _accumulate(terms, _canon_monomial(rest), c * mult)
-                elif atom[0] == "f":
-                    rest = list(mon)
-                    rest[pos] = func_atom(atom[1], atom[3], atom[2] + 1, atom[4])
-                    rest.append(jet_atom(atom[3], e))
-                    _accumulate(terms, _canon_monomial(rest), c * mult)
-                # constants differentiate to zero
-        return FieldExpr(self.dim, terms)
+        return self._each_term(lambda mon: _derivative_mon(mon, e))
 
     def total_derivative_multi(self, index: MultiIndex, negate: bool = False) -> "FieldExpr":
         """Apply D^index, or (-D)^index when ``negate`` is set."""
@@ -344,24 +389,6 @@ class FieldExpr:
         """Complex conjugation: swap paired sorts, conjugate coefficients."""
         terms: dict = {}
         for mon, c in self.terms.items():
-            atoms = []
-            for atom in mon:
-                if atom[0] == "j":
-                    atoms.append(jet_atom(system.partner(atom[1]), atom[2]))
-                elif atom[0] == "f":
-                    atoms.append(func_atom(atom[1], system.partner(atom[3]),
-                                           atom[2], atom[4]))
-                else:
-                    atoms.append(atom)
-            _accumulate(terms, _canon_monomial(atoms), c.conjugate())
+            _acc(terms, _canon_monomial(conjugate_atom(a, system) for a in mon),
+                 c.conjugate())
         return FieldExpr(self.dim, terms)
-
-
-def _accumulate(terms: dict, mon: tuple, c: GRat):
-    if not c:
-        return
-    acc = terms.get(mon, ZERO) + c
-    if acc:
-        terms[mon] = acc
-    else:
-        del terms[mon]

@@ -7,26 +7,22 @@ supported; symmetry is then decided by the parity of |gamma|.
 
 from __future__ import annotations
 
-from .jets import DimensionMismatch, mi_order, mi_zero
-from .rationals import GRat, ONE, ZERO
+from .jets import DimensionMismatch, TermDict, mi_order, mi_zero
+from .rationals import GRat
 
 SYMMETRIC = "symmetric"
 ANTISYMMETRIC = "antisymmetric"
 MIXED = "mixed"
 
 
-class Kernel:
+class Kernel(TermDict):
     """P(a,b) = sum_gamma c_gamma d_a^gamma delta(a-b), labels implicit.
 
     A kernel is label-free: the labels are supplied when it is inserted
     into a tensor expression.
     """
 
-    __slots__ = ("dim", "terms")
-
-    def __init__(self, dim: int, terms: dict | None = None):
-        self.dim = dim
-        self.terms = terms if terms is not None else {}
+    __slots__ = ()
 
     @classmethod
     def delta(cls, dim: int, coeff=1) -> "Kernel":
@@ -40,45 +36,6 @@ class Kernel:
             raise DimensionMismatch(f"index {gamma} has length != {dim}")
         c = coeff if isinstance(coeff, GRat) else GRat(coeff)
         return cls(dim, {gamma: c} if c else {})
-
-    @classmethod
-    def zero(cls, dim: int) -> "Kernel":
-        return cls(dim, {})
-
-    def __add__(self, other: "Kernel") -> "Kernel":
-        if self.dim != other.dim:
-            raise DimensionMismatch("kernel dimension mismatch")
-        terms = dict(self.terms)
-        for g, c in other.terms.items():
-            acc = terms.get(g, ZERO) + c
-            if acc:
-                terms[g] = acc
-            else:
-                terms.pop(g, None)
-        return Kernel(self.dim, terms)
-
-    def __sub__(self, other: "Kernel") -> "Kernel":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "Kernel":
-        return self.scale(-1)
-
-    def scale(self, c) -> "Kernel":
-        c = c if isinstance(c, GRat) else GRat(c)
-        if not c:
-            return Kernel.zero(self.dim)
-        return Kernel(self.dim, {g: v * c for g, v in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, Kernel):
-            return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.terms.items())))
 
     def __repr__(self):
         from .render import render_kernel

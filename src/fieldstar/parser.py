@@ -152,6 +152,8 @@ class _Parser:
                 k2, t2, p2 = self.next()
                 if k2 != "num":
                     raise ParseError("denominator must be a natural number", p2)
+                if not int(t2):
+                    raise ParseError("denominator must be nonzero", p2)
                 value /= int(t2)
             return FieldExpr.const(GRat(value), dim)
         if kind == "name":

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .jets import FieldExpr, real_system
+from .jets import FieldExpr, _acc, real_system
 from .kernels import Kernel
 from .tensor import TensorExpr
 
@@ -59,11 +59,7 @@ class TrigPoly:
     def __add__(self, other: "TrigPoly") -> "TrigPoly":
         terms = dict(self.terms)
         for k, v in other.terms.items():
-            acc = terms.get(k, Fraction(0)) + v
-            if acc:
-                terms[k] = acc
-            else:
-                terms.pop(k, None)
+            _acc(terms, k, v)
         return TrigPoly(terms)
 
     def __neg__(self) -> "TrigPoly":
@@ -76,12 +72,7 @@ class TrigPoly:
         terms: dict = {}
         for k1, v1 in self.terms.items():
             for k2, v2 in other.terms.items():
-                key = tuple(x + y for x, y in zip(k1, k2))
-                acc = terms.get(key, Fraction(0)) + v1 * v2
-                if acc:
-                    terms[key] = acc
-                else:
-                    terms.pop(key, None)
+                _acc(terms, tuple(x + y for x, y in zip(k1, k2)), v1 * v2)
         return TrigPoly(terms)
 
     def scale(self, c) -> "TrigPoly":

@@ -36,10 +36,6 @@ def bracket_fn(f: FieldExpr, g: FieldExpr, P: Kernel, system: FieldSystem,
     return TensorExpr.zero(f.dim)
 
 
-# density-level bracket is the same algebra under substitution
-bracket_density = bracket_fn
-
-
 def bracket_tensor(h: FieldExpr, c: str, T: TensorExpr, P: Kernel,
                    system: FieldSystem) -> TensorExpr:
     """{h@c, T}_P: Leibniz sum of pair brackets over T's labels.
@@ -236,20 +232,6 @@ def bracket_functionals_closed(F: Functional, G: Functional, P: Kernel,
             * TensorExpr.from_field(dGp, "y")).scale(sign))
     T = T * TensorExpr.from_kernel(P, "x", "y")
     return Functional(T.integrate_out("x").to_field_expr("y"), system, check=False)
-
-
-def leibniz_module_bracket_density(h: FieldExpr, z: str, g: FieldExpr, y: str,
-                                   F: Functional, P: Kernel,
-                                   system: FieldSystem):
-    """{h@z, g@y * F}_P = g*{h,F} + F*{h,g}.
-
-    Returns (plain, pairs): a TensorExpr for the functional-free part and a
-    list of (Functional, TensorExpr) module terms.
-    """
-    hF = bracket_density_functional(h, z, F, P, system)
-    plain = TensorExpr.from_field(g, y) * TensorExpr.from_field(hF, z)
-    pairs = [(F, bracket_fn(h, g, P, system, z, y))]
-    return plain, pairs
 
 
 def leibniz_module_bracket_functional(H: Functional, g: FieldExpr, y: str,

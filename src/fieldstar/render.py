@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .jets import FieldExpr, mi_order, mi_unit
+from .jets import FieldExpr, mi_order
 from .kernels import Kernel
 from .rationals import GRat
 from .tensor import TensorExpr
@@ -59,6 +59,19 @@ def _coeff_prefix(c: GRat, has_factors: bool) -> tuple[str, str]:
     return sign, body + ("*" if has_factors else "")
 
 
+def _join_terms(entries) -> str:
+    """Signed sum of (coefficient, body) terms, e.g. `a - 2*b + c`."""
+    out = []
+    for c, body in entries:
+        sign, mag = _coeff_prefix(c, bool(body))
+        piece = mag + body
+        if out:
+            out.append(f"{sign} {piece}")
+        else:
+            out.append(piece if sign == "+" else f"-{piece}")
+    return " ".join(out) or "0"
+
+
 # ---------------------------------------------------------------------------
 # field expressions
 
@@ -66,27 +79,29 @@ def _index_str(index) -> str:
     return ",".join(str(k) for k in index)
 
 
-def _atom_str(atom, dim: int) -> str:
+def _atom_str(atom, label: str | None = None) -> str:
+    """An atom in grammar form; tensor expressions add its ``{label}``."""
+    at = "" if label is None else f"{{{label}}}"
     kind = atom[0]
     if kind == "c":
         return atom[1]
     if kind == "f":
         _, name, order, arg_sort, _vanishes = atom
-        return f"{name}{chr(39) * order}({arg_sort})"
+        return f"{name}{chr(39) * order}({arg_sort}{at})"
     _, sort, index = atom
     if mi_order(index) == 0:
-        return sort
-    return f"{sort}[{_index_str(index)}]"
+        return f"{sort}{at}"
+    return f"{sort}{at}[{_index_str(index)}]"
 
 
-def _monomial_str(mon, dim: int) -> str:
+def _monomial_str(mon) -> str:
     parts = []
     i = 0
     while i < len(mon):
         j = i
         while j < len(mon) and mon[j] == mon[i]:
             j += 1
-        base = _atom_str(mon[i], dim)
+        base = _atom_str(mon[i])
         parts.append(base if j - i == 1 else f"{base}^{j - i}")
         i = j
     return "*".join(parts)
@@ -139,9 +154,6 @@ def _term_sort_key(mon):
 
 def render_field_expr(expr: FieldExpr, laplacian: bool = True) -> str:
     """Grammar-form text; laplacian sugar folds matched second-order sums."""
-    if expr.is_zero():
-        return "0"
-    dim = expr.dim
     if laplacian:
         groups, rest = _laplacian_groups(expr)
     else:
@@ -150,21 +162,12 @@ def render_field_expr(expr: FieldExpr, laplacian: bool = True) -> str:
     for cofactor, sort, c in sorted(groups, key=lambda g: (g[1], g[0])):
         body = f"laplacian({sort})"
         if cofactor:
-            body = f"{_monomial_str(cofactor, dim)}*{body}"
+            body = f"{_monomial_str(cofactor)}*{body}"
         entries.append(((-3, cofactor), c, body))
     for mon, c in rest.items():
-        entries.append((_term_sort_key(mon), c,
-                        _monomial_str(mon, dim) if mon else ""))
+        entries.append((_term_sort_key(mon), c, _monomial_str(mon)))
     entries.sort(key=lambda e: e[0])
-    out = []
-    for _key, c, body in entries:
-        sign, mag = _coeff_prefix(c, bool(body))
-        piece = (mag + body) if body else mag
-        if not out:
-            out.append(piece if sign == "+" else f"-{piece}")
-        else:
-            out.append(f"{'+' if sign == '+' else '-'} {piece}")
-    return " ".join(out)
+    return _join_terms((c, body) for _key, c, body in entries)
 
 
 def render_functional(density: FieldExpr, label: str = "x") -> str:
@@ -174,75 +177,32 @@ def render_functional(density: FieldExpr, label: str = "x") -> str:
 # ---------------------------------------------------------------------------
 # kernels
 
-def _gamma_str(gamma) -> str:
+def _gamma_str(gamma, delta: str = "delta") -> str:
     parts = []
     for direction, k in enumerate(gamma, start=1):
         if k == 1:
             parts.append(f"d{direction}")
         elif k > 1:
             parts.append(f"d{direction}^{k}")
-    parts.append("delta")
+    parts.append(delta)
     return " ".join(parts)
 
 
 def render_kernel(P: Kernel) -> str:
-    if P.is_zero():
-        return "0"
-    out = []
-    for gamma in sorted(P.terms, key=lambda g: (mi_order(g), g)):
-        c = P.terms[gamma]
-        sign, mag = _coeff_prefix(c, True)
-        piece = mag + _gamma_str(gamma)
-        if not out:
-            out.append(piece if sign == "+" else f"-{piece}")
-        else:
-            out.append(f"{'+' if sign == '+' else '-'} {piece}")
-    return " ".join(out)
+    return _join_terms((P.terms[gamma], _gamma_str(gamma)) for gamma
+                       in sorted(P.terms, key=lambda g: (mi_order(g), g)))
 
 
 # ---------------------------------------------------------------------------
 # tensor expressions
 
-def _located_atom_str(lab: str, atom, dim: int) -> str:
-    kind = atom[0]
-    if kind == "c":
-        return atom[1]
-    if kind == "f":
-        _, name, order, arg_sort, _v = atom
-        return f"{name}{chr(39) * order}({arg_sort}{{{lab}}})"
-    _, sort, index = atom
-    if mi_order(index) == 0:
-        return f"{sort}{{{lab}}}"
-    return f"{sort}{{{lab}}}[{_index_str(index)}]"
-
-
-def _delta_str(a: str, b: str, gamma) -> str:
-    parts = []
-    for direction, k in enumerate(gamma, start=1):
-        if k == 1:
-            parts.append(f"d{direction}")
-        elif k > 1:
-            parts.append(f"d{direction}^{k}")
-    parts.append(f"delta{{{a},{b}}}")
-    return " ".join(parts)
-
-
 def render_tensor_expr(T: TensorExpr) -> str:
-    if T.is_zero():
-        return "0"
-    out = []
+    entries = []
     for (mon, deltas) in sorted(T.terms):
-        c = T.terms[(mon, deltas)]
-        factors = [_located_atom_str(lab, atom, T.dim) for lab, atom in mon]
-        factors += [_delta_str(a, b, g) for a, b, g in deltas]
-        body = "*".join(factors)
-        sign, mag = _coeff_prefix(c, bool(body))
-        piece = (mag + body) if body else mag
-        if not out:
-            out.append(piece if sign == "+" else f"-{piece}")
-        else:
-            out.append(f"{'+' if sign == '+' else '-'} {piece}")
-    return " ".join(out)
+        factors = [_atom_str(atom, lab) for lab, atom in mon]
+        factors += [_gamma_str(g, f"delta{{{a},{b}}}") for a, b, g in deltas]
+        entries.append((T.terms[(mon, deltas)], "*".join(factors)))
+    return _join_terms(entries)
 
 
 # ---------------------------------------------------------------------------

@@ -28,42 +28,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from math import comb
-from operator import itemgetter
 
-from .jets import (
-    FieldSystem,
-    func_atom,
-    jet_atom,
-    mi_add,
-    mi_order,
-    mi_zero,
-)
+from .jets import FieldSystem, _acc, _partial_mon, mi_add, mi_order, mi_zero
 from .kernels import Kernel, bracket_sign
 from .rationals import ONE
-from .tensor import TensorExpr, _acc, _canon_located
-
-
-_label = itemgetter(0)  # the label of a located atom
-
-
-def _jet_partial_mon(mon, label: str, sort: str, index):
-    """Derivative of a located monomial by one jet variable; list of
-    (monomial, int multiplicity) contributions including the chain rule."""
-    out = []
-    target = (label, jet_atom(sort, index))
-    for pos, latom in enumerate(mon):
-        if latom == target:
-            rest = list(mon)
-            del rest[pos]
-            out.append((tuple(rest), mon.count(latom)))
-            break
-    if mi_order(index) == 0:
-        for pos, (lab, atom) in enumerate(mon):
-            if lab == label and atom[0] == "f" and atom[3] == sort:
-                rest = list(mon)
-                rest[pos] = (lab, func_atom(atom[1], atom[3], atom[2] + 1, atom[4]))
-                out.append((_canon_located(rest), 1))
-    return out
+from .tensor import TensorExpr, _label, _locate
 
 
 def _block_partials(block, label: str, sort: str, side: int, dim: int) -> list:
@@ -76,11 +45,14 @@ def _block_partials(block, label: str, sort: str, side: int, dim: int) -> list:
             indices.add(atom[2])
         elif atom[0] == "f" and atom[3] == sort:
             indices.add(mi_zero(dim))
+    if not indices:
+        return []
+    bare = tuple([atom for _lab, atom in block])
     out = []
     for index in sorted(indices):
         sign = -1 if side == 1 and mi_order(index) % 2 == 1 else 1
-        for new_block, mult in _jet_partial_mon(block, label, sort, index):
-            out.append((new_block, index, sign * mult))
+        for new, mult in _partial_mon(bare, sort, index):
+            out.append((_locate(label, new), index, sign * mult))
     return out
 
 

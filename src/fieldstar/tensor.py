@@ -8,17 +8,21 @@ a < b in label order.  Delta products are multisets (sorted tuples).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
+
 from .jets import (
-    DimensionMismatch,
     FieldExpr,
-    _accumulate as _acc_field,
+    TermDict,
+    _acc,
+    _canon_monomial,
+    _derivative_mon,
+    _partial_mon,
+    _times,
     atom_key,
-    func_atom,
-    jet_atom,
     mi_add,
     mi_order,
     mi_unit,
-    mi_zero,
 )
 from .rationals import GRat, ONE
 
@@ -46,20 +50,32 @@ def _canon_located(atoms) -> tuple:
     return tuple(sorted(atoms, key=_locate_key))
 
 
-class TensorExpr:
+_label = itemgetter(0)  # the label of a located atom
+
+
+def _locate(label: str, mon: tuple) -> tuple:
+    return tuple([(label, atom) for atom in mon])
+
+
+def _delta_leibniz(out: dict, mon: tuple, deltas: tuple, c: GRat,
+                   label: str, e):
+    """Accumulate the derivative along ``e`` at ``label`` of the delta
+    product of one term: d/da of d_a^g delta(a-b) raises g, d/db also
+    flips the sign."""
+    for pos, (a, b, gamma) in enumerate(deltas):
+        if label not in (a, b) or (pos > 0 and deltas[pos] == deltas[pos - 1]):
+            continue
+        mult = deltas.count(deltas[pos])
+        new = deltas[:pos] + ((a, b, mi_add(gamma, e)),) + deltas[pos + 1:]
+        _acc(out, (mon, tuple(sorted(new))), _times(c, mult if label == a else -mult))
+
+
+class TensorExpr(TermDict):
     """A sum of (coefficient, located monomial, delta product) terms."""
 
-    __slots__ = ("dim", "terms")
-
-    def __init__(self, dim: int, terms: dict | None = None):
-        self.dim = dim
-        self.terms = terms if terms is not None else {}
+    __slots__ = ()
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, dim: int) -> "TensorExpr":
-        return cls(dim, {})
 
     @classmethod
     def const(cls, value, dim: int) -> "TensorExpr":
@@ -68,38 +84,22 @@ class TensorExpr:
 
     @classmethod
     def from_field(cls, expr: FieldExpr, label: str) -> "TensorExpr":
-        terms = {}
-        for mon, c in expr.terms.items():
-            located = tuple((label, atom) for atom in mon)
-            terms[(located, ())] = c
-        return cls(expr.dim, terms)
+        return cls(expr.dim, {(_locate(label, mon), ()): c
+                              for mon, c in expr.terms.items()})
 
     @classmethod
     def from_kernel(cls, kernel, a: str, b: str) -> "TensorExpr":
         terms: dict = {}
         for gamma, c in kernel.terms.items():
             atom, sign = delta_atom(a, b, gamma)
-            _accumulate(terms, (), (atom,), c * sign)
+            _acc(terms, ((), (atom,)), c * sign)
         return cls(kernel.dim, terms)
 
     # -- ring structure -----------------------------------------------------
 
-    def _check(self, other: "TensorExpr"):
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"dimension {self.dim} != {other.dim}")
-
-    def __add__(self, other: "TensorExpr") -> "TensorExpr":
-        self._check(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            _acc(terms, key, c)
-        return TensorExpr(self.dim, terms)
-
-    def __sub__(self, other: "TensorExpr") -> "TensorExpr":
-        return self + (-other)
-
-    def __neg__(self) -> "TensorExpr":
-        return TensorExpr(self.dim, {k: -c for k, c in self.terms.items()})
+    # bound in the class body: perfbench/tracer.py wraps only the methods in
+    # a class's own namespace, and counts tensor sums and products there
+    __add__ = TermDict.__add__
 
     def __mul__(self, other: "TensorExpr") -> "TensorExpr":
         self._check(other)
@@ -114,26 +114,9 @@ class TensorExpr:
                     mon = m2 + m1
                 else:
                     mon = _canon_located(m1 + m2)
-                _accumulate(terms, mon, tuple(sorted(d1 + d2)) if d1 and d2
-                            else d1 + d2, c1 * c2)
+                _acc(terms, (mon, tuple(sorted(d1 + d2)) if d1 and d2
+                             else d1 + d2), c1 * c2)
         return TensorExpr(self.dim, terms)
-
-    def scale(self, c) -> "TensorExpr":
-        c = c if isinstance(c, GRat) else GRat(c)
-        if not c:
-            return TensorExpr.zero(self.dim)
-        return TensorExpr(self.dim, {k: v * c for k, v in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorExpr):
-            return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.terms.items())))
 
     def __repr__(self):
         from .render import render_tensor_expr
@@ -163,10 +146,29 @@ class TensorExpr:
                 if lab != label:
                     raise ValueError(f"unexpected label {lab!r} (want {label!r})")
                 atoms.append(atom)
-            _acc_field(terms, tuple(sorted(atoms, key=atom_key)), c)
+            _acc(terms, _canon_monomial(atoms), c)
         return FieldExpr(self.dim, terms)
 
     # -- calculus -----------------------------------------------------------
+
+    def _at_label(self, label: str, rule, e=None) -> "TensorExpr":
+        """Apply a bare-monomial rule of ``jets`` to the atoms at ``label``
+        in every term; given a unit index ``e``, also differentiate the
+        delta atoms that carry the label along it."""
+        terms: dict = {}
+        for (mon, deltas), c in self.terms.items():
+            # located monomials sort by label first, so the atoms at the
+            # label form one block, and pre + new block + post is canonical
+            lo = bisect_left(mon, label, key=_label)
+            hi = bisect_right(mon, label, lo, key=_label)
+            if lo < hi:
+                pre, post = mon[:lo], mon[hi:]
+                for new, mult in rule(tuple([atom for _lab, atom in mon[lo:hi]])):
+                    _acc(terms, (pre + _locate(label, new) + post, deltas),
+                         _times(c, mult))
+            if e is not None and deltas:
+                _delta_leibniz(terms, mon, deltas, c, label, e)
+        return TensorExpr(self.dim, terms)
 
     def total_derivative_at(self, label: str, direction: int) -> "TensorExpr":
         """Total spatial derivative in ``direction`` at one point label.
@@ -175,35 +177,7 @@ class TensorExpr:
         delta atoms whose pair contains it.
         """
         e = mi_unit(self.dim, direction)
-        terms: dict = {}
-        for (mon, deltas), c in self.terms.items():
-            for pos, (lab, atom) in enumerate(mon):
-                if lab != label:
-                    continue
-                if pos > 0 and mon[pos] == mon[pos - 1]:
-                    continue
-                mult = mon.count((lab, atom))
-                if atom[0] == "j":
-                    rest = list(mon)
-                    rest[pos] = (lab, jet_atom(atom[1], mi_add(atom[2], e)))
-                    _accumulate(terms, _canon_located(rest), deltas, c * mult)
-                elif atom[0] == "f":
-                    rest = list(mon)
-                    rest[pos] = (lab, func_atom(atom[1], atom[3], atom[2] + 1, atom[4]))
-                    rest.append((lab, jet_atom(atom[3], e)))
-                    _accumulate(terms, _canon_located(rest), deltas, c * mult)
-            for pos, (a, b, gamma) in enumerate(deltas):
-                if pos > 0 and deltas[pos] == deltas[pos - 1]:
-                    continue
-                if label not in (a, b):
-                    continue
-                mult = deltas.count((a, b, gamma))
-                # d/da of d_a^g delta(a-b) raises g; d/db gives a minus sign
-                sign = ONE if label == a else -ONE
-                rest = list(deltas)
-                rest[pos] = (a, b, mi_add(gamma, e))
-                _accumulate(terms, mon, tuple(sorted(rest)), c * sign * mult)
-        return TensorExpr(self.dim, terms)
+        return self._at_label(label, lambda mon: _derivative_mon(mon, e), e)
 
     def total_derivative_multi_at(self, label: str, index, negate: bool = False) -> "TensorExpr":
         result = self
@@ -217,23 +191,7 @@ class TensorExpr:
     def jet_partial_at(self, label: str, sort: str, index) -> "TensorExpr":
         """Partial derivative by one jet variable at one label."""
         index = tuple(index)
-        target = (label, jet_atom(sort, index))
-        at_origin = mi_order(index) == 0
-        terms: dict = {}
-        for (mon, deltas), c in self.terms.items():
-            for pos, latom in enumerate(mon):
-                if latom == target:
-                    mult = mon.count(latom)
-                    rest = list(mon)
-                    del rest[pos]
-                    _accumulate(terms, tuple(rest), deltas, c * mult)
-                    break
-            for pos, (lab, atom) in enumerate(mon):
-                if lab == label and atom[0] == "f" and atom[3] == sort and at_origin:
-                    rest = list(mon)
-                    rest[pos] = (lab, func_atom(atom[1], atom[3], atom[2] + 1, atom[4]))
-                    _accumulate(terms, _canon_located(rest), deltas, c)
-        return TensorExpr(self.dim, terms)
+        return self._at_label(label, lambda mon: _partial_mon(mon, sort, index))
 
     def relabel(self, old: str, new: str) -> "TensorExpr":
         """Rename a point label, re-canonicalizing delta atoms."""
@@ -249,7 +207,7 @@ class TensorExpr:
                 atom, s = delta_atom(a2, b2, gamma)
                 sign = sign * s
                 new_deltas.append(atom)
-            _accumulate(terms, located, tuple(sorted(new_deltas)), c * sign)
+            _acc(terms, (located, tuple(sorted(new_deltas))), c * sign)
         return TensorExpr(self.dim, terms)
 
     def integrate_out(self, label: str) -> "TensorExpr":
@@ -286,20 +244,3 @@ class TensorExpr:
             result = result + piece.relabel(label, partner)
         return result
 
-
-def _acc(terms: dict, key, c: GRat):
-    """Add a nonzero ``c`` at ``key``, dropping the key if it cancels."""
-    acc = terms.get(key)
-    if acc is None:
-        terms[key] = c
-        return
-    acc = acc + c
-    if acc:
-        terms[key] = acc
-    else:
-        del terms[key]
-
-
-def _accumulate(terms: dict, mon: tuple, deltas: tuple, c: GRat):
-    if c:
-        _acc(terms, (mon, deltas), c)

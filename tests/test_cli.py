@@ -171,3 +171,16 @@ def test_config_with_two_field_pairs_is_rejected(tmp_path, capsys):
     path = _write(tmp_path, "two.json", config)
     assert main(["bracket", "--config", path, "phi", "pi"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bracket", "1/0", "pi"],
+    ["vardiff", "1/0", "--field", "phi"],
+    ["star", "phi", "2/0*pi"],
+    ["classify", "--kernel", "1/0*delta"],
+])
+def test_zero_denominator_is_a_parse_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: denominator must be nonzero")

@@ -134,3 +134,23 @@ def test_total_derivative_multi_with_negation():
     assert f.total_derivative_multi((2,)) == plain
     assert f.total_derivative_multi((2,), negate=True) == plain
     assert f.total_derivative_multi((1,), negate=True) == -f.total_derivative(1)
+
+
+def test_term_dict_values_keep_slots_and_their_class():
+    from fieldstar.euler_lagrange import ELOperator
+    from fieldstar.kernels import Kernel
+    from fieldstar.tensor import TensorExpr
+
+    values = [FieldExpr.zero(1), Kernel.zero(1), TensorExpr.zero(1),
+              ELOperator.zero(1, "x")]
+    for value in values:
+        assert not hasattr(value, "__dict__")
+    # equal dims and equal (empty) terms, but different classes
+    for i, a in enumerate(values):
+        for b in values[i + 1:]:
+            assert a != b and b != a
+    assert ELOperator.zero(1, "x") != ELOperator.zero(1, "y")
+    with pytest.raises(ValueError):
+        ELOperator.identity(1, "x") + ELOperator.identity(1, "y")
+    with pytest.raises(DimensionMismatch):
+        Kernel.delta(1) + Kernel.delta(2)

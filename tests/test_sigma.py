@@ -26,7 +26,7 @@ from fieldstar.kernels import Kernel, bracket_sign
 from fieldstar.randexpr import multi_indices
 from fieldstar.rationals import GRat, ONE, ZERO
 from fieldstar.sigma import _factor, _sort_pair, sigma_terms
-from fieldstar.tensor import TensorExpr, _accumulate, _canon_located, delta_atom
+from fieldstar.tensor import TensorExpr, _canon_located, delta_atom
 from fieldstar.verify import default_kernels
 
 POWERS = 3
@@ -174,7 +174,7 @@ def build(case):
                     located.append((lab, const_atom("m")))
         delta_atoms = tuple(sorted(delta_atom(l1, l2, g)[0]
                                    for l1, l2, g in deltas))
-        _accumulate(terms, _canon_located(located), delta_atoms, GRat(re, im))
+        _ref_acc(terms, (_canon_located(located), delta_atoms), GRat(re, im))
     T = TensorExpr(dim, terms)
     return T, a, b, default_kernels(dim)[kernel], system
 
