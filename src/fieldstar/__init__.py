@@ -8,7 +8,6 @@ with exact zero residuals.
 """
 
 from .euler_lagrange import (
-    DualELOperator,
     ELOperator,
     apply_dual,
     apply_el,
@@ -63,7 +62,6 @@ __all__ = [
     "ConditionBError",
     "ConditionBViolation",
     "DimensionMismatch",
-    "DualELOperator",
     "ELOperator",
     "FieldExpr",
     "FieldSort",

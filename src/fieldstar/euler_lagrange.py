@@ -103,23 +103,9 @@ def apply_el(op: ELOperator, T: TensorExpr) -> TensorExpr:
     return result
 
 
-class DualELOperator:
-    """Same polynomial data as ELOperator, dual action on densities."""
-
-    __slots__ = ("dim", "terms")
-
-    def __init__(self, dim: int, terms: dict | None = None):
-        self.dim = dim
-        self.terms = terms if terms is not None else {}
-
-    @classmethod
-    def from_el(cls, op: ELOperator) -> "DualELOperator":
-        """Generator map d_{u,x;a} -> D_{u,x;a} extended multiplicatively."""
-        return cls(op.dim, dict(op.terms))
-
-
-def apply_dual(op: DualELOperator, f: FieldExpr) -> FieldExpr:
-    """Mixed jet partials first, then signed total derivatives."""
+def apply_dual(op: ELOperator, f: FieldExpr) -> FieldExpr:
+    """Dual action on densities: mixed jet partials first, then signed
+    total derivatives."""
     result = FieldExpr.zero(f.dim)
     for mon, c in op.terms.items():
         piece = f.scale(c)
@@ -132,17 +118,34 @@ def apply_dual(op: DualELOperator, f: FieldExpr) -> FieldExpr:
     return result
 
 
-def dual_derivative(f: FieldExpr, sort: str, power: int = 1) -> FieldExpr:
-    """The dual Euler-Lagrange derivative: sum of signed total derivatives of
-    jet partials over the indices present, applied ``power`` times."""
-    result = f
-    for _ in range(power):
-        step = FieldExpr.zero(f.dim)
-        for s, index in sorted(result.jet_variables(sort)):
-            step = step + result.jet_partial(s, index).total_derivative_multi(
-                index, negate=True)
-        result = step
+def _partials(f: FieldExpr, sorts: list):
+    """Yield (mixed partial, summed index) for each ordered tuple of jet
+    variables present, one of each sort in ``sorts``, the partial taken
+    by all of them; a branch stops at the first zero partial."""
+    if f.is_zero():
+        return
+    if not sorts:
+        yield f, mi_zero(f.dim)
+        return
+    for _s, index in sorted(f.jet_variables(sorts[0])):
+        for partial, total in _partials(f.jet_partial(sorts[0], index), sorts[1:]):
+            yield partial, mi_add(index, total)
+
+
+def _joint_dual(f: FieldExpr, sorts: list) -> FieldExpr:
+    """All jet partials of ``sorts`` first, then one signed total
+    derivative of their summed index."""
+    result = FieldExpr.zero(f.dim)
+    for partial, index in _partials(f, sorts):
+        result = result + partial.total_derivative_multi(index, negate=True)
     return result
+
+
+def dual_derivative(f: FieldExpr, sort: str, power: int = 1) -> FieldExpr:
+    """The dual Euler-Lagrange derivative of order ``power``: the ``power``
+    jet partials by ``sort`` jointly, then the signed total derivative of
+    their summed index."""
+    return _joint_dual(f, [sort] * power)
 
 
 def variational_derivative(f: FieldExpr, sort: str) -> FieldExpr:
@@ -157,7 +160,7 @@ def duality_residual(op: ELOperator, f: FieldExpr, partner: str) -> FieldExpr:
     T = TensorExpr.from_field(f, op.label) * TensorExpr.from_kernel(
         Kernel.delta(f.dim), op.label, partner)
     lhs = apply_el(op, T).integrate_out(op.label).to_field_expr(partner)
-    rhs = apply_dual(DualELOperator.from_el(op), f)
+    rhs = apply_dual(op, f)
     return lhs - rhs
 
 

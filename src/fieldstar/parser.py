@@ -298,9 +298,6 @@ def parse_expr(text: str, ctx: ParseContext) -> FieldExpr:
     return result
 
 
-parse_density = parse_expr
-
-
 def parse_functional(text: str, ctx: ParseContext):
     from .poisson import Functional
 

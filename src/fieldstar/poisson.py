@@ -3,17 +3,17 @@
 The function-level bracket applies the sort-paired bidifferential operator
 once, leaving the kernel explicit in the result.  Density-level brackets
 are the same algebra under the substitution reading of jet variables.
-Functional levels integrate one or both labels out and come with
-independently computed closed forms that are cross-asserted.
+Functional levels integrate one or both labels out and are cross-asserted
+against independently computed closed forms: the order-one terms of the
+functional star closed forms in ``star``.
 """
 
 from __future__ import annotations
 
 from .euler_lagrange import variational_derivative
-from .jets import ConditionBError, FieldExpr, FieldSystem, mi_add, mi_zero
-from .kernels import Kernel, bracket_sign
-from .rationals import GRat
-from .sigma import sigma_terms, _sort_pair
+from .jets import ConditionBError, FieldExpr, FieldSystem
+from .kernels import Kernel
+from .sigma import sigma_terms
 from .tensor import TensorExpr
 
 
@@ -132,63 +132,23 @@ def functional_null(density: FieldExpr, system: FieldSystem) -> bool:
         return False
 
 
-def _pair_with_kernel(expr: FieldExpr, label: str, P: Kernel, other: str) -> FieldExpr:
-    """<P(label, other), expr@label> as a field expression at the other label."""
-    T = TensorExpr.from_field(expr, label) * TensorExpr.from_kernel(P, label, other)
-    return T.integrate_out(label).to_field_expr(other)
-
-
-def _related_multi(g: FieldExpr, sorts: list, inner: FieldExpr) -> FieldExpr:
-    """Iterated related-operator action: higher jet partials of g as
-    coefficients, one combined total derivative applied to ``inner``."""
-    dim = g.dim
-    total = [FieldExpr.zero(dim)]
-
-    def rec(gc: FieldExpr, acc, remaining):
-        if gc.is_zero():
-            return
-        if not remaining:
-            total[0] = total[0] + gc * inner.total_derivative_multi(acc)
-            return
-        sort = remaining[0]
-        for _s, beta in sorted(gc.jet_variables(sort)):
-            rec(gc.jet_partial(sort, beta), mi_add(acc, beta), remaining[1:])
-
-    rec(g, mi_zero(dim), sorts)
-    return total[0]
-
-
 def bracket_functional_density(F: Functional, g: FieldExpr, P: Kernel,
                                system: FieldSystem, y: str = "y",
                                cross_check: bool = True) -> FieldExpr:
     """{F, g@y}_P: the function-level bracket with F's density, integrated
-    over F's label.  The closed form through variational derivatives is
-    computed independently and asserted equal."""
+    over F's label.  The closed form, the order-one term of the star's
+    closed form, is computed independently and asserted equal."""
     x = "x" if y != "x" else "x0"
     T = bracket_fn(F.density, g, P, system, x, y)
-    result = T.integrate_out(x).to_field_expr(y) if not T.is_zero() \
-        else FieldExpr.zero(g.dim)
+    result = T.integrate_out(x).to_field_expr(y)
     if cross_check:
-        closed = bracket_functional_density_closed(F, g, P, system, y)
-        if result != closed:
+        from .star import star_functional_density_closed
+
+        closed = star_functional_density_closed(F, g, P, system, 1)
+        if result != closed.get(1, FieldExpr.zero(g.dim)):
             raise AssertionError(
                 "definitional and closed-form functional-density brackets differ")
     return result
-
-
-def bracket_functional_density_closed(F: Functional, g: FieldExpr, P: Kernel,
-                                      system: FieldSystem,
-                                      y: str = "y") -> FieldExpr:
-    """Closed form: related operators of g applied to the kernel pairings of
-    F's variational derivatives."""
-    sign = bracket_sign(P)
-    p, q = _sort_pair(system)
-    x = "x" if y != "x" else "x0"
-    inner_p = _pair_with_kernel(variational_derivative(F.density, p), x, P, y)
-    inner_q = _pair_with_kernel(variational_derivative(F.density, q), x, P, y)
-    term_a = _related_multi(g, [q], inner_p)
-    term_b = _related_multi(g, [p], inner_q)
-    return term_a + term_b.scale(sign)
 
 
 def bracket_density_functional(h: FieldExpr, z: str, F: Functional, P: Kernel,
@@ -196,42 +156,27 @@ def bracket_density_functional(h: FieldExpr, z: str, F: Functional, P: Kernel,
     """{h@z, F}_P: integrate the function-level bracket over F's label."""
     x = "x" if z != "x" else "x0"
     T = bracket_fn(h, F.density, P, system, z, x)
-    if T.is_zero():
-        return FieldExpr.zero(h.dim)
     return T.integrate_out(x).to_field_expr(z)
 
 
 def bracket_functionals(F: Functional, G: Functional, P: Kernel,
                         system: FieldSystem,
                         cross_check: bool = True) -> Functional:
-    """{F, G}_P as a functional; definitional path with the variational
-    closed form asserted equivalent modulo total divergence."""
+    """{F, G}_P as a functional; definitional path with the closed form, the
+    order-one term of the star's closed form, asserted equivalent modulo
+    total divergence."""
     T = bracket_fn(F.density, G.density, P, system, "x", "y")
-    density = T.integrate_out("x").to_field_expr("y") if not T.is_zero() \
-        else FieldExpr.zero(F.density.dim)
-    result = Functional(density, system, check=False)
+    result = Functional(T.integrate_out("x").to_field_expr("y"), system,
+                        check=False)
     if cross_check:
-        closed = bracket_functionals_closed(F, G, P, system)
+        from .star import star_functionals_closed
+
+        zero = Functional(FieldExpr.zero(F.density.dim), system, check=False)
+        closed = star_functionals_closed(F, G, P, system, 1).get(1, zero)
         if not result.equivalent(closed):
             raise AssertionError(
                 "definitional and closed-form functional brackets differ")
     return result
-
-
-def bracket_functionals_closed(F: Functional, G: Functional, P: Kernel,
-                               system: FieldSystem) -> Functional:
-    """Closed form: kernel pairing of the two variational derivatives."""
-    sign = bracket_sign(P)
-    p, q = _sort_pair(system)
-    dFp = variational_derivative(F.density, p)
-    dFq = variational_derivative(F.density, q)
-    dGp = variational_derivative(G.density, p)
-    dGq = variational_derivative(G.density, q)
-    T = (TensorExpr.from_field(dFp, "x") * TensorExpr.from_field(dGq, "y")
-         + (TensorExpr.from_field(dFq, "x")
-            * TensorExpr.from_field(dGp, "y")).scale(sign))
-    T = T * TensorExpr.from_kernel(P, "x", "y")
-    return Functional(T.integrate_out("x").to_field_expr("y"), system, check=False)
 
 
 def leibniz_module_bracket_functional(H: Functional, g: FieldExpr, y: str,

@@ -170,10 +170,6 @@ def render_field_expr(expr: FieldExpr, laplacian: bool = True) -> str:
     return _join_terms((c, body) for _key, c, body in entries)
 
 
-def render_functional(density: FieldExpr, label: str = "x") -> str:
-    return f"int{{{label}}}: {render_field_expr(density)}"
-
-
 # ---------------------------------------------------------------------------
 # kernels
 

@@ -16,18 +16,13 @@ from __future__ import annotations
 
 from math import comb, factorial
 
-from .euler_lagrange import dual_derivative, variational_derivative
+from .euler_lagrange import _joint_dual, _partials
 from .jets import FieldExpr, FieldSystem
 from .kernels import Kernel, bracket_sign
-from .poisson import (
-    Functional,
-    LabelCollision,
-    _related_multi,
-    bracket_fn,
-)
+from .poisson import Functional, LabelCollision, bracket_fn
 from .rationals import GRat, ONE
 from .sigma import sigma_terms, _sort_pair
-from .tensor import NonIntegrableTerm, TensorExpr
+from .tensor import TensorExpr
 
 
 class HbarSeries:
@@ -155,24 +150,17 @@ star_density = star_fn
 
 
 def star_grouped(A: HbarSeries, labels_a, B: HbarSeries, labels_b, P: Kernel,
-                 system: FieldSystem, order: int | None = None,
-                 reverse_pairs: bool = False) -> HbarSeries:
-    """Star of two groups: every cross pair contributes one exp factor.
-
-    Factors are applied in canonical (sorted) pair order, or reversed when
-    requested — the commutation of the exp factors is a theorem the caller
-    may verify by comparing the two.
-    """
+                 system: FieldSystem, order: int | None = None) -> HbarSeries:
+    """Star of two groups: every cross pair contributes one exp factor,
+    applied in canonical (sorted) pair order."""
     la, lb = set(labels_a), set(labels_b)
     if la & lb:
         raise LabelCollision(f"groups share labels {sorted(la & lb)}")
     S = series_mul(A, B)
     K = S.order if order is None else order
-    pairs = [(x, y) for x in sorted(la) for y in sorted(lb)]
-    if reverse_pairs:
-        pairs.reverse()
-    for x, y in pairs:
-        S = exp_sigma(S, x, y, P, system, K)
+    for x in sorted(la):
+        for y in sorted(lb):
+            S = exp_sigma(S, x, y, P, system, K)
     return S
 
 
@@ -246,36 +234,49 @@ def star_functional_density(F: Functional, g: FieldExpr, P: Kernel,
     return result
 
 
-def star_functional_density_closed(F: Functional, g: FieldExpr, P: Kernel,
-                                   system: FieldSystem,
-                                   order: int = 6) -> dict:
-    """Closed form of the tail of F * g@y for a delta-type kernel.
+def _pair_with_kernel(expr: FieldExpr, label: str, P: Kernel, other: str) -> FieldExpr:
+    """<P(label, other), expr@label> as a field expression at the other label."""
+    T = TensorExpr.from_field(expr, label) * TensorExpr.from_kernel(P, label, other)
+    return T.integrate_out(label).to_field_expr(other)
 
-    Order k term: sum over i + j = k of binom(k,i) * sign^j / k! times the
-    iterated related operator of g (i conjugate-partials, j primary-partials)
-    applied to the kernel pairing of the mixed dual derivatives of f.
-    """
-    from .poisson import _pair_with_kernel
 
+def _related_multi(g: FieldExpr, sorts: list, inner: FieldExpr) -> FieldExpr:
+    """Related-operator action: the mixed jet partials of g by ``sorts`` as
+    coefficients of the total derivative of ``inner`` by their summed index."""
+    total = FieldExpr.zero(g.dim)
+    for partial, index in _partials(g, sorts):
+        total = total + partial * inner.total_derivative_multi(index)
+    return total
+
+
+def _closed_terms(P: Kernel, system: FieldSystem, order: int):
+    """Yield (k, x-side sorts, y-side sorts, coefficient) of the closed-form
+    tails: order k, i conjugate and j = k - i primary partials on the y
+    side, their partners on the x side, weight binom(k, i) * sign^j / k!."""
     sign = bracket_sign(P)
     p, q = _sort_pair(system)
-    tail: dict = {}
     for k in range(1, order + 1):
-        acc = FieldExpr.zero(g.dim)
         for i in range(k + 1):
             j = k - i
-            fi = dual_derivative(dual_derivative(F.density, q, j), p, i)
-            if fi.is_zero():
-                continue
-            inner = _pair_with_kernel(fi, "x", P, "y")
-            piece = _related_multi(g, [q] * i + [p] * j, inner)
             c = GRat(comb(k, i)) / GRat(factorial(k))
             if sign < 0 and j % 2 == 1:
                 c = -c
-            acc = acc + piece.scale(c)
-        if not acc.is_zero():
-            tail[k] = acc
-    return tail
+            yield k, [q] * j + [p] * i, [p] * j + [q] * i, c
+
+
+def star_functional_density_closed(F: Functional, g: FieldExpr, P: Kernel,
+                                   system: FieldSystem,
+                                   order: int = 6) -> dict:
+    """Closed form of the tail of F * g@y for a delta-type kernel: the
+    related operator of g applied to the kernel pairing of the joint dual
+    derivative of F's density, per term of ``_closed_terms``."""
+    tail: dict = {}
+    for k, xs, ys, c in _closed_terms(P, system, order):
+        fi = _joint_dual(F.density, xs)
+        if not fi.is_zero():
+            piece = _related_multi(g, ys, _pair_with_kernel(fi, "x", P, "y"))
+            tail[k] = tail.get(k, FieldExpr.zero(g.dim)) + piece.scale(c)
+    return {k: v for k, v in tail.items() if not v.is_zero()}
 
 
 def star_functionals(F: Functional, G: Functional, P: Kernel,
@@ -301,29 +302,20 @@ def star_functionals(F: Functional, G: Functional, P: Kernel,
 
 def star_functionals_closed(F: Functional, G: Functional, P: Kernel,
                             system: FieldSystem, order: int = 6) -> dict:
-    """Closed form of the tail of F * G: kernel pairings of mixed dual
-    derivatives of both densities."""
-    sign = bracket_sign(P)
-    p, q = _sort_pair(system)
+    """Closed form of the tail of F * G: kernel pairings of the joint dual
+    derivatives of both densities, per term of ``_closed_terms``."""
     tail: dict = {}
-    for k in range(1, order + 1):
-        acc = FieldExpr.zero(F.density.dim)
-        for i in range(k + 1):
-            j = k - i
-            fi = dual_derivative(dual_derivative(F.density, q, j), p, i)
-            gi = dual_derivative(dual_derivative(G.density, p, j), q, i)
-            if fi.is_zero() or gi.is_zero():
-                continue
-            T = (TensorExpr.from_field(fi, "x") * TensorExpr.from_field(gi, "y")
-                 * TensorExpr.from_kernel(P, "x", "y"))
-            piece = T.integrate_out("x").to_field_expr("y")
-            c = GRat(comb(k, i)) / GRat(factorial(k))
-            if sign < 0 and j % 2 == 1:
-                c = -c
-            acc = acc + piece.scale(c)
-        if not acc.is_zero():
-            tail[k] = Functional(acc, system, check=False)
-    return tail
+    for k, xs, ys, c in _closed_terms(P, system, order):
+        fi = _joint_dual(F.density, xs)
+        gi = _joint_dual(G.density, ys)
+        if fi.is_zero() or gi.is_zero():
+            continue
+        T = (TensorExpr.from_field(fi, "x") * TensorExpr.from_field(gi, "y")
+             * TensorExpr.from_kernel(P, "x", "y"))
+        piece = T.integrate_out("x").to_field_expr("y")
+        tail[k] = tail.get(k, FieldExpr.zero(F.density.dim)) + piece.scale(c)
+    return {k: Functional(v, system, check=False)
+            for k, v in tail.items() if not v.is_zero()}
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +388,7 @@ def assoc_residuals(f: FieldExpr, g: FieldExpr, h: FieldExpr, P: Kernel,
             or [TensorExpr.zero(f.dim)]
     if level == 3:
         labels = [x]
-    elif level == 4:
-        labels = [y, x]
-    elif level == 5:
+    elif level in (4, 5):
         labels = [y, x]
     else:
         raise ValueError(f"unknown associativity level {level}")
@@ -409,16 +399,6 @@ def assoc_residuals(f: FieldExpr, g: FieldExpr, h: FieldExpr, P: Kernel,
         out.append(lparts.get(k, TensorExpr.zero(f.dim))
                    - rparts.get(k, TensorExpr.zero(f.dim)))
     return out or [TensorExpr.zero(f.dim)]
-
-
-def exp_order_residual(f: FieldExpr, g: FieldExpr, h: FieldExpr, P: Kernel,
-                       system: FieldSystem, order: int = 4) -> HbarSeries:
-    """Swap residual of the exp-factor application order on a grouped star."""
-    A = star_fn(f, g, P, system, "x", "y", order)
-    B = to_series(h, "z", order)
-    return (star_grouped(A, ["x", "y"], B, ["z"], P, system, order)
-            - star_grouped(A, ["x", "y"], B, ["z"], P, system, order,
-                           reverse_pairs=True))
 
 
 # ---------------------------------------------------------------------------

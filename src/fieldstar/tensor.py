@@ -219,28 +219,25 @@ class TensorExpr(TermDict):
         substituted by the partner.  Terms without a delta atom in the label
         are rejected: only delta-localized content is integrable.
         """
-        result = TensorExpr.zero(self.dim)
+        groups: dict = {}  # (gamma, partner) -> terms sharing the by-parts step
         for (mon, deltas), c in self.terms.items():
-            chosen = None
             for pos, (a, b, gamma) in enumerate(deltas):
                 if label in (a, b):
-                    chosen = pos
                     break
-            if chosen is None:
+            else:
                 raise NonIntegrableTerm(
                     f"term has no delta atom carrying label {label!r}")
-            a, b, gamma = deltas[chosen]
-            rest_deltas = deltas[:chosen] + deltas[chosen + 1:]
-            partner = b if a == label else a
-            # express the chosen atom as sign * d_label^gamma delta(label-partner)
-            sign = ONE
-            if a != label and mi_order(gamma) % 2 == 1:
-                sign = -ONE
-            # integration by parts: (-1)^|gamma| D^gamma on the rest
-            if mi_order(gamma) % 2 == 1:
-                sign = -sign
-            piece = TensorExpr(self.dim, {(mon, rest_deltas): c * sign})
-            piece = piece.total_derivative_multi_at(label, gamma)
-            result = result + piece.relabel(label, partner)
-        return result
+            # the chosen atom is sign * d_label^gamma delta(label-partner), and
+            # integration by parts gives (-1)^|gamma| D^gamma on the rest: the
+            # two signs leave -1 when |gamma| is odd and label is the first slot
+            odd = mi_order(gamma) % 2 == 1
+            _acc(groups.setdefault((gamma, b if a == label else a), {}),
+                 (mon, deltas[:pos] + deltas[pos + 1:]),
+                 -c if odd and a == label else c)
+        terms: dict = {}
+        for (gamma, partner), group in groups.items():
+            piece = TensorExpr(self.dim, group).total_derivative_multi_at(label, gamma)
+            for key, c in piece.relabel(label, partner).terms.items():
+                _acc(terms, key, c)
+        return TensorExpr(self.dim, terms)
 

@@ -1,7 +1,6 @@
 import random
 
 from fieldstar.euler_lagrange import (
-    DualELOperator,
     ELOperator,
     apply_dual,
     dual_derivative,
@@ -51,7 +50,7 @@ def test_dual_operator_applies_signed_total_derivatives():
     op = ELOperator.generator("phi", (1,), "x", dim)
     f = u() * u((1,))
     # jet partial by u_1 gives u, then -(D u) = -u_1
-    assert apply_dual(DualELOperator.from_el(op), f) == -u((1,))
+    assert apply_dual(op, f) == -u((1,))
 
 
 def test_duality_residual_zero_for_random_operators():
@@ -94,6 +93,13 @@ def test_dual_derivative_iterates_the_euler_operator():
     once = dual_derivative(f, "phi")
     assert once == (u() ** 2).scale(3)
     assert dual_derivative(f, "phi", 2) == u().scale(6)
+
+
+def test_dual_derivative_power_takes_the_partials_jointly():
+    # both pi[1]-partials first, then one (-D)^2 of their summed index;
+    # applying the Euler operator twice would give 0
+    f = u() * xi((1,)) * xi((1,))
+    assert dual_derivative(f, "pi", 2) == u((2,)).scale(2)
 
 
 def test_operator_algebra_composition():

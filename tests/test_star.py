@@ -12,10 +12,12 @@ from fieldstar.star import (
     assoc_residuals,
     commutator_semiclassical,
     equation_of_motion,
-    exp_order_residual,
+    exp_sigma,
+    series_mul,
     star_fn,
     star_functional_density,
     star_functionals,
+    to_series,
 )
 from fieldstar.tensor import TensorExpr
 from fieldstar.verify import default_kernels
@@ -84,7 +86,14 @@ def test_exp_factor_application_order_is_immaterial():
     P = default_kernels(1)[0]
     f, g, h = (random_density(SYS1, rng, max_degree=2, max_jet_order=1,
                               terms=2) for _ in range(3))
-    assert exp_order_residual(f, g, h, P, SYS1, order=3).is_zero()
+    S = series_mul(star_fn(f, g, P, SYS1, "x", "y", 3), to_series(h, "z", 3))
+    grouped = []
+    for pairs in ((("x", "z"), ("y", "z")), (("y", "z"), ("x", "z"))):
+        T = S
+        for a, b in pairs:
+            T = exp_sigma(T, a, b, P, SYS1, 3)
+        grouped.append(T)
+    assert (grouped[0] - grouped[1]).is_zero()
 
 
 def test_functional_density_star_tail():
@@ -115,6 +124,32 @@ def test_star_closed_forms_cross_check_random():
             g = random_expr(SYS1, rng, max_degree=2, max_jet_order=1, terms=2)
             star_functional_density(F, g, P, SYS1, cross_check=True)
             star_functionals(F, G, P, SYS1, cross_check=True)
+
+
+def test_functional_star_of_densities_nonlinear_in_derivatives():
+    # int phi^3 * int phi*pi[1]^2: the order-2 tail is 6*phi*laplacian(phi),
+    # which the closed form reaches only through the joint dual derivative
+    F = Functional(u() ** 3, SYS1)
+    G = Functional(u() * xi((1,)) ** 2, SYS1)
+    series = star_functionals(F, G, Kernel.delta(1), SYS1, order=3,
+                              cross_check=True)
+    assert series.tail[2] == Functional((u() * u((2,))).scale(6), SYS1)
+
+
+def test_star_closed_forms_cross_check_cubic_second_order_jets():
+    rng = random.Random(23)
+    for dim in (1, 3):
+        system = real_system(dim)
+        for P in (Kernel.delta(dim), Kernel.delta(dim, I)):
+            for _ in range(4):
+                F, G = (Functional(random_density(system, rng, max_degree=3,
+                                                  max_jet_order=2, terms=2),
+                                   system) for _ in range(2))
+                g = random_expr(system, rng, max_degree=3, max_jet_order=2,
+                                terms=2)
+                star_functional_density(F, g, P, system, order=4,
+                                        cross_check=True)
+                star_functionals(F, G, P, system, order=4, cross_check=True)
 
 
 def _kg_hamiltonian(dim: int):
