@@ -8,19 +8,17 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import random
 import sys
 
 from .jets import FieldExpr, FieldSystem, complex_system, mi_zero
 from .kernels import MixedKernelError
-from .parser import ParseError, parse_expr, parse_functional, parse_kernel
-from .poisson import ConditionBViolation, Functional, bracket_fn
+from .parser import ParseError, parse_expr, parse_kernel
+from .poisson import ConditionBViolation, bracket_fn
 from .rationals import I
 from .render import (
     dumps_canonical,
     render_field_expr,
-    render_kernel,
     render_tensor_expr,
     to_json,
 )
@@ -163,8 +161,6 @@ def cmd_peierls_eval(args) -> int:
     if args.modes < 0:
         print("error: --modes must be >= 0", file=sys.stderr)
         return 2
-    import numpy as np
-
     from .peierls import green_eval
 
     field = green_eval(args.mass, args.time, args.modes)

@@ -20,7 +20,7 @@ from .jets import (
 )
 from .kernels import Kernel
 from .poisson import Functional, bracket_fn, bracket_functional_density
-from .rationals import GRat, I, ONE
+from .rationals import I
 from .tensor import TensorExpr, _canon_located
 
 

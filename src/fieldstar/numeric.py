@@ -9,7 +9,6 @@ which vanish at zero as condition B requires.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 

@@ -9,7 +9,7 @@ Expressions:
     laplacian(e)      sum of the second total derivatives
     i                 imaginary unit
     3, 1/2            rationals
-    + - * ^ ( )       ring operations, integer powers
+    + - * ^ ( )       ring operations, natural powers up to MAX_EXPONENT
 
 Kernels:
     delta, d1 delta, d1^2 d2 delta, i*delta + 2*d1 delta, ...
@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .jets import FieldExpr, FieldSystem, mi_unit, mi_zero, real_system
+from .jets import FieldExpr, FieldSystem, mi_zero, real_system
 from .kernels import Kernel
 from .rationals import GRat, I, ONE
 
@@ -75,6 +75,11 @@ def _tokenize(text: str):
     tokens.append(("end", "", len(text)))
     return tokens
 
+
+# The largest n accepted in e^n and in a kernel's d1^n.  A power is expanded
+# by repeated multiplication, so without a bound a short input such as
+# phi^99999 would run without end.
+MAX_EXPONENT = 100
 
 _DERIV = re.compile(r"^d([1-9][0-9]*)$")
 
@@ -132,11 +137,19 @@ class _Parser:
         base = self.parse_primary()
         if self.peek()[1] == "^":
             self.next()
-            kind, text, pos = self.next()
-            if kind != "num":
-                raise ParseError("exponent must be a natural number", pos)
-            return base ** int(text)
+            return base ** self.exponent()
         return base
+
+    def exponent(self) -> int:
+        """The natural number after a '^', at most MAX_EXPONENT."""
+        kind, text, pos = self.next()
+        if kind != "num":
+            raise ParseError("exponent must be a natural number", pos)
+        # compare digit counts first: int() refuses very long digit strings
+        if len(text.lstrip("0")) > len(str(MAX_EXPONENT)) \
+                or int(text) > MAX_EXPONENT:
+            raise ParseError(f"exponent exceeds {MAX_EXPONENT}", pos)
+        return int(text)
 
     def parse_primary(self) -> FieldExpr:
         kind, text, pos = self.next()
@@ -260,10 +273,7 @@ class _Parser:
                 power = 1
                 if self.peek()[1] == "^":
                     self.next()
-                    k2, t2, p2 = self.next()
-                    if k2 != "num":
-                        raise ParseError("exponent must be a natural number", p2)
-                    power = int(t2)
+                    power = self.exponent()
                 gamma[direction - 1] += power
                 continue
             if text == "delta":

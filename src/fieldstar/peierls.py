@@ -24,7 +24,6 @@ import numpy as np
 
 from .jets import FieldExpr, _acc, real_system
 from .kernels import Kernel
-from .tensor import TensorExpr
 
 COSINE = "cosine"  # G(0) = delta, d_t G(0) = 0: mode symbol cos(w t)
 SINE = "sine"      # G(0) = 0, d_t G(0) = delta: mode symbol sin(w t)/w

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm
+
+_MODULUS = sys.hash_info.modulus
+_INF = sys.hash_info.inf
 
 
 class GRat:
@@ -106,10 +110,21 @@ class GRat:
         return NotImplemented
 
     def __hash__(self):
-        # equal to the hash of the int or Fraction of the same value
-        if self._b == 0:
-            return hash(self._a) if self._d == 1 else hash(self.re)
-        return hash((self.re, self.im))
+        # A real value hashes like the int or Fraction of the same value:
+        # Python's numeric hash, |a| * d^-1 modulo the prime P, signed, and
+        # inf when P divides d (Python itself turns a returned -1 into -2).
+        # A complex value equals only a GRat, so its normalized fields serve
+        # as the hash.
+        a, b, d = self._a, self._b, self._d
+        if b:
+            return hash((a, b, d))
+        if d == 1:
+            return hash(a)
+        try:
+            h = hash(hash(abs(a)) * pow(d, -1, _MODULUS))
+        except ValueError:
+            h = _INF
+        return h if a >= 0 else -h
 
     def __complex__(self):
         return complex(self._a / self._d, self._b / self._d)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .jets import FieldSort, FieldSystem, complex_system, real_system
+from .jets import FieldSort, FieldSystem, real_system
 
 
 class ConfigError(ValueError):

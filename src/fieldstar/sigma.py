@@ -22,16 +22,23 @@ terms track the index gamma it adds to the pending atom.  The atom is
 d_lo^gamma delta(lo - hi) for the label pair in order, so derivatives from
 the hi side, and kernel indices when a > b, fold in the parity sign
 (-1)^|index|.
+
+``sigma_terms`` yields sigma^k T / k!, the k-th term of the exponential.
+Multiplicities, binomials and parity signs are ints, so when T and P are
+real (over Q) every work coefficient is a plain int numerator over one
+common denominator per call, and each output key gets one GRat, over that
+denominator times k!.  Over Q[i] the work coefficients are GRats, and 1/k!
+is folded into each output denominator.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from math import comb
+from math import comb, factorial, lcm
 
 from .jets import FieldSystem, _acc, _partial_mon, mi_add, mi_order, mi_zero
 from .kernels import Kernel, bracket_sign
-from .rationals import ONE
+from .rationals import _make
 from .tensor import TensorExpr, _label, _locate
 
 
@@ -120,9 +127,23 @@ def _factor(T: TensorExpr, a: str) -> list:
             R = {}
             shapes.setdefault(blocks, []).append((ratios, R))
             pairs.append(({(block, (), zero): r for block, r
-                           in zip(blocks, [ONE] + ratios)}, R))
+                           in zip(blocks, [1] + ratios)}, R))
         R[(rest, deltas, zero)] = c
     return pairs
+
+
+def _numerators(works: dict, real: bool) -> tuple[int, dict]:
+    """(d, numerators) with works = numerators / d.
+
+    Over Q, d is the lcm of the denominators and each numerator a plain
+    int; over Q[i], d is 1 and the values stay as they are.
+    """
+    if not real:
+        return 1, works
+    parts = {key: (c, 1) if type(c) is int else (c._a, c._d)
+             for key, c in works.items()}
+    d = lcm(*[e for _n, e in parts.values()])
+    return d, {key: n * (d // e) for key, (n, e) in parts.items()}
 
 
 def _product(out: dict, X: dict, Y: dict, kernel: list, a: str, canon,
@@ -162,13 +183,14 @@ def _sort_pair(system: FieldSystem) -> tuple[str, str]:
 
 def sigma_terms(T: TensorExpr, a: str, b: str, P: Kernel, system: FieldSystem,
                 sign: int | None = None):
-    """Generate the k-th operator powers applied to T, for k = 1, 2, ...
+    """Generate the terms sigma^k T / k! of the operator's exponential, for
+    k = 1, 2, ...
 
-    Each yielded TensorExpr is the raw k-th power (no 1/k! factor), with the
-    inserted kernel atom canonicalized.  The generator stops as soon as a
-    power vanishes identically; all higher powers then vanish as well.  (A
-    power that vanishes only once its inserted atom joins an equal delta
-    atom of T is yielded, empty.)
+    Each yielded TensorExpr has the inserted kernel atom canonicalized.  The
+    generator stops as soon as a power vanishes identically; all higher
+    powers then vanish as well.  (A power that vanishes only once its
+    inserted atom joins an equal delta atom of T is yielded, empty.)  The
+    work runs on int numerators when T and P are real, on GRats otherwise.
     """
     if a == b:
         raise ValueError(f"operator label pair coincides: {a!r}")
@@ -178,8 +200,12 @@ def sigma_terms(T: TensorExpr, a: str, b: str, P: Kernel, system: FieldSystem,
     dim = T.dim
     lo, hi = sorted((a, b))
     side_a, side_b = (0, 1) if a == lo else (1, 0)
-    kernel = [(g, c if side_a == 0 or mi_order(g) % 2 == 0 else -c)
-              for g, c in P.terms.items()]
+    real = not any(c._b for c in P.terms.values()) \
+        and not any(c._b for c in T.terms.values())
+    kd, kernel = _numerators(
+        {g: c if side_a == 0 or mi_order(g) % 2 == 0 else -c
+         for g, c in P.terms.items()}, real)
+    kernel = list(kernel.items())
 
     def canonical(deltas, gamma):
         return tuple(sorted(deltas + ((lo, hi, gamma),)))
@@ -197,6 +223,15 @@ def sigma_terms(T: TensorExpr, a: str, b: str, P: Kernel, system: FieldSystem,
                          memo)
         return out
 
+    def finish(out: dict) -> dict:
+        # one GRat per key: the numerator over den * k!
+        d = den * factorial(k)
+        if real:
+            return {key: _make(c, 0, d) for key, c in out.items()}
+        if d == 1:
+            return out
+        return {key: _make(c._a, c._b, c._d * d) for key, c in out.items()}
+
     def meets() -> bool:
         # the inserted atom can only meet a delta atom of T on its labels
         return any(d[0] == lo and d[1] == hi for _mon, deltas in T.terms
@@ -204,10 +239,20 @@ def sigma_terms(T: TensorExpr, a: str, b: str, P: Kernel, system: FieldSystem,
 
     memo: dict = {}
     atoms: dict = {}
+    # one denominator den for every product: each L is scaled to bring
+    # L (x) R (x) kernel over it
+    factors = [(_numerators(L, real), _numerators(R, real))
+               for L, R in _factor(T, a)]
+    den = kd * lcm(*[ld * rd for (ld, _L), (rd, _R) in factors])
     # per pair: the current (X, Y) of lineage 0 of the next power, or None
     # once it vanished, and the live lineages (j, X, Y), where j counts the
     # B factors: X = d_{p,a}^i d_{q,a}^j L and Y = d_{q,b}^i d_{p,b}^j R
-    pairs = [((L, R), [(0, L, R)]) for L, R in _factor(T, a)]
+    pairs = []
+    for (ld, L), (rd, R) in factors:
+        m = den // (kd * ld * rd)
+        if m != 1:
+            L = {key: c * m for key, c in L.items()}
+        pairs.append(((L, R), [(0, L, R)]))
     k = 0
     while pairs:
         k += 1
@@ -233,4 +278,4 @@ def sigma_terms(T: TensorExpr, a: str, b: str, P: Kernel, system: FieldSystem,
         # inserted atom joins the deltas
         if not out and not (meets() and power(pending, {})):
             return
-        yield TensorExpr(dim, out)
+        yield TensorExpr(dim, finish(out))

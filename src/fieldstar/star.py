@@ -124,8 +124,7 @@ def exp_sigma(S: HbarSeries, a: str, b: str, P: Kernel, system: FieldSystem,
             except StopIteration:
                 terminated = True
                 break
-            _put(coeffs, j + k,
-                 Tk if k == 1 else Tk.scale(ONE / GRat(factorial(k))))
+            _put(coeffs, j + k, Tk)
         if not terminated and j + k > K:
             # could not prove termination within the order budget
             try:

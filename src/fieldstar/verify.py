@@ -16,10 +16,9 @@ from .euler_lagrange import (
     el_power_duality_residual,
 )
 from .jets import FieldExpr, FieldSystem, complex_system, real_system
-from .kernels import Kernel, bracket_sign
+from .kernels import Kernel
 from .poisson import (
     Functional,
-    bracket_fn,
     bracket_functional_density,
     bracket_functionals,
     jacobi_residual,
@@ -187,7 +186,6 @@ def verify_closed_forms(system: FieldSystem, P: Kernel, trials: int,
 
 def verify_complex_equiv(dim: int, trials: int, rng: random.Random) -> VerifyReport:
     from .complexfields import conjugation_residual, real_complex_equivalence
-    from .kernels import SYMMETRIC
 
     failures = 0
     detail = ""

@@ -184,3 +184,29 @@ def test_zero_denominator_is_a_parse_error(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: denominator must be nonzero")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bracket", "phi^99999", "pi", "--dim", "1"],
+    ["star", "phi", "(pi + phi)^101", "--dim", "1"],
+    ["bracket", "phi^" + "9" * 5000, "pi", "--dim", "1"],
+    ["classify", "--dim", "1", "--kernel", "d1^101 delta"],
+])
+def test_exponent_above_the_bound_is_a_parse_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error: exponent exceeds 100")
+
+
+def test_config_exponent_above_the_bound_exits_two(tmp_path, capsys):
+    config = dict(KG_CONFIG, hamiltonian="phi^101")
+    path = _write(tmp_path, "big.json", config)
+    assert main(["eom", "--config", path, "--field", "phi"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_exponent_at_the_bound_succeeds(capsys):
+    assert main(["bracket", "phi^100", "pi", "--dim", "1"]) == 0
+    assert "phi" in capsys.readouterr().out
+    assert main(["classify", "--dim", "1", "--kernel", "d1^100 delta"]) == 0

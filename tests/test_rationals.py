@@ -1,4 +1,5 @@
 import operator
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -137,6 +138,26 @@ def test_hash_matches_the_fraction_it_equals(q):
     assert GRat(q, 1) != q
 
 
+MODULUS = sys.hash_info.modulus
+
+
+@pytest.mark.parametrize("x", [
+    0, 1, -1, -2, 10**30, -10**30, Fraction(-1, 1), Fraction(-7, 3),
+    Fraction(1, MODULUS), Fraction(-1, MODULUS), Fraction(3, 2 * MODULUS),
+    Fraction(-5, 7 * MODULUS), Fraction(MODULUS - 1, MODULUS + 1),
+    Fraction(-(MODULUS + 2), MODULUS - 1), Fraction(-(MODULUS + 2), 2)])
+def test_hash_follows_the_numeric_hash_at_its_edges(x):
+    # -1 hashes to -2 (as -(P + 2)/2 would), and a denominator that is a
+    # multiple of the modulus has no inverse modulo it
+    assert hash(GRat(x)) == hash(x)
+
+
+@given(wide_grats)
+def test_equal_complex_values_hash_equal(z):
+    assume(z._b)
+    assert hash(GRat(z.re, z.im)) == hash(z * GRat(0, 1) * GRat(0, -1))
+
+
 @given(st.integers(-10**6, 10**6), st.integers(1, 10**4),
        st.integers(-10**6, 10**6), st.integers(1, 10**4))
 def test_fraction_parts_equal_the_value_built_from_ints(p, q, r, s):
@@ -190,11 +211,13 @@ def test_arithmetic_creates_no_fraction(fraction_calls):
     fraction_calls.clear()
     z = (a + b) * (a - b) / (-b) + 3 - a.conjugate() * 2
     assert z and z != a and GRat(7, -2) == GRat(7, -2)
+    assert len({a, b, z, a.conjugate(), GRat(5, 7) / 3}) == 5
     assert fraction_calls == []
 
 
 def test_star_products_create_no_fraction(fraction_calls):
-    # exp_sigma and both closed-form tails scale by binom(k, i)/k!
+    # sigma_terms folds 1/k! into its coefficients, and both closed-form
+    # tails scale by binom(k, i)/k!
     system = fieldstar.real_system(1)
     phi = fieldstar.FieldExpr.jet("phi", (0,))
     pi = fieldstar.FieldExpr.jet("pi", (0,))

@@ -1,13 +1,16 @@
 """The factored operator kernel against the per-monomial reference.
 
 ``sigma_terms`` splits T into products L (x) R, differentiates each factor
-on its own and multiplies.  The reference below is a per-monomial
-derivation of the whole product, so that every power can be compared term
-by term.  Powers are compared as values (term dicts); rendering does not
-depend on insertion order (tests/test_parser.py).
+on its own and multiplies, and yields the k-th power over k!.  The
+reference below is a per-monomial derivation of the whole product on GRats,
+so that every power can be compared term by term.  Powers are compared as
+values (term dicts); rendering does not depend on insertion order
+(tests/test_parser.py).
 """
 
+from fractions import Fraction
 from itertools import islice
+from math import factorial
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -24,7 +27,7 @@ from fieldstar.jets import (
 )
 from fieldstar.kernels import Kernel, bracket_sign
 from fieldstar.randexpr import multi_indices
-from fieldstar.rationals import GRat, ONE, ZERO
+from fieldstar.rationals import GRat, I, ONE, ZERO
 from fieldstar.sigma import _factor, _sort_pair, sigma_terms
 from fieldstar.tensor import TensorExpr, _canon_located, delta_atom
 from fieldstar.verify import default_kernels
@@ -99,7 +102,8 @@ def _ref_finalize(works: dict, a: str, b: str) -> dict:
 
 
 def reference_powers(T, a, b, P, system, count: int) -> list:
-    """The term dicts of the first ``count`` nonzero operator powers."""
+    """The term dicts of the first ``count`` nonzero operator powers, power
+    k divided by k! (the k-th term of the exponential)."""
     sign = bracket_sign(P)
     p, q = _sort_pair(system)
     dim = T.dim
@@ -115,7 +119,9 @@ def reference_powers(T, a, b, P, system, count: int) -> list:
         for key, c in part_b.items():
             _ref_acc(works, key, c if sign > 0 else -c)
         if works:
-            out.append(_ref_finalize(works, a, b))
+            k_factorial = GRat(factorial(len(out) + 1))
+            out.append({key: c / k_factorial for key, c
+                        in _ref_finalize(works, a, b).items()})
     return out
 
 
@@ -285,3 +291,36 @@ def test_power_cancelled_by_an_equal_delta_atom_is_yielded_empty():
     powers = list(sigma_terms(T, a, b, Kernel.delta(1), SYSTEM))
     assert [power.terms for power in powers] == [{}] \
         == reference_powers(T, a, b, Kernel.delta(1), SYSTEM, POWERS)
+
+
+# -- fixed cases: the int path over Q and the GRat path over Q[i] -------------
+
+PHI, PI = jet("phi", (0,)), jet("pi", (0,))
+# degree 4 at both labels, so that four powers are nonzero; the two rows
+# at x are not proportional, so T splits into two products with different
+# denominators
+REAL_T = at(jet("phi", (1,), Fraction(1, 3)) * PHI ** 2 * PI
+            + jet("phi", (0,), Fraction(2, 5)) * PHI ** 3, "x") \
+    * at(jet("pi", (1,), Fraction(7, 4)) * PI ** 3 + PHI ** 2 * PI ** 2, "y") \
+    + at(PHI ** 2 * PI ** 2 + jet("pi", (2,), Fraction(2, 5)) * PHI ** 3,
+         "x") * at(PI ** 4, "y")
+
+
+def test_real_input_runs_on_int_numerators_over_a_common_denominator():
+    P = Kernel.delta(1) + Kernel.derivative_delta(1, (2,), Fraction(1, 2))
+    assert len(_factor(REAL_T, "x")) == 2
+    for a, b in (("x", "y"), ("y", "x")):
+        check_powers(REAL_T, a, b, P, 4)
+    powers = list(islice(sigma_terms(REAL_T, "x", "y", P, SYSTEM), 4))
+    assert all(not c._b for power in powers for c in power.terms.values())
+    assert any(c._d > 1 for power in powers for c in power.terms.values())
+
+
+def test_imaginary_kernel_keeps_real_input_on_grats():
+    check_powers(REAL_T, "x", "y", Kernel.delta(1, I), 4)
+
+
+def test_complex_input_stays_on_grats():
+    T = REAL_T + at(jet("phi", (1,), GRat(Fraction(1, 3), 2)) * PI ** 3,
+                    "x") * at(PHI * PI ** 3, "y")
+    check_powers(T, "x", "y", Kernel.derivative_delta(1, (1,)), 4)
