@@ -84,6 +84,15 @@ MAX_EXPONENT = 100
 _DERIV = re.compile(r"^d([1-9][0-9]*)$")
 
 
+def _natural(text: str, pos: int) -> int:
+    """A digit string as an int; int() refuses one of more than Python's
+    4,300-digit limit, and that is a parse error here."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError("number is too long", pos) from None
+
+
 class _Parser:
     def __init__(self, text: str, ctx: ParseContext):
         self.text = text
@@ -159,15 +168,16 @@ class _Parser:
             self.expect(")")
             return inner
         if kind == "num":
-            value = Fraction(int(text))
+            value = Fraction(_natural(text, pos))
             if self.peek()[1] == "/":
                 self.next()
                 k2, t2, p2 = self.next()
                 if k2 != "num":
                     raise ParseError("denominator must be a natural number", p2)
-                if not int(t2):
+                den = _natural(t2, p2)
+                if not den:
                     raise ParseError("denominator must be nonzero", p2)
-                value /= int(t2)
+                value /= den
             return FieldExpr.const(GRat(value), dim)
         if kind == "name":
             return self.parse_name(text, pos)
@@ -180,7 +190,7 @@ class _Parser:
             return FieldExpr.const(I, dim)
         deriv = _DERIV.match(name)
         if deriv and self.peek()[1] == "(":
-            direction = int(deriv.group(1))
+            direction = _natural(deriv.group(1), pos)
             if not 1 <= direction <= dim:
                 raise ParseError(f"derivative direction {direction} exceeds "
                                  f"dimension {dim}", pos)
@@ -227,7 +237,7 @@ class _Parser:
             kind, text, pos = self.next()
             if kind != "num":
                 raise ParseError("multi-index entries must be naturals", pos)
-            entries.append(int(text))
+            entries.append(_natural(text, pos))
             kind, text, pos = self.next()
             if text == "]":
                 break
@@ -260,13 +270,12 @@ class _Parser:
         dim = self.ctx.dim
         coeff = ONE
         gamma = list(mi_zero(dim))
-        saw_delta = False
         while True:
             kind, text, pos = self.peek()
             deriv = _DERIV.match(text) if kind == "name" else None
             if deriv and self.tokens[self.i + 1][1] != "(":
                 self.next()
-                direction = int(deriv.group(1))
+                direction = _natural(deriv.group(1), pos)
                 if not 1 <= direction <= dim:
                     raise ParseError(f"derivative direction {direction} exceeds "
                                      f"dimension {dim}", pos)
@@ -278,18 +287,15 @@ class _Parser:
                 continue
             if text == "delta":
                 self.next()
-                saw_delta = True
-                break
+                return Kernel.derivative_delta(dim, tuple(gamma), coeff)
+            if kind == "end":
+                raise ParseError("kernel term must end in 'delta'", pos)
             # anything else is a scalar factor
             scalar = self.parse_power()
             value = _as_scalar(scalar, pos)
             coeff = coeff * value
             if self.peek()[1] == "*":
                 self.next()
-            continue
-        if not saw_delta:
-            raise ParseError("kernel term must end in 'delta'", self.peek()[2])
-        return Kernel.derivative_delta(dim, tuple(gamma), coeff)
 
 
 def _as_scalar(expr: FieldExpr, pos: int) -> GRat:

@@ -16,12 +16,15 @@ the rest, and A and B commute, so on a product L (x) R the k-th power is
 
     sum_i C(k,i) s^(k-i) (d_{p,a}^i d_{q,a}^(k-i) L) (x) (d_{q,b}^i d_{p,b}^(k-i) R).
 
-``sigma_terms`` therefore splits T into a short sum of such products,
-differentiates each factor on its own and multiplies.  A factor's work
-terms track the index gamma it adds to the pending atom.  The atom is
-d_lo^gamma delta(lo - hi) for the label pair in order, so derivatives from
-the hi side, and kernel indices when a > b, fold in the parity sign
-(-1)^|index|.
+``sigma_terms`` therefore takes T as a short list of such products (L, R),
+differentiates each factor on its own and multiplies.  Callers that know
+the split pass it: a bracket or star of f@a and g@b is the one product
+f@a (x) g@b, and {h@c, T} is h@c (x) T.  ``_factor`` splits a general sum
+into products; only the exponential of a series coefficient needs it.
+A factor's work terms track the index gamma it adds to the pending atom.
+The atom is d_lo^gamma delta(lo - hi) for the label pair in order, so
+derivatives from the hi side, and kernel indices when a > b, fold in the
+parity sign (-1)^|index|.
 
 ``sigma_terms`` yields sigma^k T / k!, the k-th term of the exponential.
 Multiplicities, binomials and parity signs are ints, so when T and P are
@@ -38,8 +41,14 @@ from math import comb, factorial, lcm
 
 from .jets import FieldSystem, _acc, _partial_mon, mi_add, mi_order, mi_zero
 from .kernels import Kernel, bracket_sign
-from .rationals import _make
+from .rationals import ONE, _make
 from .tensor import TensorExpr, _label, _locate
+
+
+def _works(T: TensorExpr) -> dict:
+    """T as operator work terms, each with an empty pending index."""
+    zero = mi_zero(T.dim)
+    return {(mon, deltas, zero): c for (mon, deltas), c in T.terms.items()}
 
 
 def _block_partials(block, label: str, sort: str, side: int, dim: int) -> list:
@@ -100,7 +109,8 @@ def _derive(works: dict, label: str, sort: str, side: int, dim: int,
 
 
 def _factor(T: TensorExpr, a: str) -> list:
-    """T as a sum of products L (x) R; a list of (L, R) work dicts.
+    """T as a sum of products L (x) R; a list of (L, R) work dicts, where
+    L holds the atoms at ``a`` and R the rest, deltas included.
 
     Terms with equal rest (atoms off ``a`` plus deltas) form a row
     {a-block: c}.  Proportional rows over the same a-blocks, in the same
@@ -127,7 +137,7 @@ def _factor(T: TensorExpr, a: str) -> list:
             R = {}
             shapes.setdefault(blocks, []).append((ratios, R))
             pairs.append(({(block, (), zero): r for block, r
-                           in zip(blocks, [1] + ratios)}, R))
+                           in zip(blocks, [ONE] + ratios)}, R))
         R[(rest, deltas, zero)] = c
     return pairs
 
@@ -140,8 +150,7 @@ def _numerators(works: dict, real: bool) -> tuple[int, dict]:
     """
     if not real:
         return 1, works
-    parts = {key: (c, 1) if type(c) is int else (c._a, c._d)
-             for key, c in works.items()}
+    parts = {key: (c._a, c._d) for key, c in works.items()}
     d = lcm(*[e for _n, e in parts.values()])
     return d, {key: n * (d // e) for key, (n, e) in parts.items()}
 
@@ -181,10 +190,11 @@ def _sort_pair(system: FieldSystem) -> tuple[str, str]:
     return p, system.partner(p)
 
 
-def sigma_terms(T: TensorExpr, a: str, b: str, P: Kernel, system: FieldSystem,
-                sign: int | None = None):
+def sigma_terms(products: list, dim: int, a: str, b: str, P: Kernel,
+                system: FieldSystem):
     """Generate the terms sigma^k T / k! of the operator's exponential, for
-    k = 1, 2, ...
+    k = 1, 2, ..., where T is the sum of the (L, R) work-dict ``products``
+    (as ``_factor`` makes them: L holds the atoms at ``a``, R the rest).
 
     Each yielded TensorExpr has the inserted kernel atom canonicalized.  The
     generator stops as soon as a power vanishes identically; all higher
@@ -194,14 +204,13 @@ def sigma_terms(T: TensorExpr, a: str, b: str, P: Kernel, system: FieldSystem,
     """
     if a == b:
         raise ValueError(f"operator label pair coincides: {a!r}")
-    if sign is None:
-        sign = bracket_sign(P)
+    sign = bracket_sign(P)
     p, q = _sort_pair(system)
-    dim = T.dim
     lo, hi = sorted((a, b))
     side_a, side_b = (0, 1) if a == lo else (1, 0)
     real = not any(c._b for c in P.terms.values()) \
-        and not any(c._b for c in T.terms.values())
+        and not any(c._b for pair in products for works in pair
+                    for c in works.values())
     kd, kernel = _numerators(
         {g: c if side_a == 0 or mi_order(g) % 2 == 0 else -c
          for g, c in P.terms.items()}, real)
@@ -233,16 +242,17 @@ def sigma_terms(T: TensorExpr, a: str, b: str, P: Kernel, system: FieldSystem,
         return {key: _make(c._a, c._b, c._d * d) for key, c in out.items()}
 
     def meets() -> bool:
-        # the inserted atom can only meet a delta atom of T on its labels
-        return any(d[0] == lo and d[1] == hi for _mon, deltas in T.terms
-                   for d in deltas)
+        # the inserted atom can only meet a delta atom of T on its labels,
+        # and T's deltas are all in the R factors
+        return any(d[0] == lo and d[1] == hi for _L, R in products
+                   for _rest, deltas, _gamma in R for d in deltas)
 
     memo: dict = {}
     atoms: dict = {}
     # one denominator den for every product: each L is scaled to bring
     # L (x) R (x) kernel over it
     factors = [(_numerators(L, real), _numerators(R, real))
-               for L, R in _factor(T, a)]
+               for L, R in products]
     den = kd * lcm(*[ld * rd for (ld, _L), (rd, _R) in factors])
     # per pair: the current (X, Y) of lineage 0 of the next power, or None
     # once it vanished, and the live lineages (j, X, Y), where j counts the

@@ -199,6 +199,24 @@ def test_exponent_above_the_bound_is_a_parse_error(argv, capsys):
     assert captured.err.startswith("error: exponent exceeds 100")
 
 
+@pytest.mark.parametrize("argv", [
+    ["bracket", "1" + "0" * 5000 + "*phi", "pi", "--dim", "1"],
+    ["bracket", "phi[" + "1" * 5000 + "]", "pi", "--dim", "1"],
+    ["classify", "--dim", "1", "--kernel", "d" + "1" * 5000 + " delta"],
+])
+def test_literal_past_the_int_digit_limit_is_a_parse_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error: number is too long")
+
+
+def test_kernel_without_delta_names_the_missing_delta(capsys):
+    assert main(["classify", "--kernel", "0"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: kernel term must end in 'delta' (at position 1)")
+
+
 def test_config_exponent_above_the_bound_exits_two(tmp_path, capsys):
     config = dict(KG_CONFIG, hamiltonian="phi^101")
     path = _write(tmp_path, "big.json", config)

@@ -90,6 +90,33 @@ def test_parse_errors_carry_positions():
         parse_expr("d9(phi)", CTX1)
 
 
+# one digit past Python's 4,300-digit limit on int() of a string
+LONG = "1" * 4301
+
+
+@pytest.mark.parametrize("text", [
+    LONG + "*phi",
+    "1/" + LONG + "*phi",
+    "phi[" + LONG + "]",
+    "d" + LONG + "(phi)",
+])
+def test_literal_past_the_int_digit_limit_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="number is too long"):
+        parse_expr(text, CTX1)
+
+
+@pytest.mark.parametrize("text", [LONG + "*delta", "d" + LONG + " delta"])
+def test_kernel_literal_past_the_int_digit_limit_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="number is too long"):
+        parse_kernel(text, CTX1)
+
+
+@pytest.mark.parametrize("text", ["0", "2*", "d1", "delta +"])
+def test_kernel_term_without_delta_says_so(text):
+    with pytest.raises(ParseError, match="kernel term must end in 'delta'"):
+        parse_kernel(text, CTX1)
+
+
 def test_render_parse_round_trip_on_random_corpus():
     rng = random.Random(23)
     for dim, ctx in ((1, CTX1), (3, CTX3)):

@@ -11,6 +11,7 @@ from fieldstar.poisson import (
     LabelCollision,
     bracket_fn,
     bracket_density_functional,
+    bracket_tensor,
     bracket_functional_density,
     bracket_functionals,
     functional_null,
@@ -19,6 +20,7 @@ from fieldstar.poisson import (
 )
 from fieldstar.randexpr import random_density, random_expr
 from fieldstar.rationals import GRat, I
+from fieldstar.sigma import _factor, sigma_terms
 from fieldstar.tensor import TensorExpr
 from fieldstar.verify import default_kernels
 
@@ -66,6 +68,40 @@ def test_bracket_is_bilinear_and_leibniz_in_each_slot():
     rhs = TensorExpr.from_field(f, "x") * bracket_fn(g, h, P, SYS1) \
         + TensorExpr.from_field(g, "x") * bracket_fn(f, h, P, SYS1)
     assert lhs == rhs
+
+
+def _first_power_of_split(T, a, b, P, system):
+    for term in sigma_terms(_factor(T, a), T.dim, a, b, P, system):
+        return term
+    return TensorExpr.zero(T.dim)
+
+
+def test_brackets_match_the_operator_on_the_split_product():
+    # bracket_fn and bracket_tensor hand the operator their one product;
+    # splitting the whole product instead must give the same brackets
+    rng = random.Random(6)
+    for dim in (1, 3):
+        system = real_system(dim)
+        e1 = (1,) + (0,) * (dim - 1)
+        real = [Kernel.delta(dim), Kernel.derivative_delta(dim, e1)]
+        for complex_ok, kernels in ((False, real),
+                                    (True, default_kernels(dim))):
+            for P in kernels:
+                f, g, h = (random_expr(system, rng, 3, 1,
+                                       complex_ok=complex_ok)
+                           for _ in range(3))
+                fx, gy = TensorExpr.from_field(f, "x"), \
+                    TensorExpr.from_field(g, "y")
+                T = bracket_fn(f, g, P, system)
+                assert T == _first_power_of_split(fx * gy, "x", "y", P,
+                                                  system)
+                hT = TensorExpr.from_field(h, "z") * T
+                expected = TensorExpr.zero(dim)
+                for label in sorted(T.labels()):
+                    expected = expected + _first_power_of_split(
+                        hT, "z", label, P, system)
+                assert not expected.is_zero()
+                assert bracket_tensor(h, "z", T, P, system) == expected
 
 
 def test_label_collision_rejected():

@@ -1,13 +1,15 @@
 """The factored operator kernel against the per-monomial reference.
 
-``sigma_terms`` splits T into products L (x) R, differentiates each factor
-on its own and multiplies, and yields the k-th power over k!.  The
-reference below is a per-monomial derivation of the whole product on GRats,
-so that every power can be compared term by term.  Powers are compared as
-values (term dicts); rendering does not depend on insertion order
-(tests/test_parser.py).
+``sigma_terms`` runs on T as a list of products L (x) R, differentiates
+each factor on its own and multiplies, and yields the k-th power over k!.
+A general T reaches it through ``_factor``; a caller that knows its product
+passes the pair, and both routes must agree.  The reference below is a
+per-monomial derivation of the whole product on GRats, so that every power
+can be compared term by term.  Powers are compared as values (term dicts);
+rendering does not depend on insertion order (tests/test_parser.py).
 """
 
+import random
 from fractions import Fraction
 from itertools import islice
 from math import factorial
@@ -26,9 +28,9 @@ from fieldstar.jets import (
     real_system,
 )
 from fieldstar.kernels import Kernel, bracket_sign
-from fieldstar.randexpr import multi_indices
+from fieldstar.randexpr import multi_indices, random_expr
 from fieldstar.rationals import GRat, I, ONE, ZERO
-from fieldstar.sigma import _factor, _sort_pair, sigma_terms
+from fieldstar.sigma import _factor, _sort_pair, _works, sigma_terms
 from fieldstar.tensor import TensorExpr, _canon_located, delta_atom
 from fieldstar.verify import default_kernels
 
@@ -204,7 +206,8 @@ EMPTY_BLOCKS = (3, "real", 1, ("z", "x"), [
 @given(cases())
 def test_powers_match_per_monomial_reference(case):
     T, a, b, P, system = build(case)
-    powers = list(islice(sigma_terms(T, a, b, P, system), POWERS))
+    powers = list(islice(sigma_terms(_factor(T, a), T.dim, a, b, P, system),
+                         POWERS))
     assert [power.terms for power in powers] \
         == reference_powers(T, a, b, P, system, POWERS)
     assert all(power.dim == T.dim for power in powers)
@@ -235,8 +238,8 @@ SYSTEM = real_system(1)
 def check_powers(T, a, b, P, count=POWERS):
     """Compare the first powers with the reference; return how many
     products the kernel split T into."""
-    powers = [power.terms for power in islice(sigma_terms(T, a, b, P, SYSTEM),
-                                              count)]
+    powers = [power.terms for power in islice(
+        sigma_terms(_factor(T, a), T.dim, a, b, P, SYSTEM), count)]
     assert powers == reference_powers(T, a, b, P, SYSTEM, count)
     assert len(powers) == count
     return len(_factor(T, a))
@@ -288,9 +291,68 @@ def test_power_cancelled_by_an_equal_delta_atom_is_yielded_empty():
         ((1, 0), {"x": [("j", 0, (0,))], "y": [("j", 1, (0,))]},
          [("x", "y", (1,))]),
     ]))
-    powers = list(sigma_terms(T, a, b, Kernel.delta(1), SYSTEM))
+    powers = list(sigma_terms(_factor(T, a), T.dim, a, b, Kernel.delta(1),
+                              SYSTEM))
     assert [power.terms for power in powers] == [{}] \
         == reference_powers(T, a, b, Kernel.delta(1), SYSTEM, POWERS)
+
+
+# -- caller-given products against the split of their product ----------------
+
+def _seeded_products():
+    """Seeded (L, R, a, b, P, system) over Q and Q[i], in dims 1 and 3, with
+    a symmetric and an antisymmetric kernel: f@a (x) g@b on either label
+    order, and f@a (x) g@b*h@z*K(a, b), whose R carries delta atoms on the
+    operator's own label pair.  Over Q[i] only f and h draw imaginary
+    parts and one kernel is real, so that either factor alone can take
+    the operator off the int path."""
+    rng = random.Random(8)
+    for dim in (1, 3):
+        system = real_system(dim)
+        e1 = (1,) + (0,) * (dim - 1)
+        sym = Kernel.delta(dim) + Kernel.derivative_delta(
+            dim, mi_add(e1, e1), Fraction(1, 2))
+        for gaussian, kernels in (
+                (False, [sym, Kernel.derivative_delta(dim, e1)]),
+                (True, [sym, default_kernels(dim)[1]])):
+            for P in kernels:
+                for _ in range(3):
+                    f, g, h = (random_expr(system, rng, 3, 1,
+                                           complex_ok=gaussian and c)
+                               for c in (True, False, True))
+                    for a, b in (("x", "y"), ("y", "x")):
+                        yield at(f, a), at(g, b), a, b, P, system
+                    yield at(f, "x"), at(g, "y") * at(h, "z") \
+                        * TensorExpr.from_kernel(sym, "x", "y"), \
+                        "x", "y", P, system
+
+
+def test_given_product_matches_the_split_of_the_product():
+    reached = 0
+    for L, R, a, b, P, system in _seeded_products():
+        given = [power.terms for power in islice(sigma_terms(
+            [(_works(L), _works(R))], L.dim, a, b, P, system), POWERS)]
+        T = L * R
+        split = [power.terms for power in islice(sigma_terms(
+            _factor(T, a), T.dim, a, b, P, system), POWERS)]
+        assert given == split == reference_powers(T, a, b, P, system, POWERS)
+        reached += len(given) == POWERS
+    assert reached >= 20
+
+
+def test_given_products_read_the_deltas_of_r():
+    # the cancelling T above as two given products: the deltas on (x, y)
+    # are in the R factors, and the empty first power is still yielded
+    phi, pi, pi1 = jet("phi", (0,)), jet("pi", (0,)), jet("pi", (1,))
+    products = [
+        (at(pi1, "x"), at(phi, "y")
+         * TensorExpr.from_kernel(Kernel.delta(1), "x", "y")),
+        (at(phi, "x"), at(pi, "y")
+         * TensorExpr.from_kernel(Kernel.derivative_delta(1, (1,)), "x", "y")),
+    ]
+    powers = list(sigma_terms([(_works(L), _works(R)) for L, R in products],
+                              1, "x", "y", Kernel.delta(1), SYSTEM))
+    assert [power.terms for power in powers] == [{}]
 
 
 # -- fixed cases: the int path over Q and the GRat path over Q[i] -------------
@@ -311,7 +373,8 @@ def test_real_input_runs_on_int_numerators_over_a_common_denominator():
     assert len(_factor(REAL_T, "x")) == 2
     for a, b in (("x", "y"), ("y", "x")):
         check_powers(REAL_T, a, b, P, 4)
-    powers = list(islice(sigma_terms(REAL_T, "x", "y", P, SYSTEM), 4))
+    powers = list(islice(sigma_terms(_factor(REAL_T, "x"), 1, "x", "y", P,
+                                     SYSTEM), 4))
     assert all(not c._b for power in powers for c in power.terms.values())
     assert any(c._d > 1 for power in powers for c in power.terms.values())
 
