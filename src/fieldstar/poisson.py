@@ -13,7 +13,7 @@ from __future__ import annotations
 from .euler_lagrange import variational_derivative
 from .jets import ConditionBError, FieldExpr, FieldSystem
 from .kernels import Kernel
-from .sigma import _works, sigma_terms
+from .sigma import sigma_terms
 from .tensor import TensorExpr
 
 
@@ -30,9 +30,8 @@ def bracket_fn(f: FieldExpr, g: FieldExpr, P: Kernel, system: FieldSystem,
     """{f@a, g@b}_P: single application of the paired operator."""
     if a == b:
         raise LabelCollision(f"both operands at label {a!r}")
-    product = (_works(TensorExpr.from_field(f, a)),
-               _works(TensorExpr.from_field(g, b)))
-    for term in sigma_terms([product], f.dim, a, b, P, system):
+    product = (TensorExpr.from_field(f, a), TensorExpr.from_field(g, b))
+    for term in sigma_terms([product], a, b, P, system):
         return term
     return TensorExpr.zero(f.dim)
 
@@ -46,10 +45,12 @@ def bracket_tensor(h: FieldExpr, c: str, T: TensorExpr, P: Kernel,
     """
     if c in T.labels():
         raise LabelCollision(f"label {c!r} already occurs in the tensor operand")
+    H = TensorExpr.from_field(h, c)
+    H._check(T)  # also when T has no label to bracket h with
     result = TensorExpr.zero(T.dim)
-    products = [(_works(TensorExpr.from_field(h, c)), _works(T))]
+    products = [(H, T)]
     for l in sorted(T.labels()):
-        for term in sigma_terms(products, T.dim, c, l, P, system):
+        for term in sigma_terms(products, c, l, P, system):
             result = result + term
             break
     return result

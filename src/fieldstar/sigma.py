@@ -16,12 +16,12 @@ the rest, and A and B commute, so on a product L (x) R the k-th power is
 
     sum_i C(k,i) s^(k-i) (d_{p,a}^i d_{q,a}^(k-i) L) (x) (d_{q,b}^i d_{p,b}^(k-i) R).
 
-``sigma_terms`` therefore takes T as a short list of such products (L, R),
-differentiates each factor on its own and multiplies.  Callers that know
-the split pass it: a bracket or star of f@a and g@b is the one product
-f@a (x) g@b, and {h@c, T} is h@c (x) T.  ``_factor`` splits a general sum
-into products; only the exponential of a series coefficient needs it.
-A factor's work terms track the index gamma it adds to the pending atom.
+``sigma_terms`` therefore takes T as a short list of such products (L, R)
+of TensorExprs, differentiates each factor on its own and multiplies.
+Callers that know the split pass it: the bracket of f@a and g@b is the one
+product f@a (x) g@b, and {h@c, T} is h@c (x) T.  ``_factor`` splits a
+general sum into products; the exponential of a series coefficient needs
+it.  A factor's work terms track the index gamma it adds to the pending atom.
 The atom is d_lo^gamma delta(lo - hi) for the label pair in order, so
 derivatives from the hi side, and kernel indices when a > b, fold in the
 parity sign (-1)^|index|.
@@ -109,7 +109,7 @@ def _derive(works: dict, label: str, sort: str, side: int, dim: int,
 
 
 def _factor(T: TensorExpr, a: str) -> list:
-    """T as a sum of products L (x) R; a list of (L, R) work dicts, where
+    """T as a sum of products L (x) R; a list of (L, R) TensorExprs, where
     L holds the atoms at ``a`` and R the rest, deltas included.
 
     Terms with equal rest (atoms off ``a`` plus deltas) form a row
@@ -117,7 +117,6 @@ def _factor(T: TensorExpr, a: str) -> list:
     order, share one L: the first such row divided by its first
     coefficient.  A product input therefore gives one pair.
     """
-    zero = mi_zero(T.dim)
     rows: dict = {}
     for (mon, deltas), c in T.terms.items():
         lo = bisect_left(mon, a, key=_label)
@@ -136,10 +135,10 @@ def _factor(T: TensorExpr, a: str) -> list:
             ratios = [v / c for v in values[1:]]
             R = {}
             shapes.setdefault(blocks, []).append((ratios, R))
-            pairs.append(({(block, (), zero): r for block, r
+            pairs.append(({(block, ()): r for block, r
                            in zip(blocks, [ONE] + ratios)}, R))
-        R[(rest, deltas, zero)] = c
-    return pairs
+        R[(rest, deltas)] = c
+    return [(TensorExpr(T.dim, L), TensorExpr(T.dim, R)) for L, R in pairs]
 
 
 def _numerators(works: dict, real: bool) -> tuple[int, dict]:
@@ -190,10 +189,10 @@ def _sort_pair(system: FieldSystem) -> tuple[str, str]:
     return p, system.partner(p)
 
 
-def sigma_terms(products: list, dim: int, a: str, b: str, P: Kernel,
+def sigma_terms(products: list, a: str, b: str, P: Kernel,
                 system: FieldSystem):
     """Generate the terms sigma^k T / k! of the operator's exponential, for
-    k = 1, 2, ..., where T is the sum of the (L, R) work-dict ``products``
+    k = 1, 2, ..., where T is the sum of the TensorExpr ``products`` L (x) R
     (as ``_factor`` makes them: L holds the atoms at ``a``, R the rest).
 
     Each yielded TensorExpr has the inserted kernel atom canonicalized.  The
@@ -204,13 +203,18 @@ def sigma_terms(products: list, dim: int, a: str, b: str, P: Kernel,
     """
     if a == b:
         raise ValueError(f"operator label pair coincides: {a!r}")
+    if not products:
+        return
+    dim = products[0][0].dim
+    for L, R in products:
+        L._check(R)
     sign = bracket_sign(P)
     p, q = _sort_pair(system)
     lo, hi = sorted((a, b))
     side_a, side_b = (0, 1) if a == lo else (1, 0)
     real = not any(c._b for c in P.terms.values()) \
-        and not any(c._b for pair in products for works in pair
-                    for c in works.values())
+        and not any(c._b for pair in products for F in pair
+                    for c in F.terms.values())
     kd, kernel = _numerators(
         {g: c if side_a == 0 or mi_order(g) % 2 == 0 else -c
          for g, c in P.terms.items()}, real)
@@ -245,13 +249,13 @@ def sigma_terms(products: list, dim: int, a: str, b: str, P: Kernel,
         # the inserted atom can only meet a delta atom of T on its labels,
         # and T's deltas are all in the R factors
         return any(d[0] == lo and d[1] == hi for _L, R in products
-                   for _rest, deltas, _gamma in R for d in deltas)
+                   for _rest, deltas in R.terms for d in deltas)
 
     memo: dict = {}
     atoms: dict = {}
     # one denominator den for every product: each L is scaled to bring
     # L (x) R (x) kernel over it
-    factors = [(_numerators(L, real), _numerators(R, real))
+    factors = [(_numerators(_works(L), real), _numerators(_works(R), real))
                for L, R in products]
     den = kd * lcm(*[ld * rd for (ld, _L), (rd, _R) in factors])
     # per pair: the current (X, Y) of lineage 0 of the next power, or None

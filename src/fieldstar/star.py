@@ -21,7 +21,7 @@ from .jets import FieldExpr, FieldSystem
 from .kernels import Kernel, bracket_sign
 from .poisson import Functional, LabelCollision, bracket_fn
 from .rationals import GRat, ONE
-from .sigma import _factor, _sort_pair, _works, sigma_terms
+from .sigma import _factor, _sort_pair, sigma_terms
 from .tensor import TensorExpr
 
 
@@ -102,18 +102,6 @@ def _put(coeffs: dict, k: int, T: TensorExpr):
     coeffs[k] = T if acc is None else acc + T
 
 
-def _exp_tail(coeffs: dict, j: int, K: int, gen) -> bool:
-    """Put the terms sigma^k T / k! that ``gen`` yields at orders j + k <= K
-    into ``coeffs``; return whether the exponential of T terminates."""
-    for k in range(j + 1, K + 1):
-        Tk = next(gen, None)
-        if Tk is None:
-            return True
-        _put(coeffs, k, Tk)
-    # terminated within the order budget only if nothing is left
-    return next(gen, None) is None
-
-
 def exp_sigma(S: HbarSeries, a: str, b: str, P: Kernel, system: FieldSystem,
               order: int | None = None) -> HbarSeries:
     """Apply the exponential of one operator instance to a series."""
@@ -124,9 +112,16 @@ def exp_sigma(S: HbarSeries, a: str, b: str, P: Kernel, system: FieldSystem,
         if j > K:
             continue
         _put(coeffs, j, Tj)
-        gen = sigma_terms(_factor(Tj, a), S.dim, a, b, P, system)
-        if not _exp_tail(coeffs, j, K, gen):
-            exact = False
+        gen = sigma_terms(_factor(Tj, a), a, b, P, system)
+        for k in range(j + 1, K + 1):
+            Tk = next(gen, None)
+            if Tk is None:
+                break
+            _put(coeffs, k, Tk)
+        else:
+            # terminated within the order budget only if nothing is left
+            if next(gen, None) is not None:
+                exact = False
     return HbarSeries(S.dim, coeffs, K, exact)
 
 
@@ -135,11 +130,8 @@ def star_fn(f: FieldExpr, g: FieldExpr, P: Kernel, system: FieldSystem,
     """f@a * g@b: exp of a single operator instance on the bare product."""
     if a == b:
         raise LabelCollision(f"both operands at label {a!r}")
-    F, G = TensorExpr.from_field(f, a), TensorExpr.from_field(g, b)
-    coeffs = {0: F * G}
-    gen = sigma_terms([(_works(F), _works(G))], f.dim, a, b, P, system)
-    exact = _exp_tail(coeffs, 0, order, gen)
-    return HbarSeries(f.dim, coeffs, order, exact)
+    T = TensorExpr.from_field(f, a) * TensorExpr.from_field(g, b)
+    return exp_sigma(HbarSeries(f.dim, {0: T}, order, True), a, b, P, system)
 
 
 # density-level star is the same algebra under substitution

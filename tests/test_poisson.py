@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from fieldstar.jets import FieldExpr, complex_system, mi_unit, real_system
+from fieldstar.jets import (
+    DimensionMismatch,
+    FieldExpr,
+    complex_system,
+    mi_unit,
+    real_system,
+)
 from fieldstar.kernels import Kernel
 from fieldstar.poisson import (
     ConditionBViolation,
@@ -71,7 +77,7 @@ def test_bracket_is_bilinear_and_leibniz_in_each_slot():
 
 
 def _first_power_of_split(T, a, b, P, system):
-    for term in sigma_terms(_factor(T, a), T.dim, a, b, P, system):
+    for term in sigma_terms(_factor(T, a), a, b, P, system):
         return term
     return TensorExpr.zero(T.dim)
 
@@ -107,6 +113,22 @@ def test_brackets_match_the_operator_on_the_split_product():
 def test_label_collision_rejected():
     with pytest.raises(LabelCollision):
         bracket_fn(u(), xi(), Kernel.delta(1), SYS1, "x", "x")
+
+
+def test_operands_of_different_dimensions_rejected():
+    # the operator gets the two factors unmultiplied, so the dimension
+    # check that the product made must still happen
+    u3 = u((0, 0, 0), 3)
+    T3 = TensorExpr.from_field(u3, "y")
+    with pytest.raises(DimensionMismatch):
+        bracket_fn(u(), xi((0, 0, 0), 3), Kernel.delta(1), SYS1)
+    with pytest.raises(DimensionMismatch):
+        bracket_fn(u3, xi(), Kernel.delta(1), SYS1)
+    with pytest.raises(DimensionMismatch):
+        bracket_tensor(xi(), "x", T3, Kernel.delta(1), SYS1)
+    with pytest.raises(DimensionMismatch):
+        bracket_tensor(xi(), "x", TensorExpr.const(1, 3), Kernel.delta(1),
+                       SYS1)
 
 
 def test_jacobi_identity_exact_on_random_triples():

@@ -30,7 +30,7 @@ from fieldstar.jets import (
 from fieldstar.kernels import Kernel, bracket_sign
 from fieldstar.randexpr import multi_indices, random_expr
 from fieldstar.rationals import GRat, I, ONE, ZERO
-from fieldstar.sigma import _factor, _sort_pair, _works, sigma_terms
+from fieldstar.sigma import _factor, _sort_pair, sigma_terms
 from fieldstar.tensor import TensorExpr, _canon_located, delta_atom
 from fieldstar.verify import default_kernels
 
@@ -206,7 +206,7 @@ EMPTY_BLOCKS = (3, "real", 1, ("z", "x"), [
 @given(cases())
 def test_powers_match_per_monomial_reference(case):
     T, a, b, P, system = build(case)
-    powers = list(islice(sigma_terms(_factor(T, a), T.dim, a, b, P, system),
+    powers = list(islice(sigma_terms(_factor(T, a), a, b, P, system),
                          POWERS))
     assert [power.terms for power in powers] \
         == reference_powers(T, a, b, P, system, POWERS)
@@ -239,7 +239,7 @@ def check_powers(T, a, b, P, count=POWERS):
     """Compare the first powers with the reference; return how many
     products the kernel split T into."""
     powers = [power.terms for power in islice(
-        sigma_terms(_factor(T, a), T.dim, a, b, P, SYSTEM), count)]
+        sigma_terms(_factor(T, a), a, b, P, SYSTEM), count)]
     assert powers == reference_powers(T, a, b, P, SYSTEM, count)
     assert len(powers) == count
     return len(_factor(T, a))
@@ -291,7 +291,7 @@ def test_power_cancelled_by_an_equal_delta_atom_is_yielded_empty():
         ((1, 0), {"x": [("j", 0, (0,))], "y": [("j", 1, (0,))]},
          [("x", "y", (1,))]),
     ]))
-    powers = list(sigma_terms(_factor(T, a), T.dim, a, b, Kernel.delta(1),
+    powers = list(sigma_terms(_factor(T, a), a, b, Kernel.delta(1),
                               SYSTEM))
     assert [power.terms for power in powers] == [{}] \
         == reference_powers(T, a, b, Kernel.delta(1), SYSTEM, POWERS)
@@ -331,10 +331,10 @@ def test_given_product_matches_the_split_of_the_product():
     reached = 0
     for L, R, a, b, P, system in _seeded_products():
         given = [power.terms for power in islice(sigma_terms(
-            [(_works(L), _works(R))], L.dim, a, b, P, system), POWERS)]
+            [(L, R)], a, b, P, system), POWERS)]
         T = L * R
         split = [power.terms for power in islice(sigma_terms(
-            _factor(T, a), T.dim, a, b, P, system), POWERS)]
+            _factor(T, a), a, b, P, system), POWERS)]
         assert given == split == reference_powers(T, a, b, P, system, POWERS)
         reached += len(given) == POWERS
     assert reached >= 20
@@ -350,8 +350,7 @@ def test_given_products_read_the_deltas_of_r():
         (at(phi, "x"), at(pi, "y")
          * TensorExpr.from_kernel(Kernel.derivative_delta(1, (1,)), "x", "y")),
     ]
-    powers = list(sigma_terms([(_works(L), _works(R)) for L, R in products],
-                              1, "x", "y", Kernel.delta(1), SYSTEM))
+    powers = list(sigma_terms(products, "x", "y", Kernel.delta(1), SYSTEM))
     assert [power.terms for power in powers] == [{}]
 
 
@@ -373,7 +372,7 @@ def test_real_input_runs_on_int_numerators_over_a_common_denominator():
     assert len(_factor(REAL_T, "x")) == 2
     for a, b in (("x", "y"), ("y", "x")):
         check_powers(REAL_T, a, b, P, 4)
-    powers = list(islice(sigma_terms(_factor(REAL_T, "x"), 1, "x", "y", P,
+    powers = list(islice(sigma_terms(_factor(REAL_T, "x"), "x", "y", P,
                                      SYSTEM), 4))
     assert all(not c._b for power in powers for c in power.terms.values())
     assert any(c._d > 1 for power in powers for c in power.terms.values())

@@ -44,6 +44,14 @@ def test_star_of_conjugate_pair_terminates_exactly():
     assert series.coefficient(2).is_zero()
 
 
+def test_star_truncation_keeps_only_orders_up_to_k():
+    P = Kernel.delta(1)
+    series = star_fn(u(), xi(), P, SYS1, order=0)
+    assert sorted(series.coeffs) == [0] and not series.exact
+    series = star_fn(u(), xi(), P, SYS1, order=-1)
+    assert series.is_zero() and series.exact
+
+
 def test_star_reversed_pair_uses_the_sign():
     P = Kernel.delta(1)
     series = star_fn(xi(), u(), P, SYS1)
