@@ -149,9 +149,8 @@ def _numerators(works: dict, real: bool) -> tuple[int, dict]:
     """
     if not real:
         return 1, works
-    parts = {key: (c._a, c._d) for key, c in works.items()}
-    d = lcm(*[e for _n, e in parts.values()])
-    return d, {key: n * (d // e) for key, (n, e) in parts.items()}
+    d = lcm(*[c._d for c in works.values()])
+    return d, {key: c._a * (d // c._d) for key, c in works.items()}
 
 
 def _product(out: dict, X: dict, Y: dict, kernel: list, a: str, canon,
