@@ -193,7 +193,8 @@ def _times(c: GRat, k: int) -> GRat:
 
 
 def _acc(terms: dict, key, c):
-    """Add a nonzero ``c`` at ``key``, dropping the key if the sum cancels."""
+    """Add ``c`` (a coefficient or a TermDict) at ``key``, dropping the key
+    if the sum cancels; a zero ``c`` at a new key is stored as it is."""
     acc = terms.get(key)
     if acc is None:
         terms[key] = c
@@ -252,6 +253,9 @@ class TermDict:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def __eq__(self, other):
         if type(other) is not type(self):

@@ -18,12 +18,12 @@ floating-point verification of the Green function and Cauchy solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .jets import FieldExpr, _acc, real_system
+from .jets import FieldExpr, TermDict, _acc, real_system
 from .kernels import Kernel
+from .rationals import GRat, ZERO
 
 COSINE = "cosine"  # G(0) = delta, d_t G(0) = 0: mode symbol cos(w t)
 SINE = "sine"      # G(0) = 0, d_t G(0) = delta: mode symbol sin(w t)/w
@@ -32,57 +32,29 @@ SINE = "sine"      # G(0) = 0, d_t G(0) = delta: mode symbol sin(w t)/w
 # ---------------------------------------------------------------------------
 # trig polynomials: the per-mode symbol algebra
 
-class TrigPoly:
+class TrigPoly(TermDict):
     """Polynomial in sin(wt), cos(wt), sin(ws), cos(ws) and w^±1.
 
     Monomial key: (a, b, c, d, p) for st^a ct^b ss^c cs^d w^p; coefficients
-    are exact rationals.  No trig relations are imposed beyond ring
-    structure, so equality certifies identities that hold as addition-free
-    consequences of the mode decomposition.
+    are GRats, and ``dim`` is always 0 (the symbols have no spatial index).
+    No trig relations are imposed beyond ring structure, so equality
+    certifies identities that hold as addition-free consequences of the
+    mode decomposition.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | None = None):
-        self.terms = terms or {}
+    __slots__ = ()
 
     @classmethod
     def monomial(cls, a=0, b=0, c=0, d=0, p=0, coeff=1) -> "TrigPoly":
-        coeff = Fraction(coeff)
-        return cls({(a, b, c, d, p): coeff} if coeff else {})
-
-    @classmethod
-    def zero(cls) -> "TrigPoly":
-        return cls({})
-
-    def __add__(self, other: "TrigPoly") -> "TrigPoly":
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            _acc(terms, k, v)
-        return TrigPoly(terms)
-
-    def __neg__(self) -> "TrigPoly":
-        return TrigPoly({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other: "TrigPoly") -> "TrigPoly":
-        return self + (-other)
+        coeff = GRat(coeff)
+        return cls(0, {(a, b, c, d, p): coeff} if coeff else {})
 
     def __mul__(self, other: "TrigPoly") -> "TrigPoly":
         terms: dict = {}
         for k1, v1 in self.terms.items():
             for k2, v2 in other.terms.items():
                 _acc(terms, tuple(x + y for x, y in zip(k1, k2)), v1 * v2)
-        return TrigPoly(terms)
-
-    def scale(self, c) -> "TrigPoly":
-        c = Fraction(c)
-        return TrigPoly({k: v * c for k, v in self.terms.items()} if c else {})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, TrigPoly) and self.terms == other.terms
+        return self._like(terms)
 
     def __repr__(self):
         names = ("st", "ct", "ss", "cs")
@@ -135,13 +107,7 @@ def _equal_time_brackets():
 
     def coeff(f, g):
         T = bracket_fn(f, g, P, system)
-        key = ((), (("x", "y", (0,)),))
-        c = T.terms.get(key)
-        if c is None:
-            return Fraction(0)
-        if c.im:
-            raise ValueError("unexpected imaginary equal-time bracket")
-        return Fraction(c.re)
+        return T.terms.get(((), (("x", "y", (0,)),)), ZERO)
     return {
         ("phi", "phi"): coeff(u, u),
         ("phi", "pi"): coeff(u, xi),
@@ -163,7 +129,7 @@ def peierls_bracket(convention: str = SINE) -> TrigPoly:
         (Gt_d, "phi", Gs, "pi"),
         (Gt_d, "phi", Gs_d, "phi"),
     ]
-    total = TrigPoly.zero()
+    total = TrigPoly.zero(0)
     for wa, na, wb, nb in pairs:
         total = total + (wa * wb).scale(eq[(na, nb)])
     return total
@@ -198,8 +164,8 @@ def peierls_star(convention: str = SINE) -> dict:
 def peierls_commutator(convention: str = SINE) -> TrigPoly:
     """hbar coefficient of phi(t,x)*phi(s,y) - phi(s,y)*phi(t,x)."""
     forward = peierls_star(convention)[1]
-    swapped = TrigPoly({(c, d, a, b, p): v
-                        for (a, b, c, d, p), v in forward.terms.items()})
+    swapped = forward._like({(c, d, a, b, p): v
+                             for (a, b, c, d, p), v in forward.terms.items()})
     return forward - swapped
 
 

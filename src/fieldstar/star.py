@@ -17,7 +17,7 @@ from __future__ import annotations
 from math import comb, factorial
 
 from .euler_lagrange import _joint_dual, _partials
-from .jets import FieldExpr, FieldSystem
+from .jets import FieldExpr, FieldSystem, TermDict, _acc
 from .kernels import Kernel, bracket_sign
 from .poisson import Functional, LabelCollision, bracket_fn
 from .rationals import GRat, ONE
@@ -25,57 +25,45 @@ from .sigma import _factor, _sort_pair, sigma_terms
 from .tensor import TensorExpr
 
 
-class HbarSeries:
-    """A truncated formal power series with TensorExpr coefficients.
+class HbarSeries(TermDict):
+    """A truncated formal power series: TensorExpr coefficients keyed by
+    their order in hbar.
 
     ``order`` is the truncation K: coefficients are reliable for k <= K.
     ``exact`` marks detected termination (valid at every order).
     """
 
-    __slots__ = ("dim", "coeffs", "order", "exact")
+    __slots__ = ("order", "exact")
 
     def __init__(self, dim: int, coeffs: dict | None = None, order: int = 6,
                  exact: bool = False):
-        self.dim = dim
-        self.coeffs = {k: v for k, v in (coeffs or {}).items() if not v.is_zero()}
+        super().__init__(dim, {k: v for k, v in (coeffs or {}).items() if v})
         self.order = order
         self.exact = exact
 
+    @property
+    def coeffs(self) -> dict:
+        """``terms`` under its older name, read-only."""
+        return self.terms
+
+    def _like(self, terms: dict) -> "HbarSeries":
+        return HbarSeries(self.dim, terms, self.order, self.exact)
+
     def coefficient(self, k: int) -> TensorExpr:
-        return self.coeffs.get(k, TensorExpr.zero(self.dim))
+        return self.terms.get(k, TensorExpr.zero(self.dim))
 
     def __add__(self, other: "HbarSeries") -> "HbarSeries":
-        coeffs = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            acc = coeffs.get(k, TensorExpr.zero(self.dim)) + v
-            if acc.is_zero():
-                coeffs.pop(k, None)
-            else:
-                coeffs[k] = acc
-        return HbarSeries(self.dim, coeffs, min(self.order, other.order),
-                          self.exact and other.exact)
-
-    def __sub__(self, other: "HbarSeries") -> "HbarSeries":
-        return self + (-other)
-
-    def __neg__(self) -> "HbarSeries":
-        return HbarSeries(self.dim, {k: -v for k, v in self.coeffs.items()},
-                          self.order, self.exact)
+        # a sum is reliable up to the lower order, and exact if both are
+        total = super().__add__(other)
+        total.order = min(self.order, other.order)
+        total.exact = self.exact and other.exact
+        return total
 
     def scale(self, c) -> "HbarSeries":
-        return HbarSeries(self.dim, {k: v.scale(c) for k, v in self.coeffs.items()},
-                          self.order, self.exact)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, HbarSeries):
-            return NotImplemented
-        return self.dim == other.dim and self.coeffs == other.coeffs
+        return self._like({k: v.scale(c) for k, v in self.terms.items()})
 
     def __repr__(self):
-        ks = sorted(self.coeffs)
+        ks = sorted(self.terms)
         return f"HbarSeries(orders={ks}, K={self.order}, exact={self.exact})"
 
 
@@ -85,21 +73,13 @@ def to_series(f: FieldExpr, label: str, order: int = 6) -> HbarSeries:
 
 def series_mul(A: HbarSeries, B: HbarSeries) -> HbarSeries:
     order = min(A.order, B.order)
-    out = HbarSeries(A.dim, {}, order, A.exact and B.exact)
+    exact = A.exact and B.exact
     coeffs: dict = {}
-    for j, Tj in A.coeffs.items():
-        for k, Tk in B.coeffs.items():
-            if j + k > order and not (A.exact and B.exact):
-                continue
-            acc = coeffs.get(j + k)
-            coeffs[j + k] = Tj * Tk if acc is None else acc + Tj * Tk
-    out.coeffs = {k: v for k, v in coeffs.items() if not v.is_zero()}
-    return out
-
-
-def _put(coeffs: dict, k: int, T: TensorExpr):
-    acc = coeffs.get(k)
-    coeffs[k] = T if acc is None else acc + T
+    for j, Tj in A.terms.items():
+        for k, Tk in B.terms.items():
+            if j + k <= order or exact:
+                _acc(coeffs, j + k, Tj * Tk)
+    return HbarSeries(A.dim, coeffs, order, exact)
 
 
 def exp_sigma(S: HbarSeries, a: str, b: str, P: Kernel, system: FieldSystem,
@@ -108,16 +88,16 @@ def exp_sigma(S: HbarSeries, a: str, b: str, P: Kernel, system: FieldSystem,
     K = S.order if order is None else order
     coeffs: dict = {}
     exact = S.exact
-    for j, Tj in S.coeffs.items():
+    for j, Tj in S.terms.items():
         if j > K:
             continue
-        _put(coeffs, j, Tj)
+        _acc(coeffs, j, Tj)
         gen = sigma_terms(_factor(Tj, a), a, b, P, system)
         for k in range(j + 1, K + 1):
             Tk = next(gen, None)
             if Tk is None:
                 break
-            _put(coeffs, k, Tk)
+            _acc(coeffs, k, Tk)
         else:
             # terminated within the order budget only if nothing is left
             if next(gen, None) is not None:
@@ -213,7 +193,7 @@ def star_functional_density(F: Functional, g: FieldExpr, P: Kernel,
     """
     S = star_fn(F.density, g, P, system, "x", "y", order)
     tail = {k: T.integrate_out("x").to_field_expr("y")
-            for k, T in S.coeffs.items() if k >= 1}
+            for k, T in S.terms.items() if k >= 1}
     result = FunctionalDensitySeries(F, g, tail, order, S.exact)
     if cross_check:
         closed = star_functional_density_closed(F, g, P, system, order)
@@ -264,8 +244,8 @@ def star_functional_density_closed(F: Functional, g: FieldExpr, P: Kernel,
         fi = _joint_dual(F.density, xs)
         if not fi.is_zero():
             piece = _related_multi(g, ys, _pair_with_kernel(fi, "x", P, "y"))
-            tail[k] = tail.get(k, FieldExpr.zero(g.dim)) + piece.scale(c)
-    return {k: v for k, v in tail.items() if not v.is_zero()}
+            _acc(tail, k, piece.scale(c))
+    return {k: v for k, v in tail.items() if v}
 
 
 def star_functionals(F: Functional, G: Functional, P: Kernel,
@@ -276,7 +256,7 @@ def star_functionals(F: Functional, G: Functional, P: Kernel,
     S = star_fn(F.density, G.density, P, system, "x", "y", order)
     tail = {k: Functional(T.integrate_out("x").to_field_expr("y"), system,
                           check=False)
-            for k, T in S.coeffs.items() if k >= 1}
+            for k, T in S.terms.items() if k >= 1}
     result = FunctionalSeries(F, G, tail, order, S.exact)
     if cross_check:
         closed = star_functionals_closed(F, G, P, system, order)
@@ -302,9 +282,9 @@ def star_functionals_closed(F: Functional, G: Functional, P: Kernel,
         T = (TensorExpr.from_field(fi, "x") * TensorExpr.from_field(gi, "y")
              * TensorExpr.from_kernel(P, "x", "y"))
         piece = T.integrate_out("x").to_field_expr("y")
-        tail[k] = tail.get(k, FieldExpr.zero(F.density.dim)) + piece.scale(c)
+        _acc(tail, k, piece.scale(c))
     return {k: Functional(v, system, check=False)
-            for k, v in tail.items() if not v.is_zero()}
+            for k, v in tail.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +314,12 @@ def _split_integrate(T: TensorExpr, label: str) -> tuple[TensorExpr, TensorExpr]
             TensorExpr(T.dim, formal))
 
 
-def _integrate_series(S: HbarSeries, labels: list) -> list:
-    """Per-order (integrated, formal) components after integrating out each
-    label in turn wherever a delta atom allows it."""
-    out = []
-    for k in sorted(S.coeffs):
-        pieces = [S.coeffs[k]]
+def _integrate_series(S: HbarSeries, labels: list) -> HbarSeries:
+    """The series with each label in turn integrated out wherever a delta
+    atom allows it; each coefficient sums its integrated and formal parts."""
+    coeffs: dict = {}
+    for k, Tk in S.terms.items():
+        pieces = [Tk]
         for label in labels:
             nxt = []
             for T in pieces:
@@ -349,11 +329,9 @@ def _integrate_series(S: HbarSeries, labels: list) -> list:
                 else:
                     nxt.append(T)
             pieces = nxt
-        total = TensorExpr.zero(S.dim)
         for T in pieces:
-            total = total + T
-        out.append((k, total))
-    return out
+            _acc(coeffs, k, T)
+    return S._like(coeffs)
 
 
 def assoc_residuals(f: FieldExpr, g: FieldExpr, h: FieldExpr, P: Kernel,
@@ -371,23 +349,16 @@ def assoc_residuals(f: FieldExpr, g: FieldExpr, h: FieldExpr, P: Kernel,
     right = star_grouped(to_series(f, x, order), [x],
                          star_fn(g, h, P, system, y, z, order), [y, z],
                          P, system, order)
-    residual = left - right
     if level in (1, 2):
-        return [residual.coefficient(k) for k in sorted(residual.coeffs)] \
-            or [TensorExpr.zero(f.dim)]
-    if level == 3:
-        labels = [x]
-    elif level in (4, 5):
-        labels = [y, x]
+        residual = left - right
+    elif level in (3, 4, 5):
+        labels = [x] if level == 3 else [y, x]
+        residual = (_integrate_series(left, labels)
+                    - _integrate_series(right, labels))
     else:
         raise ValueError(f"unknown associativity level {level}")
-    lparts = dict(_integrate_series(left, labels))
-    rparts = dict(_integrate_series(right, labels))
-    out = []
-    for k in sorted(set(lparts) | set(rparts)):
-        out.append(lparts.get(k, TensorExpr.zero(f.dim))
-                   - rparts.get(k, TensorExpr.zero(f.dim)))
-    return out or [TensorExpr.zero(f.dim)]
+    return [residual.coefficient(k) for k in sorted(residual.terms)] \
+        or [TensorExpr.zero(f.dim)]
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +388,7 @@ def equation_of_motion(H: Functional, field: FieldExpr, P: Kernel,
         raise TruncationError(
             f"star commutator did not terminate within order {order}")
     total = FieldExpr.zero(field.dim)
-    for k, T in comm.coeffs.items():
+    for k, T in comm.terms.items():
         if k == 0:
             if not T.is_zero():
                 raise AssertionError("order-zero commutator term did not cancel")

@@ -139,16 +139,27 @@ def test_total_derivative_multi_with_negation():
 def test_term_dict_values_keep_slots_and_their_class():
     from fieldstar.euler_lagrange import ELOperator
     from fieldstar.kernels import Kernel
+    from fieldstar.peierls import TrigPoly
+    from fieldstar.star import HbarSeries, star_fn
     from fieldstar.tensor import TensorExpr
 
     values = [FieldExpr.zero(1), Kernel.zero(1), TensorExpr.zero(1),
-              ELOperator.zero(1, "x")]
+              ELOperator.zero(1, "x"), HbarSeries.zero(1), TrigPoly.zero(0)]
     for value in values:
         assert not hasattr(value, "__dict__")
-    # equal dims and equal (empty) terms, but different classes
+        assert not value
+    # equal (empty) terms, but different classes
     for i, a in enumerate(values):
         for b in values[i + 1:]:
             assert a != b and b != a
+    assert u() and Kernel.delta(1) and TrigPoly.monomial(a=1)
+    # a series keeps its order and exactness through sums
+    S = star_fn(u() * u(), xi() * xi(), Kernel.delta(1), real_system(1))
+    assert S and S.exact and S.order == 6 and (S - S).is_zero()
+    T = HbarSeries(1, {0: S.coefficient(0)}, order=2, exact=False)
+    for total in (S + T, T + S):
+        assert total.order == 2 and not total.exact
+    assert (S + S).exact and (S + S).order == 6
     assert ELOperator.zero(1, "x") != ELOperator.zero(1, "y")
     with pytest.raises(ValueError):
         ELOperator.identity(1, "x") + ELOperator.identity(1, "y")
