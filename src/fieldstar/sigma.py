@@ -207,6 +207,7 @@ def sigma_terms(products: list, a: str, b: str, P: Kernel,
     dim = products[0][0].dim
     for L, R in products:
         L._check(R)
+        L._check(P)
     sign = bracket_sign(P)
     p, q = _sort_pair(system)
     lo, hi = sorted((a, b))

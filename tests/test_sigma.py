@@ -14,9 +14,11 @@ from fractions import Fraction
 from itertools import islice
 from math import factorial
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fieldstar.jets import (
+    DimensionMismatch,
     FieldExpr,
     complex_system,
     const_atom,
@@ -28,9 +30,11 @@ from fieldstar.jets import (
     real_system,
 )
 from fieldstar.kernels import Kernel, bracket_sign
+from fieldstar.poisson import bracket_fn
 from fieldstar.randexpr import multi_indices, random_expr
 from fieldstar.rationals import GRat, I, ONE, ZERO
 from fieldstar.sigma import _factor, _sort_pair, sigma_terms
+from fieldstar.star import star_fn
 from fieldstar.tensor import TensorExpr, _canon_located, delta_atom
 from fieldstar.verify import default_kernels
 
@@ -386,3 +390,13 @@ def test_complex_input_stays_on_grats():
     T = REAL_T + at(jet("phi", (1,), GRat(Fraction(1, 3), 2)) * PI ** 3,
                     "x") * at(PHI * PI ** 3, "y")
     check_powers(T, "x", "y", Kernel.derivative_delta(1, (1,)), 4)
+
+
+def test_kernel_of_another_dimension_is_rejected():
+    # a 3-dim kernel index would be truncated to the operands' one entry
+    system = real_system(1)
+    with pytest.raises(DimensionMismatch):
+        bracket_fn(jet("phi", (1,)), PI, Kernel.derivative_delta(3, (0, 0, 1)),
+                   system)
+    with pytest.raises(DimensionMismatch):
+        star_fn(PHI, PI, Kernel.delta(3), system)
