@@ -102,10 +102,26 @@ def _build_system(dim: int, entries: list) -> FieldSystem:
     return system
 
 
+_INT = (lambda v: type(v) is int, "an integer")  # a bool is no JSON integer
+_STR = (lambda v: type(v) is str, "a string")
+# the JSON type each key must have, and its name in the error message
+_TYPES = {
+    "dim": _INT, "order": _INT, "seed": _INT, "kernel": _STR, "hamiltonian": _STR,
+    "tolerance": (lambda v: type(v) in (int, float), "a number"),
+    "constants": (lambda v: type(v) is list and all(type(s) is str for s in v),
+                  "a list of strings"),
+    "functions": (lambda v: type(v) is dict, "an object"),
+}
+
+
 def load_config(data: dict) -> SessionConfig:
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    dim = int(data.get("dim", 3))
+    for key, (ok, kind) in _TYPES.items():
+        if key in data and not ok(data[key]):
+            raise ConfigError(f"config {key!r} must be {kind}, "
+                              f"got {json.dumps(data[key])}")
+    dim = data.get("dim", 3)
     try:
         system = _build_system(dim, data.get("fields", []))
     except ConfigError:
@@ -118,9 +134,9 @@ def load_config(data: dict) -> SessionConfig:
         constants=frozenset(data.get("constants", ["m", "kappa"])),
         functions=dict(data.get("functions", {"U": True})),
         kernel_text=data.get("kernel", "delta"),
-        order=int(data.get("order", 6)),
+        order=data.get("order", 6),
         tolerance=float(data.get("tolerance", 1e-8)),
-        seed=int(data.get("seed", 0)),
+        seed=data.get("seed", 0),
         hamiltonian_text=data.get("hamiltonian"),
     )
 

@@ -224,6 +224,20 @@ def test_config_exponent_above_the_bound_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("key,value", [
+    ("dim", "x"), ("dim", 3.5), ("dim", True), ("order", [1]), ("seed", "x"),
+    ("tolerance", "tight"), ("constants", 5), ("constants", ["m", 1]),
+    ("functions", 5), ("kernel", 5), ("hamiltonian", 5),
+])
+def test_config_value_of_the_wrong_json_type_exits_two(key, value, tmp_path,
+                                                       capsys):
+    path = _write(tmp_path, "typed.json", dict(KG_CONFIG, **{key: value}))
+    assert main(["eom", "--config", path, "--field", "phi"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {key!r} must be ")
+    assert "Traceback" not in err
+
+
 def test_exponent_at_the_bound_succeeds(capsys):
     assert main(["bracket", "phi^100", "pi", "--dim", "1"]) == 0
     assert "phi" in capsys.readouterr().out
