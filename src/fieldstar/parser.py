@@ -340,13 +340,3 @@ def parse_kernel(text: str, ctx: ParseContext) -> Kernel:
         raise ParseError(f"trailing input {p.peek()[1]!r}", p.peek()[2])
     return result
 
-
-def parse(text: str, kind: str, ctx: ParseContext):
-    """Typed entry point: kind is expr | density | functional | kernel."""
-    if kind in ("expr", "density"):
-        return parse_expr(text, ctx)
-    if kind == "functional":
-        return parse_functional(text, ctx)
-    if kind == "kernel":
-        return parse_kernel(text, ctx)
-    raise ValueError(f"unknown parse kind {kind!r}")

@@ -152,12 +152,9 @@ def _term_sort_key(mon):
     return (-order, mon)
 
 
-def render_field_expr(expr: FieldExpr, laplacian: bool = True) -> str:
+def render_field_expr(expr: FieldExpr) -> str:
     """Grammar-form text; laplacian sugar folds matched second-order sums."""
-    if laplacian:
-        groups, rest = _laplacian_groups(expr)
-    else:
-        groups, rest = [], dict(expr.terms)
+    groups, rest = _laplacian_groups(expr)
     entries = []
     for cofactor, sort, c in sorted(groups, key=lambda g: (g[1], g[0])):
         body = f"laplacian({sort})"

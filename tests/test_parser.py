@@ -9,7 +9,6 @@ from fieldstar.parser import (
     ParseContext,
     ParseError,
     default_context,
-    parse,
     parse_expr,
     parse_functional,
     parse_kernel,
@@ -33,7 +32,7 @@ def test_jet_shorthand_and_indexed_forms():
 
 
 def test_kg_density_parses():
-    f = parse("1/2*(pi^2 + d1(phi)^2 + m^2*phi^2) + U(phi)", "density", CTX1)
+    f = parse_expr("1/2*(pi^2 + d1(phi)^2 + m^2*phi^2) + U(phi)", CTX1)
     assert f.satisfies_condition_b()
     assert ("phi", (1,)) in f.jet_variables("phi")
 
@@ -71,12 +70,12 @@ def test_kernel_grammar():
 
 
 def test_functional_grammar_enforces_condition_b():
-    F = parse("int{x}: phi*pi", "functional", CTX1)
+    F = parse_functional("int{x}: phi*pi", CTX1)
     assert F.density == FieldExpr.jet("phi", (0,)) * FieldExpr.jet("pi", (0,))
     from fieldstar.poisson import ConditionBViolation
 
     with pytest.raises(ConditionBViolation):
-        parse("int{x}: phi + 1", "functional", CTX1)
+        parse_functional("int{x}: phi + 1", CTX1)
 
 
 def test_parse_errors_carry_positions():
