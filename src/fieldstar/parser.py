@@ -9,7 +9,8 @@ Expressions:
     laplacian(e)      sum of the second total derivatives
     i                 imaginary unit
     3, 1/2            rationals
-    + - * ^ ( )       ring operations, natural powers up to MAX_EXPONENT
+    + - * ^ ( )       ring operations, natural powers up to MAX_EXPONENT,
+                      expansions up to MAX_TERMS terms
 
 Kernels:
     delta, d1 delta, d1^2 d2 delta, i*delta + 2*d1 delta, ...
@@ -23,6 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
 from .jets import FieldExpr, FieldSystem, mi_zero, real_system
 from .kernels import Kernel
@@ -81,6 +83,12 @@ def _tokenize(text: str):
 # phi^99999 would run without end.
 MAX_EXPONENT = 100
 
+# The most terms a product or a power may expand to, bounded before it is
+# formed: n*m for an n-term times an m-term factor, C(n+k-1, k) for the k-th
+# power of an n-term sum.  Under the exponent bound alone a short power of a
+# long sum, such as (phi+pi+phi[1]+pi[1])^100, would still run without end.
+MAX_TERMS = 10_000
+
 _DERIV = re.compile(r"^d([1-9][0-9]*)$")
 
 
@@ -138,15 +146,20 @@ class _Parser:
     def parse_product(self) -> FieldExpr:
         result = self.parse_power()
         while self.peek()[1] == "*":
-            self.next()
-            result = result * self.parse_power()
+            pos = self.next()[2]
+            factor = self.parse_power()
+            _bound(len(result.terms) * len(factor.terms), pos)
+            result = result * factor
         return result
 
     def parse_power(self) -> FieldExpr:
         base = self.parse_primary()
         if self.peek()[1] == "^":
-            self.next()
-            return base ** self.exponent()
+            pos = self.next()[2]
+            k = self.exponent()
+            n = len(base.terms)
+            _bound(comb(n + k - 1, k) if n else 0, pos)
+            return base ** k
         return base
 
     def exponent(self) -> int:
@@ -296,6 +309,12 @@ class _Parser:
             coeff = coeff * value
             if self.peek()[1] == "*":
                 self.next()
+
+
+def _bound(terms: int, pos: int):
+    """Refuse an expansion whose term-count bound exceeds MAX_TERMS."""
+    if terms > MAX_TERMS:
+        raise ParseError(f"expansion exceeds {MAX_TERMS} terms", pos)
 
 
 def _as_scalar(expr: FieldExpr, pos: int) -> GRat:

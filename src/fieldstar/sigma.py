@@ -19,12 +19,13 @@ the rest, and A and B commute, so on a product L (x) R the k-th power is
 ``sigma_terms`` therefore takes T as a short list of such products (L, R)
 of TensorExprs, differentiates each factor on its own and multiplies.
 Callers that know the split pass it: the bracket of f@a and g@b is the one
-product f@a (x) g@b, and {h@c, T} is h@c (x) T.  ``_factor`` splits a
-general sum into products; the exponential of a series coefficient needs
-it.  A factor's work terms track the index gamma it adds to the pending atom.
-The atom is d_lo^gamma delta(lo - hi) for the label pair in order, so
-derivatives from the hi side, and kernel indices when a > b, fold in the
-parity sign (-1)^|index|.
+product f@a (x) g@b, and {h@c, T} is h@c (x) T; the star f@a * g@b hands
+the same pair to ``exp_sigma``.  ``_factor`` splits a general sum into
+products; only the exponential of a series coefficient, as the grouped star
+forms it, needs it.  A factor's work terms track the index gamma it adds
+to the pending atom.  The atom is d_lo^gamma delta(lo - hi) for the label
+pair in order, so derivatives from the hi side, and kernel indices when
+a > b, fold in the parity sign (-1)^|index|.
 
 ``sigma_terms`` yields sigma^k T / k!, the k-th term of the exponential.
 Multiplicities, binomials and parity signs are ints, so when T and P are
@@ -188,6 +189,18 @@ def _sort_pair(system: FieldSystem) -> tuple[str, str]:
     return p, system.partner(p)
 
 
+def _check_dims(products: list, P: Kernel, system: FieldSystem) -> int:
+    """The dimension of every factor, the kernel and the system alike;
+    DimensionMismatch otherwise."""
+    L0 = products[0][0]
+    for L, R in products:
+        L0._check(L)
+        L0._check(R)
+    L0._check(P)
+    L0._check(system)
+    return L0.dim
+
+
 def sigma_terms(products: list, a: str, b: str, P: Kernel,
                 system: FieldSystem):
     """Generate the terms sigma^k T / k! of the operator's exponential, for
@@ -199,15 +212,14 @@ def sigma_terms(products: list, a: str, b: str, P: Kernel,
     powers then vanish as well.  (A power that vanishes only once its
     inserted atom joins an equal delta atom of T is yielded, empty.)  The
     work runs on int numerators when T and P are real, on GRats otherwise.
+    Every factor, P and the system share one dimension, or DimensionMismatch
+    is raised.
     """
     if a == b:
         raise ValueError(f"operator label pair coincides: {a!r}")
     if not products:
         return
-    dim = products[0][0].dim
-    for L, R in products:
-        L._check(R)
-        L._check(P)
+    dim = _check_dims(products, P, system)
     sign = bracket_sign(P)
     p, q = _sort_pair(system)
     lo, hi = sorted((a, b))

@@ -21,7 +21,7 @@ from .jets import FieldExpr, FieldSystem, TermDict, _acc
 from .kernels import Kernel, bracket_sign
 from .poisson import Functional, LabelCollision, bracket_fn
 from .rationals import GRat, ONE
-from .sigma import _factor, _sort_pair, sigma_terms
+from .sigma import _check_dims, _factor, _sort_pair, sigma_terms
 from .tensor import TensorExpr
 
 
@@ -82,17 +82,34 @@ def series_mul(A: HbarSeries, B: HbarSeries) -> HbarSeries:
     return HbarSeries(A.dim, coeffs, order, exact)
 
 
-def exp_sigma(S: HbarSeries, a: str, b: str, P: Kernel, system: FieldSystem,
+def exp_sigma(S, a: str, b: str, P: Kernel, system: FieldSystem,
               order: int | None = None) -> HbarSeries:
-    """Apply the exponential of one operator instance to a series."""
-    K = S.order if order is None else order
+    """Apply the exponential of one operator instance to a series.
+
+    ``S`` is an HbarSeries or a list of (L, R) TensorExpr pairs; the list
+    stands for the exact series whose only coefficient, at order 0, is the
+    sum of the products L (x) R, and goes to ``sigma_terms`` as it is
+    (L holds the atoms at ``a``).  The order is then required.
+    """
+    if isinstance(S, HbarSeries):
+        K = S.order if order is None else order
+        dim, exact = S.dim, S.exact
+        items = [(j, Tj, None) for j, Tj in S.terms.items()]
+    else:
+        if order is None:
+            raise ValueError("factor pairs need an order")
+        K, dim, exact = order, _check_dims(S, P, system), True
+        start: dict = {}
+        for L, R in S:
+            _acc(start, 0, L * R)
+        items = [(0, T0, S) for T0 in start.values() if T0]
     coeffs: dict = {}
-    exact = S.exact
-    for j, Tj in S.terms.items():
+    for j, Tj, products in items:
         if j > K:
             continue
         _acc(coeffs, j, Tj)
-        gen = sigma_terms(_factor(Tj, a), a, b, P, system)
+        gen = sigma_terms(_factor(Tj, a) if products is None else products,
+                          a, b, P, system)
         for k in range(j + 1, K + 1):
             Tk = next(gen, None)
             if Tk is None:
@@ -102,16 +119,16 @@ def exp_sigma(S: HbarSeries, a: str, b: str, P: Kernel, system: FieldSystem,
             # terminated within the order budget only if nothing is left
             if next(gen, None) is not None:
                 exact = False
-    return HbarSeries(S.dim, coeffs, K, exact)
+    return HbarSeries(dim, coeffs, K, exact)
 
 
 def star_fn(f: FieldExpr, g: FieldExpr, P: Kernel, system: FieldSystem,
             a: str = "x", b: str = "y", order: int = 6) -> HbarSeries:
-    """f@a * g@b: exp of a single operator instance on the bare product."""
+    """f@a * g@b: exp of a single operator instance on the pair f@a (x) g@b."""
     if a == b:
         raise LabelCollision(f"both operands at label {a!r}")
-    T = TensorExpr.from_field(f, a) * TensorExpr.from_field(g, b)
-    return exp_sigma(HbarSeries(f.dim, {0: T}, order, True), a, b, P, system)
+    pair = (TensorExpr.from_field(f, a), TensorExpr.from_field(g, b))
+    return exp_sigma([pair], a, b, P, system, order)
 
 
 # density-level star is the same algebra under substitution

@@ -200,6 +200,17 @@ def test_exponent_above_the_bound_is_a_parse_error(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["bracket", "(phi+pi+phi[1]+pi[1])^100", "pi", "--dim", "1"],
+    ["star", "phi", "(phi+pi)^100*(phi+pi)^100", "--dim", "1"],
+])
+def test_expansion_past_the_term_bound_is_a_parse_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error: expansion exceeds 10000 terms")
+
+
+@pytest.mark.parametrize("argv", [
     ["bracket", "1" + "0" * 5000 + "*phi", "pi", "--dim", "1"],
     ["bracket", "phi[" + "1" * 5000 + "]", "pi", "--dim", "1"],
     ["classify", "--dim", "1", "--kernel", "d" + "1" * 5000 + " delta"],

@@ -116,6 +116,31 @@ def test_kernel_term_without_delta_says_so(text):
         parse_kernel(text, CTX1)
 
 
+# 150 jet variables: their square has C(151, 2) = 11,325 terms
+WIDE = "+".join(f"phi[{j}]" for j in range(150))
+
+
+@pytest.mark.parametrize("text", [
+    "(phi+pi+phi[1]+pi[1])^100",
+    "(phi+pi)^100*(phi+pi)^100",
+    f"({WIDE})^2",
+    f"({WIDE})*({WIDE})",
+])
+def test_expansion_past_the_term_bound_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="expansion exceeds 10000 terms"):
+        parse_expr(text, CTX1)
+
+
+def test_expansion_at_the_term_bound_parses():
+    # 100 x 100 terms bound the product; it has 199
+    assert len(parse_expr("(phi+pi)^99*(phi+pi)^99", CTX1).terms) == 199
+
+
+def test_library_power_is_not_bounded():
+    base = parse_expr(WIDE, CTX1)
+    assert len((base ** 2).terms) == 11_325
+
+
 def test_render_parse_round_trip_on_random_corpus():
     rng = random.Random(23)
     for dim, ctx in ((1, CTX1), (3, CTX3)):

@@ -131,6 +131,11 @@ def test_operands_of_different_dimensions_rejected():
                        SYS1)
 
 
+def test_system_of_another_dimension_rejected():
+    with pytest.raises(DimensionMismatch):
+        bracket_fn(u(), xi(), Kernel.delta(1), real_system(3))
+
+
 def test_jacobi_identity_exact_on_random_triples():
     rng = random.Random(2)
     for P in default_kernels(1):

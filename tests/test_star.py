@@ -3,12 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from fieldstar.jets import FieldExpr, complex_system, real_system
+import fieldstar.star
+from fieldstar.jets import (
+    DimensionMismatch,
+    FieldExpr,
+    complex_system,
+    real_system,
+)
 from fieldstar.kernels import Kernel
 from fieldstar.poisson import Functional, bracket_fn
 from fieldstar.randexpr import random_density, random_expr
 from fieldstar.rationals import GRat, I
 from fieldstar.star import (
+    HbarSeries,
     assoc_residuals,
     commutator_semiclassical,
     equation_of_motion,
@@ -102,6 +109,63 @@ def test_exp_factor_application_order_is_immaterial():
             T = exp_sigma(T, a, b, P, SYS1, 3)
         grouped.append(T)
     assert (grouped[0] - grouped[1]).is_zero()
+
+
+def _series_route(f, g, P, system, a, b, order):
+    """The star through a series input: the product f@a (x) g@b as the
+    one coefficient, which exp_sigma splits into factor pairs again."""
+    T = TensorExpr.from_field(f, a) * TensorExpr.from_field(g, b)
+    return exp_sigma(HbarSeries(f.dim, {0: T}, order, True), a, b, P, system)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("complex_ok", [False, True])
+def test_star_fn_equals_the_series_route(dim, complex_ok):
+    system = real_system(dim)
+    rng = random.Random(31 + dim + 10 * complex_ok)
+    if complex_ok:
+        kernels = default_kernels(dim)
+    else:
+        e1 = (1,) + (0,) * (dim - 1)
+        kernels = [Kernel.delta(dim), Kernel.derivative_delta(dim, e1)]
+    exactness = set()
+    for P in kernels:  # one symmetric, one antisymmetric
+        for a, b in (("x", "y"), ("y", "x")):
+            for order in (1, 4):
+                f, g = (random_expr(system, rng, max_degree=3,
+                                    max_jet_order=1, complex_ok=complex_ok)
+                        for _ in range(2))
+                star = star_fn(f, g, P, system, a, b, order)
+                series = _series_route(f, g, P, system, a, b, order)
+                assert star.terms == series.terms
+                assert (star.order, star.exact) == (series.order,
+                                                    series.exact)
+                exactness.add(star.exact)
+    assert exactness == {False, True}
+
+
+def test_star_fn_does_not_split_its_product(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("star_fn split its product into pairs again")
+
+    monkeypatch.setattr(fieldstar.star, "_factor", refuse)
+    series = star_fn(u() * xi(), xi() ** 2, Kernel.delta(1), SYS1)
+    assert series.exact and sorted(series.coeffs) == [0, 1]
+
+
+def test_star_of_another_dimension_rejected():
+    with pytest.raises(DimensionMismatch):
+        star_fn(FieldExpr.zero(1), u(), Kernel.delta(3), SYS1)
+    with pytest.raises(DimensionMismatch):
+        star_fn(FieldExpr.zero(1), u(), Kernel.delta(1), real_system(3))
+    with pytest.raises(DimensionMismatch):
+        star_fn(u(), xi(), Kernel.delta(1), real_system(3))
+
+
+def test_factor_pairs_need_an_order():
+    pair = (TensorExpr.from_field(u(), "x"), TensorExpr.from_field(xi(), "y"))
+    with pytest.raises(ValueError, match="factor pairs need an order"):
+        exp_sigma([pair], "x", "y", Kernel.delta(1), SYS1)
 
 
 def test_functional_density_star_tail():
