@@ -82,8 +82,8 @@ def series_mul(A: HbarSeries, B: HbarSeries) -> HbarSeries:
     return HbarSeries(A.dim, coeffs, order, exact)
 
 
-def exp_sigma(S, a: str, b: str, P: Kernel, system: FieldSystem,
-              order: int | None = None) -> HbarSeries:
+def exp_sigma(S: HbarSeries | list, a: str, b: str, P: Kernel,
+              system: FieldSystem, order: int | None = None) -> HbarSeries:
     """Apply the exponential of one operator instance to a series.
 
     ``S`` is an HbarSeries or a list of (L, R) TensorExpr pairs; the list
@@ -91,24 +91,23 @@ def exp_sigma(S, a: str, b: str, P: Kernel, system: FieldSystem,
     sum of the products L (x) R, and goes to ``sigma_terms`` as it is
     (L holds the atoms at ``a``).  The order is then required.
     """
-    if isinstance(S, HbarSeries):
-        K = S.order if order is None else order
-        dim, exact = S.dim, S.exact
-        items = [(j, Tj, None) for j, Tj in S.terms.items()]
-    else:
+    pairs = None
+    if not isinstance(S, HbarSeries):
         if order is None:
             raise ValueError("factor pairs need an order")
-        K, dim, exact = order, _check_dims(S, P, system), True
-        start: dict = {}
-        for L, R in S:
+        pairs, start = S, {}
+        dim = _check_dims(pairs, P, system)
+        for L, R in pairs:
             _acc(start, 0, L * R)
-        items = [(0, T0, S) for T0 in start.values() if T0]
+        S = HbarSeries(dim, start, order, True)
+    K = S.order if order is None else order
     coeffs: dict = {}
-    for j, Tj, products in items:
+    exact = S.exact
+    for j, Tj in S.terms.items():
         if j > K:
             continue
         _acc(coeffs, j, Tj)
-        gen = sigma_terms(_factor(Tj, a) if products is None else products,
+        gen = sigma_terms(_factor(Tj, a) if pairs is None else pairs,
                           a, b, P, system)
         for k in range(j + 1, K + 1):
             Tk = next(gen, None)
@@ -119,7 +118,7 @@ def exp_sigma(S, a: str, b: str, P: Kernel, system: FieldSystem,
             # terminated within the order budget only if nothing is left
             if next(gen, None) is not None:
                 exact = False
-    return HbarSeries(dim, coeffs, K, exact)
+    return HbarSeries(S.dim, coeffs, K, exact)
 
 
 def star_fn(f: FieldExpr, g: FieldExpr, P: Kernel, system: FieldSystem,
