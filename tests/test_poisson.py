@@ -129,9 +129,6 @@ def test_operands_of_different_dimensions_rejected():
     with pytest.raises(DimensionMismatch):
         bracket_tensor(xi(), "x", TensorExpr.const(1, 3), Kernel.delta(1),
                        SYS1)
-
-
-def test_system_of_another_dimension_rejected():
     with pytest.raises(DimensionMismatch):
         bracket_fn(u(), xi(), Kernel.delta(1), real_system(3))
 
