@@ -157,9 +157,17 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+# The largest --modes of peierls eval: green_eval allocates arrays of
+# 2M+1 modes, and the command prints one line per mode.
+MAX_MODES = 10_000
+
+
 def cmd_peierls_eval(args) -> int:
     if args.modes < 0:
         print("error: --modes must be >= 0", file=sys.stderr)
+        return 2
+    if args.modes > MAX_MODES:
+        print(f"error: --modes must be <= {MAX_MODES}", file=sys.stderr)
         return 2
     from .peierls import green_eval
 

@@ -83,10 +83,13 @@ def _tokenize(text: str):
 # phi^99999 would run without end.
 MAX_EXPONENT = 100
 
-# The most terms a product or a power may expand to, bounded before it is
-# formed: n*m for an n-term times an m-term factor, C(n+k-1, k) for the k-th
-# power of an n-term sum.  Under the exponent bound alone a short power of a
-# long sum, such as (phi+pi+phi[1]+pi[1])^100, would still run without end.
+# The most terms a product, a power or a total derivative may expand to,
+# bounded before it is formed: n*m for an n-term times an m-term factor,
+# C(n+k-1, k) for the k-th power of an n-term sum, n times the most distinct
+# atoms of a term for a total derivative of an n-term expression.  Under the
+# exponent bound alone a short power of a long sum, such as
+# (phi+pi+phi[1]+pi[1])^100, would still run without end, and so would
+# nested total derivatives such as d1(d1(...d1(phi^40)...)).
 MAX_TERMS = 10_000
 
 _DERIV = re.compile(r"^d([1-9][0-9]*)$")
@@ -210,14 +213,15 @@ class _Parser:
             self.next()
             inner = self.parse_sum()
             self.expect(")")
-            return inner.total_derivative(direction)
+            return _derivative(inner, direction, pos)
         if name == "laplacian" and self.peek()[1] == "(":
             self.next()
             inner = self.parse_sum()
             self.expect(")")
             result = FieldExpr.zero(dim)
             for direction in range(1, dim + 1):
-                result = result + inner.total_derivative(direction).total_derivative(direction)
+                result = result + _derivative(
+                    _derivative(inner, direction, pos), direction, pos)
             return result
         order = len(name) - len(name.rstrip("'"))
         base = name.rstrip("'")
@@ -315,6 +319,14 @@ def _bound(terms: int, pos: int):
     """Refuse an expansion whose term-count bound exceeds MAX_TERMS."""
     if terms > MAX_TERMS:
         raise ParseError(f"expansion exceeds {MAX_TERMS} terms", pos)
+
+
+def _derivative(expr: FieldExpr, direction: int, pos: int) -> FieldExpr:
+    """A total derivative, refused when its term-count bound exceeds
+    MAX_TERMS: each term gives at most one term per distinct atom."""
+    atoms = max((len(set(mon)) for mon in expr.terms), default=0)
+    _bound(len(expr.terms) * atoms, pos)
+    return expr.total_derivative(direction)
 
 
 def _as_scalar(expr: FieldExpr, pos: int) -> GRat:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from .euler_lagrange import variational_derivative
 from .jets import ConditionBError, FieldExpr, FieldSystem
 from .kernels import Kernel
-from .sigma import sigma_terms
+from .sigma import _check_dims, sigma_first
 from .tensor import TensorExpr
 
 
@@ -31,9 +31,17 @@ def bracket_fn(f: FieldExpr, g: FieldExpr, P: Kernel, system: FieldSystem,
     if a == b:
         raise LabelCollision(f"both operands at label {a!r}")
     product = (TensorExpr.from_field(f, a), TensorExpr.from_field(g, b))
-    for term in sigma_terms([product], a, b, P, system):
-        return term
-    return TensorExpr.zero(f.dim)
+    return sigma_first([([product], a, b)], P, system)
+
+
+def _tensor_calls(h: FieldExpr, c: str, T: TensorExpr, P: Kernel,
+                  system: FieldSystem) -> list:
+    """The ``sigma_first`` calls of {h@c, T}_P: one per label of T."""
+    if c in T.labels():
+        raise LabelCollision(f"label {c!r} already occurs in the tensor operand")
+    H = TensorExpr.from_field(h, c)
+    _check_dims([(H, T)], P, system)  # also when T has no label to bracket
+    return [([(H, T)], c, l) for l in sorted(T.labels())]
 
 
 def bracket_tensor(h: FieldExpr, c: str, T: TensorExpr, P: Kernel,
@@ -43,17 +51,7 @@ def bracket_tensor(h: FieldExpr, c: str, T: TensorExpr, P: Kernel,
     Existing kernel atoms in T are constants for the bracket; the label c
     must not occur in T.
     """
-    if c in T.labels():
-        raise LabelCollision(f"label {c!r} already occurs in the tensor operand")
-    H = TensorExpr.from_field(h, c)
-    H._check(T)  # also when T has no label to bracket h with
-    result = TensorExpr.zero(T.dim)
-    products = [(H, T)]
-    for l in sorted(T.labels()):
-        for term in sigma_terms(products, c, l, P, system):
-            result = result + term
-            break
-    return result
+    return sigma_first(_tensor_calls(h, c, T, P, system), P, system)
 
 
 def jacobi_residual(f: FieldExpr, g: FieldExpr, h: FieldExpr, P: Kernel,
@@ -61,10 +59,10 @@ def jacobi_residual(f: FieldExpr, g: FieldExpr, h: FieldExpr, P: Kernel,
                     labels: tuple = ("x", "y", "z")) -> TensorExpr:
     """{h,{f,g}} + {g,{h,f}} + {f,{g,h}} with fixed labels f@x, g@y, h@z."""
     x, y, z = labels
-    total = bracket_tensor(h, z, bracket_fn(f, g, P, system, x, y), P, system)
-    total = total + bracket_tensor(g, y, bracket_fn(h, f, P, system, z, x), P, system)
-    total = total + bracket_tensor(f, x, bracket_fn(g, h, P, system, y, z), P, system)
-    return total
+    calls = _tensor_calls(h, z, bracket_fn(f, g, P, system, x, y), P, system)
+    calls += _tensor_calls(g, y, bracket_fn(h, f, P, system, z, x), P, system)
+    calls += _tensor_calls(f, x, bracket_fn(g, h, P, system, y, z), P, system)
+    return sigma_first(calls, P, system)
 
 
 # ---------------------------------------------------------------------------

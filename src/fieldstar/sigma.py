@@ -18,14 +18,15 @@ the rest, and A and B commute, so on a product L (x) R the k-th power is
 
 ``sigma_terms`` therefore takes T as a short list of such products (L, R)
 of TensorExprs, differentiates each factor on its own and multiplies.
-Callers that know the split pass it: the bracket of f@a and g@b is the one
-product f@a (x) g@b, and {h@c, T} is h@c (x) T; the star f@a * g@b hands
-the same pair to ``exp_sigma``.  ``_factor`` splits a general sum into
-products; only the exponential of a series coefficient, as the grouped star
-forms it, needs it.  A factor's work terms track the index gamma it adds
-to the pending atom.  The atom is d_lo^gamma delta(lo - hi) for the label
-pair in order, so derivatives from the hi side, and kernel indices when
-a > b, fold in the parity sign (-1)^|index|.
+Callers that know the split pass it: the star f@a * g@b hands f@a (x) g@b
+to ``exp_sigma``; the brackets, {f@a, g@b} on that pair and {h@c, T} on
+h@c (x) T once per label of T, need only the first power, and
+``sigma_first`` sums those of many calls in one pass.  ``_factor`` splits
+a general sum into products; only the exponential of a series coefficient,
+as the grouped star forms it, needs it.  A factor's work terms track the
+index gamma it adds to the pending atom.  The atom is d_lo^gamma
+delta(lo - hi) for the label pair in order, so derivatives from the hi
+side, and kernel indices when a > b, fold in the parity sign (-1)^|index|.
 
 ``sigma_terms`` yields sigma^k T / k!, the k-th term of the exponential.
 Multiplicities, binomials and parity signs are ints, so when T and P are
@@ -154,12 +155,13 @@ def _numerators(works: dict, real: bool) -> tuple[int, dict]:
     return d, {key: c._a * (d // c._d) for key, c in works.items()}
 
 
-def _product(out: dict, X: dict, Y: dict, kernel: list, a: str, canon,
+def _product(out: dict, X: dict, Y: dict, kernel: list, a: str, pair,
              atoms: dict, memo: dict):
     """Accumulate X (x) Y (x) kernel into ``out``; ``kernel`` lists each
-    (gamma, coefficient) with the binomial and parity already folded in,
-    and ``canon(deltas, gamma)`` gives the delta part of the output key,
-    cached in ``atoms`` per (deltas, alpha, beta + gamma)."""
+    (gamma, coefficient) with the binomial and parity already folded in.
+    The delta part of an output key, cached in ``atoms`` per (deltas,
+    alpha, beta + gamma), holds the inserted atom (lo, hi, gamma) for
+    ``pair`` = (lo, hi); for None it is (deltas, gamma), the atom pending."""
     kernel = [(g, None if kc == 1 else kc) for g, kc in kernel]
     by_alpha: dict = {}
     for (block, _deltas, alpha), cx in X.items():
@@ -175,8 +177,10 @@ def _product(out: dict, X: dict, Y: dict, kernel: list, a: str, canon,
             for alpha, entries in by_alpha.items():
                 dkey = atoms.get((deltas, alpha, bg))
                 if dkey is None:
-                    dkey = atoms[(deltas, alpha, bg)] = canon(
-                        deltas, mi_add(alpha, bg))
+                    g = mi_add(alpha, bg)
+                    dkey = (deltas, g) if pair is None \
+                        else tuple(sorted(deltas + ((*pair, g),)))
+                    atoms[(deltas, alpha, bg)] = dkey
                 for block, cx in entries:
                     _acc(out, (pre + block + post, dkey), cx * cr)
 
@@ -201,6 +205,79 @@ def _check_dims(products: list, P: Kernel, system: FieldSystem) -> int:
     return L0.dim
 
 
+def _setup(calls: list, P: Kernel, system: FieldSystem):
+    """(real, D, setups) for operator calls, each (products, a, b): one
+    real/complex decision for all calls (real when neither P nor any factor
+    has an imaginary part; the work then runs on int numerators), D the lcm
+    of the calls' denominators (1 over Q[i]), and per call with products
+    (a, b, dim, pair, side_a, side_b, kernel, factors): the label pair in
+    order, the side (0 for lo) of a and of b, the kernel's (gamma,
+    coefficient) list with the parity folded in, and the products as work
+    terms (L, R), L scaled to bring L (x) R (x) kernel over D."""
+    real = not any(c._b for c in P.terms.values()) \
+        and not any(c._b for products, _a, _b in calls for pair in products
+                    for F in pair for c in F.terms.values())
+    setups = []
+    for products, a, b in calls:
+        if a == b:
+            raise ValueError(f"operator label pair coincides: {a!r}")
+        if not products:
+            continue
+        dim = _check_dims(products, P, system)
+        pair = tuple(sorted((a, b)))
+        side_a, side_b = (0, 1) if a == pair[0] else (1, 0)
+        kd, kernel = _numerators(
+            {g: c if side_a == 0 or mi_order(g) % 2 == 0 else -c
+             for g, c in P.terms.items()}, real)
+        factors = []
+        for L, R in products:
+            ld, L = _numerators(_works(L), real)
+            rd, R = _numerators(_works(R), real)
+            factors.append((kd * ld * rd, L, R))
+        setups.append([a, b, dim, pair, side_a, side_b, list(kernel.items()),
+                       factors])
+    D = lcm(*[d for setup in setups for d, _L, _R in setup[-1]])
+    for setup in setups:  # each L over D
+        setup[-1] = [(L if d == D else {key: c * (D // d)
+                                        for key, c in L.items()}, R)
+                     for d, L, R in setup[-1]]
+    return real, D, setups
+
+
+def _finish(out: dict, real: bool, d: int) -> dict:
+    """The accumulated work coefficients over d, one GRat per key."""
+    if real:
+        return {key: _make(c, 0, d) for key, c in out.items()}
+    if d == 1:
+        return out
+    return {key: _make(c._a, c._b, c._d * d) for key, c in out.items()}
+
+
+def sigma_first(calls: list, P: Kernel, system: FieldSystem) -> TensorExpr:
+    """The sum over ``calls``, each (products, a, b), of each call's first
+    ``sigma_terms`` term: the operator on (a, b) applied once to the sum of
+    the products.  All calls accumulate into one term dict, and each output
+    key gets one GRat.  ``memo`` is shared, as its blocks carry their
+    labels; ``atoms`` is not, as the inserted atom depends on (a, b)."""
+    sign = bracket_sign(P)
+    p, q = _sort_pair(system)
+    real, D, setups = _setup(calls, P, system)
+    out: dict = {}
+    memo: dict = {}
+    for a, b, dim, pair, side_a, side_b, kernel, factors in setups:
+        atoms: dict = {}
+        for L, R in factors:
+            # lineage A (p at a, q at b), then B (q at a, p at b) times s
+            for sort_a, sort_b, s in ((p, q, 1), (q, p, sign)):
+                X = _derive(L, a, sort_a, side_a, dim, memo)
+                Y = _derive(R, b, sort_b, side_b, dim, memo) if X else None
+                if Y:
+                    _product(out, X, Y, kernel if s == 1 else
+                             [(g, -c) for g, c in kernel], a, pair, atoms,
+                             memo)
+    return TensorExpr(P.dim, _finish(out, real, D))
+
+
 def sigma_terms(products: list, a: str, b: str, P: Kernel,
                 system: FieldSystem):
     """Generate the terms sigma^k T / k! of the operator's exponential, for
@@ -215,70 +292,35 @@ def sigma_terms(products: list, a: str, b: str, P: Kernel,
     Every factor, P and the system share one dimension, or DimensionMismatch
     is raised.
     """
-    if a == b:
-        raise ValueError(f"operator label pair coincides: {a!r}")
-    if not products:
+    real, den, setups = _setup([(products, a, b)], P, system)
+    if not setups:
         return
-    dim = _check_dims(products, P, system)
+    _a, _b, dim, pair, side_a, side_b, kernel, factors = setups[0]
     sign = bracket_sign(P)
     p, q = _sort_pair(system)
-    lo, hi = sorted((a, b))
-    side_a, side_b = (0, 1) if a == lo else (1, 0)
-    real = not any(c._b for c in P.terms.values()) \
-        and not any(c._b for pair in products for F in pair
-                    for c in F.terms.values())
-    kd, kernel = _numerators(
-        {g: c if side_a == 0 or mi_order(g) % 2 == 0 else -c
-         for g, c in P.terms.items()}, real)
-    kernel = list(kernel.items())
 
-    def canonical(deltas, gamma):
-        return tuple(sorted(deltas + ((lo, hi, gamma),)))
-
-    def pending(deltas, gamma):
-        return deltas, gamma
-
-    def power(canon, atoms: dict) -> dict:
+    def power(inserted, atoms: dict) -> dict:
         out: dict = {}
         for _start, lines in pairs:
             for j, X, Y in lines:
                 f = comb(k, j) * sign ** j
                 _product(out, X, Y, kernel if f == 1 else
-                         [(g, c * f) for g, c in kernel], a, canon, atoms,
+                         [(g, c * f) for g, c in kernel], a, inserted, atoms,
                          memo)
         return out
-
-    def finish(out: dict) -> dict:
-        # one GRat per key: the numerator over den * k!
-        d = den * factorial(k)
-        if real:
-            return {key: _make(c, 0, d) for key, c in out.items()}
-        if d == 1:
-            return out
-        return {key: _make(c._a, c._b, c._d * d) for key, c in out.items()}
 
     def meets() -> bool:
         # the inserted atom can only meet a delta atom of T on its labels,
         # and T's deltas are all in the R factors
-        return any(d[0] == lo and d[1] == hi for _L, R in products
+        return any(d[:2] == pair for _L, R in products
                    for _rest, deltas in R.terms for d in deltas)
 
     memo: dict = {}
     atoms: dict = {}
-    # one denominator den for every product: each L is scaled to bring
-    # L (x) R (x) kernel over it
-    factors = [(_numerators(_works(L), real), _numerators(_works(R), real))
-               for L, R in products]
-    den = kd * lcm(*[ld * rd for (ld, _L), (rd, _R) in factors])
     # per pair: the current (X, Y) of lineage 0 of the next power, or None
     # once it vanished, and the live lineages (j, X, Y), where j counts the
     # B factors: X = d_{p,a}^i d_{q,a}^j L and Y = d_{q,b}^i d_{p,b}^j R
-    pairs = []
-    for (ld, L), (rd, R) in factors:
-        m = den // (kd * ld * rd)
-        if m != 1:
-            L = {key: c * m for key, c in L.items()}
-        pairs.append(((L, R), [(0, L, R)]))
+    pairs = [((L, R), [(0, L, R)]) for L, R in factors]
     k = 0
     while pairs:
         k += 1
@@ -299,9 +341,9 @@ def sigma_terms(products: list, a: str, b: str, P: Kernel,
             if new_lines:
                 live.append((start, new_lines))
         pairs = live
-        out = power(canonical, atoms)
+        out = power(pair, atoms)
         # the next power can be nonzero only if this one is before the
         # inserted atom joins the deltas
-        if not out and not (meets() and power(pending, {})):
+        if not out and not (meets() and power(None, {})):
             return
-        yield TensorExpr(dim, finish(out))
+        yield TensorExpr(dim, _finish(out, real, den * factorial(k)))

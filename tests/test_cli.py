@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fieldstar.cli import main
+from fieldstar.cli import MAX_MODES, build_parser, main
 from fieldstar.session import ConfigError, load_config
 
 KG_CONFIG = {
@@ -202,6 +202,9 @@ def test_exponent_above_the_bound_is_a_parse_error(argv, capsys):
 @pytest.mark.parametrize("argv", [
     ["bracket", "(phi+pi+phi[1]+pi[1])^100", "pi", "--dim", "1"],
     ["star", "phi", "(phi+pi)^100*(phi+pi)^100", "--dim", "1"],
+    # each total derivative is bounded before it is taken
+    ["bracket", "d1(" * 40 + "phi^40" + ")" * 40, "pi", "--dim", "1"],
+    ["bracket", "laplacian(" * 6 + "phi^30" + ")" * 6, "pi", "--dim", "3"],
 ])
 def test_expansion_past_the_term_bound_is_a_parse_error(argv, capsys):
     assert main(argv) == 2
@@ -253,3 +256,48 @@ def test_exponent_at_the_bound_succeeds(capsys):
     assert main(["bracket", "phi^100", "pi", "--dim", "1"]) == 0
     assert "phi" in capsys.readouterr().out
     assert main(["classify", "--dim", "1", "--kernel", "d1^100 delta"]) == 0
+
+
+def test_modes_above_the_bound_exit_two_before_evaluating(monkeypatch,
+                                                          capsys):
+    import fieldstar.peierls
+
+    def refuse(*_args):
+        raise AssertionError("green_eval was called")
+
+    monkeypatch.setattr(fieldstar.peierls, "green_eval", refuse)
+    assert main(["peierls", "eval", "--modes", str(MAX_MODES + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --modes must be <= {MAX_MODES}\n"
+
+
+# Help, a missing argument and an unrecognized one, for every command.  An
+# unrecognized argument is reported by the top-level parser, so its usage
+# line names every command, even after a valid subcommand.
+USAGE_CASES = [
+    [], ["-h"], ["nope"],
+    ["bracket", "-h"], ["bracket"], ["bracket", "phi", "pi", "--bogus"],
+    ["star", "-h"], ["star", "phi"], ["star", "phi", "pi", "--bogus"],
+    ["eom", "-h"], ["eom"], ["eom", "--field", "phi", "--bogus"],
+    ["vardiff", "-h"], ["vardiff", "phi"],
+    ["vardiff", "phi", "--field", "phi", "--bogus"],
+    ["classify", "-h"], ["classify", "--dim"], ["classify", "--bogus"],
+    ["verify", "-h"], ["verify"], ["verify", "assoc", "--order", "-1"],
+    ["peierls", "-h"], ["peierls"], ["peierls", "eval", "-h"],
+    ["peierls", "eval", "--modes"], ["peierls", "eval", "--bogus"],
+]
+
+
+def _exit(call, capsys):
+    with pytest.raises(SystemExit) as exc:
+        call()
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", USAGE_CASES)
+def test_usage_and_errors_match_the_full_parser(argv, capsys):
+    expected = _exit(lambda: build_parser().parse_args(argv), capsys)
+    assert expected[0] in (0, 2)
+    assert _exit(lambda: main(argv), capsys) == expected

@@ -30,10 +30,10 @@ from fieldstar.jets import (
     real_system,
 )
 from fieldstar.kernels import Kernel, bracket_sign
-from fieldstar.poisson import bracket_fn
+from fieldstar.poisson import bracket_fn, jacobi_residual
 from fieldstar.randexpr import multi_indices, random_expr
 from fieldstar.rationals import GRat, I, ONE, ZERO
-from fieldstar.sigma import _factor, _sort_pair, sigma_terms
+from fieldstar.sigma import _factor, _sort_pair, sigma_first, sigma_terms
 from fieldstar.star import star_fn
 from fieldstar.tensor import TensorExpr, _canon_located, delta_atom
 from fieldstar.verify import default_kernels
@@ -400,3 +400,124 @@ def test_kernel_of_another_dimension_is_rejected():
                    system)
     with pytest.raises(DimensionMismatch):
         star_fn(PHI, PI, Kernel.delta(3), system)
+
+
+# -- the first power of many calls, accumulated in one pass --------------------
+
+def first_terms(calls, P, system):
+    """The reference for ``sigma_first``: the sum of each call's first
+    ``sigma_terms`` term, each formed on its own."""
+    total = TensorExpr.zero(P.dim)
+    for products, a, b in calls:
+        total = total + next(sigma_terms(products, a, b, P, system),
+                             TensorExpr.zero(P.dim))
+    return total
+
+
+def _seeded_calls():
+    """Seeded (calls, P, system, real) in dims 1 and 3, with a symmetric
+    and an antisymmetric real kernel and the antisymmetric kernel of
+    ``default_kernels``, which has an imaginary part; the factors are over
+    Q, over Q except for the one call at z, or over Q[i].  The calls take
+    both label orders, an R with a delta atom on the call's own label
+    pair, a zero factor and a call without products."""
+    rng = random.Random(11)
+    for dim in (1, 3):
+        system = real_system(dim)
+        e1 = (1,) + (0,) * (dim - 1)
+        sym = Kernel.delta(dim) + Kernel.derivative_delta(
+            dim, mi_add(e1, e1), Fraction(1, 2))
+        K = TensorExpr.from_kernel(sym, "x", "y")
+        for P, real_kernel in ((sym, True),
+                               (Kernel.derivative_delta(dim, e1), True),
+                               (default_kernels(dim)[1], False)):
+            for mix in ("real", "one call complex", "complex"):
+                f, g, k = (random_expr(system, rng, 3, 1,
+                                       complex_ok=mix == "complex")
+                           for _ in range(3))
+                h = random_expr(system, rng, 3, 1, complex_ok=False)
+                if mix != "real":
+                    h = h.scale(GRat(1, 1))
+                calls = [
+                    ([(at(f, "x"), at(g, "y"))], "x", "y"),
+                    ([(at(g, "y"), at(f, "x"))], "y", "x"),
+                    ([(at(h, "z"), at(f, "x") * at(g, "y") * K)], "z", "x"),
+                    ([(at(f, "x"), at(g, "y") * at(k, "z") * K)], "x", "y"),
+                    ([(TensorExpr.zero(dim), at(g, "y"))], "x", "y"),
+                    ([], "y", "z"),
+                ]
+                yield calls, P, system, real_kernel and mix == "real"
+
+
+def test_first_power_of_many_calls_matches_their_sum():
+    nonzero = 0
+    for calls, P, system, real in _seeded_calls():
+        result = sigma_first(calls, P, system)
+        assert result == first_terms(calls, P, system)
+        assert result.dim == P.dim
+        if real:
+            assert all(not c._b for c in result.terms.values())
+        nonzero += not result.is_zero()
+        # each call on its own, too
+        for call in calls:
+            assert sigma_first([call], P, system) \
+                == first_terms([call], P, system)
+    assert nonzero >= 15
+
+
+def test_first_power_keeps_the_cancellation_on_a_delta_of_r():
+    # the two products of test_given_products_read_the_deltas_of_r cancel
+    # once the inserted atom joins the delta atoms of R; another call's
+    # term is unaffected
+    phi, pi, pi1 = jet("phi", (0,)), jet("pi", (0,)), jet("pi", (1,))
+    meets = ([
+        (at(pi1, "x"), at(phi, "y")
+         * TensorExpr.from_kernel(Kernel.delta(1), "x", "y")),
+        (at(phi, "x"), at(pi, "y")
+         * TensorExpr.from_kernel(Kernel.derivative_delta(1, (1,)), "x", "y")),
+    ], "x", "y")
+    other = ([(at(phi, "z"), at(pi, "y"))], "z", "y")
+    P = Kernel.delta(1)
+    assert sigma_first([meets], P, SYSTEM).is_zero()
+    assert sigma_first([meets, other], P, SYSTEM) \
+        == sigma_first([other], P, SYSTEM) \
+        == first_terms([other], P, SYSTEM)
+    assert not sigma_first([other], P, SYSTEM).is_zero()
+
+
+def test_first_power_rejects_a_coinciding_label_pair():
+    with pytest.raises(ValueError):
+        sigma_first([([(at(PHI, "x"), at(PI, "y"))], "x", "x")],
+                    Kernel.delta(1), SYSTEM)
+    with pytest.raises(ValueError):
+        sigma_first([([], "x", "x")], Kernel.delta(1), SYSTEM)
+
+
+def _old_bracket_tensor(h, c, T, P, system):
+    """{h@c, T}_P as the sum over T's labels of each label's own first
+    ``sigma_terms`` term."""
+    H = TensorExpr.from_field(h, c)
+    return first_terms([([(H, T)], c, l) for l in sorted(T.labels())],
+                       P, system)
+
+
+def test_jacobi_residual_matches_three_separate_brackets():
+    # each outer bracket is nonzero, so the zero sum is a cancellation
+    # that both routes must reach
+    rng = random.Random(12)
+    for dim, pairing in ((1, "real"), (1, "complex"), (3, "real")):
+        system = real_system(dim) if pairing == "real" \
+            else complex_system(dim)
+        for P in default_kernels(dim):
+            f, g, h = (random_expr(system, rng, 3, 1) for _ in range(3))
+            outer = [
+                _old_bracket_tensor(h, "z", bracket_fn(f, g, P, system),
+                                    P, system),
+                _old_bracket_tensor(g, "y", bracket_fn(h, f, P, system,
+                                                       "z", "x"), P, system),
+                _old_bracket_tensor(f, "x", bracket_fn(g, h, P, system,
+                                                       "y", "z"), P, system),
+            ]
+            assert all(not term.is_zero() for term in outer)
+            assert jacobi_residual(f, g, h, P, system) \
+                == outer[0] + outer[1] + outer[2]
