@@ -69,17 +69,13 @@ def spectral_derivative(values: np.ndarray, index) -> np.ndarray:
     return np.fft.ifftn(spec).real
 
 
-def eval_field_expr(expr: FieldExpr, profiles: dict,
-                    constants: dict | None = None,
-                    functions: dict | None = None) -> np.ndarray:
+def eval_field_expr(expr: FieldExpr, profiles: dict) -> np.ndarray:
     """Evaluate on the grid given per-sort profiles.
 
     profiles: sort -> real grid array; jets are derived spectrally and
-    cached.  constants: name -> float.  functions: name -> callable
-    (order, values) -> values.
+    cached.  Constants take their DEFAULT_CONSTANTS values and every function
+    symbol evaluates as default_function.
     """
-    constants = DEFAULT_CONSTANTS if constants is None else constants
-    functions = {"U": default_function} if functions is None else functions
     cache: dict = {}
 
     def jet_values(sort: str, index) -> np.ndarray:
@@ -94,10 +90,10 @@ def eval_field_expr(expr: FieldExpr, profiles: dict,
         term = np.full(shape, complex(c))
         for atom in mon:
             if atom[0] == "c":
-                term = term * constants[atom[1]]
+                term = term * DEFAULT_CONSTANTS[atom[1]]
             elif atom[0] == "f":
-                _, name, order, arg_sort, _v = atom
-                term = term * functions[name](order, profiles[arg_sort])
+                _, _name, order, arg_sort, _v = atom
+                term = term * default_function(order, profiles[arg_sort])
             else:
                 term = term * jet_values(atom[1], atom[2])
         total = total + term
@@ -111,45 +107,37 @@ def grid_integral(values: np.ndarray) -> complex:
 
 
 def gateaux_derivative(density: FieldExpr, sort: str, profiles: dict,
-                       direction: np.ndarray, eps: float = 1e-3,
-                       constants: dict | None = None,
-                       functions: dict | None = None) -> float:
+                       direction: np.ndarray, eps: float = 1e-3) -> float:
     """Fourth-order central finite difference of eps -> integral of the
     density along profiles[sort] + eps*direction."""
 
     def integral(e: float) -> float:
         shifted = dict(profiles)
         shifted[sort] = profiles[sort] + e * direction
-        return grid_integral(eval_field_expr(density, shifted,
-                                             constants, functions)).real
+        return grid_integral(eval_field_expr(density, shifted)).real
 
     return (8 * (integral(eps) - integral(-eps))
             - (integral(2 * eps) - integral(-2 * eps))) / (12 * eps)
 
 
 def variational_pairing(gradient: FieldExpr, profiles: dict,
-                        direction: np.ndarray,
-                        constants: dict | None = None,
-                        functions: dict | None = None) -> float:
+                        direction: np.ndarray) -> float:
     """Integral of the symbolic variational derivative against the
     perturbation direction."""
-    vals = eval_field_expr(gradient, profiles, constants, functions)
+    vals = eval_field_expr(gradient, profiles)
     return grid_integral(vals.real * direction).real
 
 
 def variational_oracle_error(density: FieldExpr, sort: str,
-                             system: FieldSystem, sampler: GridSampler,
-                             constants: dict | None = None,
-                             functions: dict | None = None) -> float:
+                             system: FieldSystem, sampler: GridSampler) -> float:
     """Relative disagreement between the symbolic variational derivative and
     the finite-difference Gateaux derivative on random profiles."""
     from .euler_lagrange import variational_derivative
 
     profiles = {s: sampler.profile() for s in system.sort_names()}
     direction = sampler.profile()
-    numeric = gateaux_derivative(density, sort, profiles, direction,
-                                 constants=constants, functions=functions)
+    numeric = gateaux_derivative(density, sort, profiles, direction)
     symbolic = variational_pairing(variational_derivative(density, sort),
-                                   profiles, direction, constants, functions)
+                                   profiles, direction)
     scale = max(abs(numeric), abs(symbolic), 1.0)
     return abs(numeric - symbolic) / scale

@@ -25,9 +25,6 @@ from .jets import FieldExpr, TermDict, _acc, real_system
 from .kernels import Kernel
 from .rationals import GRat, ZERO
 
-COSINE = "cosine"  # G(0) = delta, d_t G(0) = 0: mode symbol cos(w t)
-SINE = "sine"      # G(0) = 0, d_t G(0) = delta: mode symbol sin(w t)/w
-
 
 # ---------------------------------------------------------------------------
 # trig polynomials: the per-mode symbol algebra
@@ -72,18 +69,14 @@ class TrigPoly(TermDict):
         return " + ".join(parts)
 
 
-def green_mode(label: str, convention: str = SINE) -> TrigPoly:
-    """The mode symbol of G at formal time t or s."""
-    st = TrigPoly.monomial(a=1, p=-1) if label == "t" else TrigPoly.monomial(c=1, p=-1)
-    ct = TrigPoly.monomial(b=1) if label == "t" else TrigPoly.monomial(d=1)
-    return ct if convention == COSINE else st
+def green_mode(label: str) -> TrigPoly:
+    """The mode symbol sin(w t)/w of G at formal time t or s."""
+    return TrigPoly.monomial(a=1, p=-1) if label == "t" else TrigPoly.monomial(c=1, p=-1)
 
 
-def green_mode_dt(label: str, convention: str = SINE) -> TrigPoly:
-    """The mode symbol of d_t G at formal time t or s."""
-    ct = TrigPoly.monomial(b=1) if label == "t" else TrigPoly.monomial(d=1)
-    st = TrigPoly.monomial(a=1, p=1) if label == "t" else TrigPoly.monomial(c=1, p=1)
-    return -st if convention == COSINE else ct
+def green_mode_dt(label: str) -> TrigPoly:
+    """The mode symbol cos(w t) of d_t G at formal time t or s."""
+    return TrigPoly.monomial(b=1) if label == "t" else TrigPoly.monomial(d=1)
 
 
 def green_mode_diff() -> TrigPoly:
@@ -116,54 +109,49 @@ def _equal_time_brackets():
     }
 
 
-def peierls_bracket(convention: str = SINE) -> TrigPoly:
-    """{phi(t,x), phi(s,y)} as a mode symbol, from the smearing expansion
-    and the equal-time brackets.  Under the sine convention this is
-    exactly -G(t-s) mode-wise."""
-    eq = _equal_time_brackets()
-    Gt, Gs = green_mode("t", convention), green_mode("s", convention)
-    Gt_d, Gs_d = green_mode_dt("t", convention), green_mode_dt("s", convention)
-    pairs = [
-        (Gt, "pi", Gs, "pi"),
-        (Gt, "pi", Gs_d, "phi"),
-        (Gt_d, "phi", Gs, "pi"),
-        (Gt_d, "phi", Gs_d, "phi"),
-    ]
-    total = TrigPoly.zero(0)
-    for wa, na, wb, nb in pairs:
-        total = total + (wa * wb).scale(eq[(na, nb)])
-    return total
-
-
-def peierls_bracket_residual(convention: str = SINE) -> TrigPoly:
-    """peierls_bracket + G(t-s); identically zero under the sine
-    convention.  The cosine normalization fails this identity (and its own
-    initial data), which is why the sine pair is the default."""
-    return peierls_bracket(convention) + green_mode_diff()
-
-
-def peierls_star(convention: str = SINE) -> dict:
-    """phi(t,x) * phi(s,y) as an hbar series of mode symbols.
-
-    Order 0 is the plain product of the smeared fields; order 1 is the
-    bracket (the series terminates: the fields are linear in the time-zero
-    pair).  Under the sine convention the order-1 coefficient equals
-    -G(t-s) exactly.
-    """
-    Gt, Gs = green_mode("t", convention), green_mode("s", convention)
-    Gt_d, Gs_d = green_mode_dt("t", convention), green_mode_dt("s", convention)
-    order0 = {
+def _smeared_products() -> dict:
+    """The products of the smearing weights of phi(t,x) and phi(s,y), keyed
+    by the pair of time-zero fields each one multiplies."""
+    Gt, Gs = green_mode("t"), green_mode("s")
+    Gt_d, Gs_d = green_mode_dt("t"), green_mode_dt("s")
+    return {
         ("pi", "pi"): Gt * Gs,
         ("pi", "phi"): Gt * Gs_d,
         ("phi", "pi"): Gt_d * Gs,
         ("phi", "phi"): Gt_d * Gs_d,
     }
-    return {0: order0, 1: peierls_bracket(convention)}
 
 
-def peierls_commutator(convention: str = SINE) -> TrigPoly:
+def peierls_bracket() -> TrigPoly:
+    """{phi(t,x), phi(s,y)} as a mode symbol, from the smearing expansion
+    and the equal-time brackets; exactly -G(t-s) mode-wise."""
+    eq = _equal_time_brackets()
+    total = TrigPoly.zero(0)
+    for pair, weight in _smeared_products().items():
+        total = total + weight.scale(eq[pair])
+    return total
+
+
+def peierls_bracket_residual() -> TrigPoly:
+    """peierls_bracket + G(t-s), identically zero.  The cosine normalization
+    G(0) = delta, d_t G(0) = 0 fails this identity (and its own initial
+    data), which is why G is the sine pair G(0) = 0, d_t G(0) = delta."""
+    return peierls_bracket() + green_mode_diff()
+
+
+def peierls_star() -> dict:
+    """phi(t,x) * phi(s,y) as an hbar series of mode symbols.
+
+    Order 0 is the plain product of the smeared fields; order 1 is the
+    bracket (the series terminates: the fields are linear in the time-zero
+    pair).  The order-1 coefficient equals -G(t-s) exactly.
+    """
+    return {0: _smeared_products(), 1: peierls_bracket()}
+
+
+def peierls_commutator() -> TrigPoly:
     """hbar coefficient of phi(t,x)*phi(s,y) - phi(s,y)*phi(t,x)."""
-    forward = peierls_star(convention)[1]
+    forward = peierls_star()[1]
     swapped = forward._like({(c, d, a, b, p): v
                              for (a, b, c, d, p), v in forward.terms.items()})
     return forward - swapped
@@ -229,25 +217,19 @@ def frequencies(m: float, cutoff: int) -> np.ndarray:
     return np.sqrt(k.astype(float) ** 2 + float(m) ** 2)
 
 
-def green_eval(m: float, t: float, cutoff: int,
-               convention: str = SINE) -> SpectralField:
-    """Mode coefficients of the Green function at time t."""
+def green_eval(m: float, t: float, cutoff: int) -> SpectralField:
+    """Mode coefficients sin(w t)/w of the Green function at time t (t for
+    the zero mode at m = 0)."""
     w = frequencies(m, cutoff)
-    if convention == COSINE:
-        vals = np.cos(w * t)
-    else:
-        vals = np.where(w > 0, np.divide(np.sin(w * t), np.where(w > 0, w, 1.0)),
-                        t)
+    vals = np.where(w > 0, np.divide(np.sin(w * t), np.where(w > 0, w, 1.0)),
+                    t)
     return SpectralField(vals.astype(complex), cutoff)
 
 
-def green_eval_dt(m: float, t: float, cutoff: int,
-                  convention: str = SINE) -> SpectralField:
+def green_eval_dt(m: float, t: float, cutoff: int) -> SpectralField:
+    """Mode coefficients cos(w t) of d_t G at time t."""
     w = frequencies(m, cutoff)
-    if convention == COSINE:
-        vals = -w * np.sin(w * t)
-    else:
-        vals = np.cos(w * t)
+    vals = np.cos(w * t)
     return SpectralField(vals.astype(complex), cutoff)
 
 

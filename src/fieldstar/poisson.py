@@ -55,13 +55,11 @@ def bracket_tensor(h: FieldExpr, c: str, T: TensorExpr, P: Kernel,
 
 
 def jacobi_residual(f: FieldExpr, g: FieldExpr, h: FieldExpr, P: Kernel,
-                    system: FieldSystem,
-                    labels: tuple = ("x", "y", "z")) -> TensorExpr:
+                    system: FieldSystem) -> TensorExpr:
     """{h,{f,g}} + {g,{h,f}} + {f,{g,h}} with fixed labels f@x, g@y, h@z."""
-    x, y, z = labels
-    calls = _tensor_calls(h, z, bracket_fn(f, g, P, system, x, y), P, system)
-    calls += _tensor_calls(g, y, bracket_fn(h, f, P, system, z, x), P, system)
-    calls += _tensor_calls(f, x, bracket_fn(g, h, P, system, y, z), P, system)
+    calls = _tensor_calls(h, "z", bracket_fn(f, g, P, system, "x", "y"), P, system)
+    calls += _tensor_calls(g, "y", bracket_fn(h, f, P, system, "z", "x"), P, system)
+    calls += _tensor_calls(f, "x", bracket_fn(g, h, P, system, "y", "z"), P, system)
     return sigma_first(calls, P, system)
 
 

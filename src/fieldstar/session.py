@@ -110,7 +110,10 @@ _TYPES = {
     "tolerance": (lambda v: type(v) in (int, float), "a number"),
     "constants": (lambda v: type(v) is list and all(type(s) is str for s in v),
                   "a list of strings"),
-    "functions": (lambda v: type(v) is dict, "an object"),
+    # true: the function symbol vanishes at zero (condition B)
+    "functions": (lambda v: type(v) is dict
+                  and all(type(b) is bool for b in v.values()),
+                  "an object of booleans"),
 }
 
 

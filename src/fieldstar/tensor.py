@@ -179,13 +179,11 @@ class TensorExpr(TermDict):
         e = mi_unit(self.dim, direction)
         return self._at_label(label, lambda mon: _derivative_mon(mon, e), e)
 
-    def total_derivative_multi_at(self, label: str, index, negate: bool = False) -> "TensorExpr":
+    def total_derivative_multi_at(self, label: str, index) -> "TensorExpr":
         result = self
         for direction, k in enumerate(index, start=1):
             for _ in range(k):
                 result = result.total_derivative_at(label, direction)
-                if negate:
-                    result = -result
         return result
 
     def jet_partial_at(self, label: str, sort: str, index) -> "TensorExpr":

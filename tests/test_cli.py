@@ -241,7 +241,8 @@ def test_config_exponent_above_the_bound_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize("key,value", [
     ("dim", "x"), ("dim", 3.5), ("dim", True), ("order", [1]), ("seed", "x"),
     ("tolerance", "tight"), ("constants", 5), ("constants", ["m", 1]),
-    ("functions", 5), ("kernel", 5), ("hamiltonian", 5),
+    ("functions", 5), ("functions", {"U": "no"}), ("functions", {"U": 0}),
+    ("kernel", 5), ("hamiltonian", 5),
 ])
 def test_config_value_of_the_wrong_json_type_exits_two(key, value, tmp_path,
                                                        capsys):
@@ -283,7 +284,9 @@ USAGE_CASES = [
     ["vardiff", "-h"], ["vardiff", "phi"],
     ["vardiff", "phi", "--field", "phi", "--bogus"],
     ["classify", "-h"], ["classify", "--dim"], ["classify", "--bogus"],
+    ["classify", "--json"],
     ["verify", "-h"], ["verify"], ["verify", "assoc", "--order", "-1"],
+    ["verify", "jacobi", "--json"],
     ["peierls", "-h"], ["peierls"], ["peierls", "eval", "-h"],
     ["peierls", "eval", "--modes"], ["peierls", "eval", "--bogus"],
 ]

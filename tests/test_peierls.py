@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from fieldstar.peierls import (
-    COSINE,
-    SINE,
     SpectralField,
     TrigPoly,
     cauchy_solve,
@@ -29,17 +27,12 @@ def test_trig_poly_ring():
 
 
 def test_symbolic_bracket_equals_minus_green_of_time_difference():
-    assert peierls_bracket_residual(SINE).is_zero()
-
-
-def test_cosine_normalization_breaks_the_identity():
-    # the (delta, 0) initial pair contradicts the equal-time bracket
-    assert not peierls_bracket_residual(COSINE).is_zero()
+    assert peierls_bracket_residual().is_zero()
 
 
 def test_equal_times_give_zero_bracket():
     # t = s collapses st*cs - ct*ss; substitute s-symbols by t-symbols
-    bracket = peierls_bracket(SINE)
+    bracket = peierls_bracket()
     collapsed = {}
     for (a, b, c, d, p), v in bracket.terms.items():
         key = (a + c, b + d, p)
@@ -48,13 +41,13 @@ def test_equal_times_give_zero_bracket():
 
 
 def test_star_product_is_product_plus_hbar_bracket():
-    star = peierls_star(SINE)
+    star = peierls_star()
     assert (star[1] + green_mode_diff()).is_zero()
     assert set(star) == {0, 1}
 
 
 def test_commutator_is_twice_the_bracket():
-    assert (peierls_commutator(SINE)
+    assert (peierls_commutator()
             + green_mode_diff().scale(2)).is_zero()
 
 

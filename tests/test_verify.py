@@ -1,0 +1,234 @@
+"""The verification suites' trial loops, with every residual stubbed.
+
+Each residual function a suite calls is replaced by one that records its
+rendered arguments and returns zero.  Run on the acceptance tests' seeds and
+trial counts, the suites must draw exactly the recorded inputs (pinned by
+their sha256) and print the same report lines, so a change to a suite's loop
+cannot move an RNG stream, a trial count or a report text unnoticed.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+import fieldstar.complexfields
+import fieldstar.numeric
+import fieldstar.verify as V
+from fieldstar.euler_lagrange import ELOperator
+from fieldstar.jets import FieldExpr, FieldSystem, complex_system, real_system
+from fieldstar.kernels import Kernel
+from fieldstar.poisson import Functional
+from fieldstar.rationals import I
+from fieldstar.render import render_field_expr
+from fieldstar.tensor import TensorExpr
+
+# every residual function the suites look up in fieldstar.verify's namespace
+VERIFY_RESIDUALS = (
+    "jacobi_residual", "duality_residual", "el_power_duality_residual",
+    "assoc_residuals", "commutator_semiclassical",
+    "bracket_functional_density", "bracket_functionals",
+    "star_functional_density", "star_functionals",
+)
+COMPLEX_RESIDUALS = ("conjugation_residual", "real_complex_equivalence")
+
+# sha256 of the recorded inputs, one line per residual call, taken from the
+# suites' loops before they shared one
+INPUTS_SHA256 = "a4643cf6d8f9902fd26da9745b39f052cea349dc0808b5718fa0926ea35675b8"
+INPUTS_COUNT = 1424
+
+REPORT_LINES = (
+    ["PASS jacobi: 50/50 trials"] * 4
+    + ["PASS assoc: 125/125 trials"] * 2
+    + ["PASS duality: 50/50 trials"]
+    + ["PASS closed-forms: 52/52 trials"] * 2
+    + ["PASS semiclassical: 50/50 trials"] * 2
+    + ["PASS jacobi: 50/50 trials"] * 2
+    + ["PASS jacobi: 25/25 trials"] * 2
+    + ["PASS duality: 50/50 trials"]
+    + ["PASS assoc: 125/125 trials", "PASS semiclassical: 50/50 trials",
+       "PASS closed-forms: 52/52 trials"] * 2
+    + ["PASS complex-equiv: 23/23 trials"] * 2
+    + ["PASS variational-oracle: 20/20 trials"]
+)
+
+
+class _Zero:
+    """A zero residual of every shape the suites read: a single residual, a
+    series whose coefficients are zero, or an empty list of residuals."""
+
+    def is_zero(self):
+        return True
+
+    def coefficient(self, _k):
+        return self
+
+    def __iter__(self):
+        return iter(())
+
+
+def _render(value) -> str:
+    if isinstance(value, FieldExpr):
+        return render_field_expr(value)
+    if isinstance(value, Functional):
+        return f"int {render_field_expr(value.density)}"
+    if isinstance(value, ELOperator):
+        return f"op@{value.label} {sorted(value.terms.items())!r}"
+    if isinstance(value, FieldSystem):
+        return f"system{value.dim} {value.sort_names()}"
+    if isinstance(value, (Kernel, str, int, float, tuple, bool)):
+        return repr(value)
+    return type(value).__name__
+
+
+def _recording(records: list, name: str, result):
+    def residual(*args, **kwargs):
+        rendered = [_render(a) for a in args]
+        rendered += [f"{k}={_render(v)}" for k, v in sorted(kwargs.items())]
+        records.append(f"{name}({', '.join(rendered)})")
+        return result
+    return residual
+
+
+def _stub_residuals(monkeypatch) -> list:
+    records: list = []
+    for name in VERIFY_RESIDUALS:
+        monkeypatch.setattr(V, name, _recording(records, name, _Zero()))
+    for name in COMPLEX_RESIDUALS:
+        monkeypatch.setattr(fieldstar.complexfields, name,
+                            _recording(records, name, _Zero()))
+    monkeypatch.setattr(fieldstar.numeric, "variational_oracle_error",
+                        _recording(records, "variational_oracle_error", 0.0))
+    return records
+
+
+def _run_suites() -> list:
+    """The acceptance tests' suite calls, with their seeds and counts, and
+    the CLI's default complex-equiv run (seed 0, 10 trials) in dims 1 and 3."""
+    reports = []
+    rng = random.Random(2024)
+    for dim in (1, 3):
+        for P in V.default_kernels(dim):
+            reports.append(V.verify_jacobi(real_system(dim), P, 50, rng))
+    rng = random.Random(303)
+    for P in V.default_kernels(1):
+        reports.append(V.verify_assoc(real_system(1), P, 25, rng))
+    reports.append(V.verify_duality(real_system(1), 50, random.Random(404)))
+    rng = random.Random(505)
+    for P in V.default_kernels(1):
+        reports.append(V.verify_closed_forms(real_system(1), P, 13, rng))
+    rng = random.Random(606)
+    for P in V.default_kernels(1):
+        reports.append(V.verify_semiclassical(real_system(1), P, 50, rng))
+    rng = random.Random(909)
+    for dim in (1, 3):
+        for P in V.default_kernels(dim):
+            reports.append(V.verify_jacobi(complex_system(dim), P,
+                                           50 if dim == 1 else 25, rng))
+    system = complex_system(1)
+    reports.append(V.verify_duality(system, 50, rng))
+    for P in V.default_kernels(1):
+        reports.append(V.verify_assoc(system, P, 25, rng))
+        reports.append(V.verify_semiclassical(system, P, 50, rng))
+        reports.append(V.verify_closed_forms(system, P, 13, rng))
+    rng = random.Random(0)
+    for dim in (1, 3):
+        reports.append(V.verify_complex_equiv(dim, 10, rng))
+    reports.append(V.verify_variational_oracle(seed=1111))
+    return reports
+
+
+def test_suites_draw_the_pinned_inputs_and_print_the_pinned_lines(monkeypatch):
+    records = _stub_residuals(monkeypatch)
+    lines = [report.line() for report in _run_suites()]
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert (len(records), digest) == (INPUTS_COUNT, INPUTS_SHA256)
+    assert lines == REPORT_LINES
+
+
+# nonzero residuals: the first of two terms is kept in a report's detail
+TWO_TERMS = TensorExpr.from_kernel(Kernel.delta(1) + Kernel.derivative_delta(1, (1,)),
+                                   "x", "y")
+ONE_TERM = TensorExpr.from_kernel(Kernel.delta(1, I), "x", "y")
+ZERO = TensorExpr(1, {})
+
+
+class _Series:
+    def __init__(self, coeffs):
+        self.coeffs = coeffs
+
+    def coefficient(self, k):
+        return self.coeffs.get(k, ZERO)
+
+
+def _nonzero_at(bad: dict, zero):
+    """A residual that is zero except at the (1-based) calls in ``bad``,
+    where it returns the given value or raises the given exception."""
+    calls = []
+
+    def residual(*_args, **_kwargs):
+        calls.append(None)
+        value = bad.get(len(calls), zero)
+        if isinstance(value, Exception):
+            raise value
+        return value
+    return residual
+
+
+SYM1 = V.default_kernels(1)[0]
+FAILING = {
+    "jacobi": (
+        lambda: V.verify_jacobi(real_system(1), SYM1, 10, random.Random(0)),
+        [(V, "jacobi_residual", {3: TWO_TERMS, 5: ONE_TERM}, ZERO)],
+        2, "FAIL jacobi: 8/10 trials (first nonzero term: delta{x,y})"),
+    "duality": (
+        lambda: V.verify_duality(real_system(1), 4, random.Random(0)),
+        [(V, "duality_residual", {}, ZERO),
+         (V, "el_power_duality_residual",
+          {1: FieldExpr.jet("phi", (0,)) + FieldExpr.jet("pi", (0,))}, ZERO)],
+        1, "FAIL duality: 3/4 trials (first nonzero term: phi)"),
+    "assoc": (
+        lambda: V.verify_assoc(real_system(1), SYM1, 2, random.Random(0)),
+        [(V, "assoc_residuals", {4: [ZERO, TWO_TERMS], 7: [ONE_TERM]}, [])],
+        2, "FAIL assoc: 8/10 trials (level 2, first nonzero term: delta{x,y})"),
+    "semiclassical": (
+        lambda: V.verify_semiclassical(real_system(1), SYM1, 5,
+                                       random.Random(0)),
+        [(V, "commutator_semiclassical",
+          {2: _Series({1: TWO_TERMS}), 4: _Series({0: ONE_TERM})},
+          _Series({}))],
+        2, "FAIL semiclassical: 3/5 trials (hbar^1 term: delta{x,y})"),
+    "closed-forms": (
+        lambda: V.verify_closed_forms(real_system(1), SYM1, 2,
+                                      random.Random(0)),
+        [(V, name, bad, None) for name, bad in (
+            ("bracket_functional_density", {}),
+            ("bracket_functionals", {2: AssertionError("brackets differ")}),
+            ("star_functional_density", {}),
+            ("star_functionals", {1: AssertionError("stars differ")}))],
+        2, "FAIL closed-forms: 6/8 trials (functional-functional star: "
+           "stars differ)"),
+    "complex-equiv": (
+        lambda: V.verify_complex_equiv(1, 2, random.Random(0)),
+        [(fieldstar.complexfields, "real_complex_equivalence",
+          {2: [ZERO, TWO_TERMS]}, []),
+         (fieldstar.complexfields, "conjugation_residual", {3: ONE_TERM},
+          ZERO)],
+        2, "FAIL complex-equiv: 5/7 trials (equivalence term: delta{x,y})"),
+    "variational-oracle": (
+        lambda: V.verify_variational_oracle(),
+        [(fieldstar.numeric, "variational_oracle_error",
+          {2: 2.5e-3, 4: 1.0}, 0.0)],
+        2, "FAIL variational-oracle: 18/20 trials (relative error 2.50e-03)"),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(FAILING))
+def test_a_failing_suite_counts_its_failures_and_keeps_the_first_detail(
+        monkeypatch, suite):
+    run, patches, failures, line = FAILING[suite]
+    for module, name, bad, zero in patches:
+        monkeypatch.setattr(module, name, _nonzero_at(bad, zero))
+    report = run()
+    assert (report.failures, report.ok) == (failures, False)
+    assert report.line() == line
