@@ -15,7 +15,6 @@ from .jets import FieldExpr, FieldSystem, complex_system, mi_zero
 from .kernels import MixedKernelError
 from .parser import ParseError, parse_expr, parse_kernel
 from .poisson import ConditionBViolation, bracket_fn
-from .rationals import I
 from .render import (
     dumps_canonical,
     render_field_expr,
@@ -46,17 +45,13 @@ def _session(args) -> SessionConfig:
 
 
 def _emit(value, args) -> None:
+    """Print a FieldExpr or a TensorExpr, as text or canonical JSON."""
     if args.json:
         print(dumps_canonical(to_json(value)))
+    elif isinstance(value, FieldExpr):
+        print(render_field_expr(value))
     else:
-        from .tensor import TensorExpr
-
-        if isinstance(value, FieldExpr):
-            print(render_field_expr(value))
-        elif isinstance(value, TensorExpr):
-            print(render_tensor_expr(value))
-        else:
-            print(value)
+        print(render_tensor_expr(value))
 
 
 def cmd_bracket(args) -> int:
@@ -93,7 +88,7 @@ def cmd_eom(args) -> int:
         print(f"error: unknown field {sort!r}", file=sys.stderr)
         return 2
     field = FieldExpr.jet(sort, mi_zero(cfg.dim), cfg.dim)
-    result = equation_of_motion(H, field, cfg.kernel(), cfg.system, prefactor=I)
+    result = equation_of_motion(H, field, cfg.kernel(), cfg.system)
     _emit(result, args)
     return 0
 

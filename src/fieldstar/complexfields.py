@@ -24,9 +24,9 @@ from .rationals import I
 from .tensor import TensorExpr, _canon_located
 
 
-def real_complex_equivalence(P: Kernel, dim: int,
-                             position: str = "phi", momentum: str = "pi") -> list:
-    """Residuals of the complex basic brackets realized inside a real pair.
+def real_complex_equivalence(P: Kernel, dim: int) -> list:
+    """Residuals of the complex basic brackets realized inside the real pair
+    phi, pi.
 
     With psi = phi + i*pi and psibar = phi - i*pi, the real brackets with a
     symmetric kernel give {psi, psibar} = -2i P(x,y) and
@@ -37,9 +37,9 @@ def real_complex_equivalence(P: Kernel, dim: int,
 
     if P.classify() != SYMMETRIC:
         raise ValueError("the change-of-variables identity needs a symmetric kernel")
-    system = real_system(dim, position, momentum)
-    u = FieldExpr.jet(position, (0,) * dim)
-    xi = FieldExpr.jet(momentum, (0,) * dim)
+    system = real_system(dim)
+    u = FieldExpr.jet("phi", (0,) * dim)
+    xi = FieldExpr.jet("pi", (0,) * dim)
     psi = u + xi.scale(I)
     psibar = u - xi.scale(I)
     mixed = bracket_fn(psi, psibar, P, system) \
@@ -49,19 +49,16 @@ def real_complex_equivalence(P: Kernel, dim: int,
     return [mixed, holo, anti]
 
 
-def nls_hamiltonian(dim: int, system: FieldSystem | None = None,
-                    holo: str = "psi", anti: str = "psibar") -> Functional:
+def nls_hamiltonian(dim: int) -> Functional:
     """H = integral of |grad psi|^2 + kappa |psi|^4 as a jet polynomial."""
-    if system is None:
-        system = complex_system(dim, holo, anti)
     kappa = FieldExpr.const_symbol("kappa", dim)
-    z0 = FieldExpr.jet(holo, (0,) * dim)
-    zb0 = FieldExpr.jet(anti, (0,) * dim)
+    z0 = FieldExpr.jet("psi", (0,) * dim)
+    zb0 = FieldExpr.jet("psibar", (0,) * dim)
     density = kappa * (z0 * zb0) ** 2
     for i in range(1, dim + 1):
         e = mi_unit(dim, i)
-        density = density + FieldExpr.jet(holo, e) * FieldExpr.jet(anti, e)
-    return Functional(density, system)
+        density = density + FieldExpr.jet("psi", e) * FieldExpr.jet("psibar", e)
+    return Functional(density, complex_system(dim))
 
 
 def nls_equation_of_motion(dim: int = 3, kappa_only: bool = False,

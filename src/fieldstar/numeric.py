@@ -18,6 +18,8 @@ from .jets import FieldExpr, FieldSystem, mi_order
 
 
 DEFAULT_CONSTANTS = {"m": 1.25, "kappa": 0.75}
+GRID_POINTS = 256  # per axis of a GridSampler's grid
+MAX_MODE = 3  # the largest wavenumber along an axis of a random profile
 
 
 def default_function(order: int, values: np.ndarray) -> np.ndarray:
@@ -28,15 +30,10 @@ def default_function(order: int, values: np.ndarray) -> np.ndarray:
 class GridSampler:
     """Random trigonometric field profiles on a periodic grid."""
 
-    def __init__(self, dim: int, points: int = 256, max_mode: int = 3,
-                 rng: random.Random | None = None):
-        self.dim = dim
-        self.points = points
-        self.max_mode = max_mode
-        self.rng = rng or random.Random(0)
-        axes = [np.arange(points) * (2 * math.pi / points) for _ in range(dim)]
-        self.grids = np.meshgrid(*axes, indexing="ij") if dim > 1 else \
-            [axes[0]]
+    def __init__(self, dim: int, rng: random.Random):
+        self.rng = rng
+        axis = np.arange(GRID_POINTS) * (2 * math.pi / GRID_POINTS)
+        self.grids = np.meshgrid(*[axis] * dim, indexing="ij")
 
     def profile(self) -> np.ndarray:
         """A random real band-limited profile."""
@@ -45,9 +42,9 @@ class GridSampler:
             amp = self.rng.uniform(-1.0, 1.0)
             phase = self.rng.uniform(0, 2 * math.pi)
             wave = np.zeros_like(out) + phase
-            for axis in range(self.dim):
-                k = self.rng.randint(-self.max_mode, self.max_mode)
-                wave = wave + k * self.grids[axis]
+            for grid in self.grids:
+                k = self.rng.randint(-MAX_MODE, MAX_MODE)
+                wave = wave + k * grid
             out = out + amp * np.sin(wave)
         return out
 
@@ -107,9 +104,10 @@ def grid_integral(values: np.ndarray) -> complex:
 
 
 def gateaux_derivative(density: FieldExpr, sort: str, profiles: dict,
-                       direction: np.ndarray, eps: float = 1e-3) -> float:
-    """Fourth-order central finite difference of eps -> integral of the
-    density along profiles[sort] + eps*direction."""
+                       direction: np.ndarray) -> float:
+    """Fourth-order central finite difference, step eps = 1e-3, of
+    eps -> integral of the density along profiles[sort] + eps*direction."""
+    eps = 1e-3
 
     def integral(e: float) -> float:
         shifted = dict(profiles)

@@ -14,9 +14,6 @@ Expressions:
 
 Kernels:
     delta, d1 delta, d1^2 d2 delta, i*delta + 2*d1 delta, ...
-
-Functionals:
-    int{x}: <density>
 """
 
 from __future__ import annotations
@@ -60,7 +57,7 @@ _TOKEN = re.compile(r"""
     (?P<ws>\s+)
   | (?P<num>\d+)
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*'*)
-  | (?P<sym>[-+*^/()\[\]{},:])
+  | (?P<sym>[-+*^/()\[\],])
 """, re.VERBOSE)
 
 
@@ -343,25 +340,6 @@ def parse_expr(text: str, ctx: ParseContext) -> FieldExpr:
     if not p.at_end():
         raise ParseError(f"trailing input {p.peek()[1]!r}", p.peek()[2])
     return result
-
-
-def parse_functional(text: str, ctx: ParseContext):
-    from .poisson import Functional
-
-    p = _Parser(text, ctx)
-    kind, tok, pos = p.next()
-    if tok != "int":
-        raise ParseError("functional must start with 'int{label}:'", pos)
-    p.expect("{")
-    k2, label, p2 = p.next()
-    if k2 != "name":
-        raise ParseError("integration label must be an identifier", p2)
-    p.expect("}")
-    p.expect(":")
-    density = p.parse_sum()
-    if not p.at_end():
-        raise ParseError(f"trailing input {p.peek()[1]!r}", p.peek()[2])
-    return Functional(density, ctx.system)
 
 
 def parse_kernel(text: str, ctx: ParseContext) -> Kernel:

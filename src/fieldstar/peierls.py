@@ -199,17 +199,10 @@ class SpectralField:
         k = self.wavenumbers()[:, None]
         return (self.coeffs[:, None] * np.exp(1j * k * x[None, :])).sum(axis=0)
 
-    def is_real(self, tol: float = 1e-12) -> bool:
+    def is_real(self) -> bool:
+        """Hermitian mode data (c_-k = conj c_k) to within 1e-12."""
         flipped = np.conj(self.coeffs[::-1])
-        return bool(np.max(np.abs(self.coeffs - flipped)) < tol)
-
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        if self.cutoff != other.cutoff:
-            raise ValueError("mode cutoff mismatch")
-        return SpectralField(self.coeffs + other.coeffs, self.cutoff)
-
-    def scale(self, c: complex) -> "SpectralField":
-        return SpectralField(self.coeffs * c, self.cutoff)
+        return bool(np.max(np.abs(self.coeffs - flipped)) < 1e-12)
 
 
 def frequencies(m: float, cutoff: int) -> np.ndarray:

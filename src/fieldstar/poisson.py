@@ -176,12 +176,3 @@ def bracket_functionals(F: Functional, G: Functional, P: Kernel,
                 "definitional and closed-form functional brackets differ")
     return result
 
-
-def leibniz_module_bracket_functional(H: Functional, g: FieldExpr, y: str,
-                                      F: Functional, P: Kernel,
-                                      system: FieldSystem):
-    """{H, g@y * F}_P = g*{H,F} + F*{H,g} as (Functional, FieldExpr) pairs."""
-    return [
-        (bracket_functionals(H, F, P, system, cross_check=False), g),
-        (F, bracket_functional_density(H, g, P, system, y, cross_check=False)),
-    ]

@@ -1,7 +1,7 @@
 """Pretty-printing and canonical JSON serialization.
 
 Text output uses the same grammar the parser reads, so rendered field
-expressions, densities, functionals, and kernels round-trip.  Tensor
+expressions, densities, and kernels round-trip.  Tensor
 expressions render with explicit point labels (``phi{x}``, ``delta{x,y}``)
 for diagnostics; they are not part of the input grammar.
 
@@ -213,16 +213,10 @@ def _atom_json(atom):
     return ["j", atom[1], list(atom[2])]
 
 
-def field_expr_json(expr: FieldExpr, kind: str = "expr") -> dict:
+def field_expr_json(expr: FieldExpr) -> dict:
     data = [[_grat_json(expr.terms[mon]), [_atom_json(a) for a in mon], []]
             for mon in sorted(expr.terms)]
-    return {"kind": kind, "dim": expr.dim, "data": data}
-
-
-def kernel_json(P: Kernel) -> dict:
-    data = [[_grat_json(P.terms[g]), list(g)]
-            for g in sorted(P.terms, key=lambda g: (mi_order(g), g))]
-    return {"kind": "kernel", "dim": P.dim, "data": data}
+    return {"kind": "expr", "dim": expr.dim, "data": data}
 
 
 def tensor_expr_json(T: TensorExpr) -> dict:
@@ -243,18 +237,14 @@ def series_json(coeffs: dict, dim: int, order: int, exact: bool) -> dict:
 
 
 def to_json(value) -> dict:
-    from .poisson import Functional
+    """The canonical JSON of what a command prints: a field expression, a
+    tensor expression or a series."""
     from .star import HbarSeries
 
     if isinstance(value, FieldExpr):
         return field_expr_json(value)
-    if isinstance(value, Kernel):
-        return kernel_json(value)
     if isinstance(value, TensorExpr):
         return tensor_expr_json(value)
-    if isinstance(value, Functional):
-        out = field_expr_json(value.density, kind="functional")
-        return out
     if isinstance(value, HbarSeries):
         return series_json(value.coeffs, value.dim, value.order, value.exact)
     raise TypeError(f"no canonical JSON form for {type(value).__name__}")

@@ -81,6 +81,8 @@ def _build_system(dim: int, entries: list) -> FieldSystem:
         kind = entry.get("kind", "real")
         if not name:
             raise ConfigError("field entry needs a name")
+        if entry.get("pair") == name:
+            raise ConfigError(f"field {name!r} cannot be paired with itself")
         if kind == "real":
             pair = entry.get("pair")
             if not pair:
@@ -102,6 +104,15 @@ def _build_system(dim: int, entries: list) -> FieldSystem:
     return system
 
 
+def _is_field_list(v) -> bool:
+    """A list of objects whose name, kind and pair, where given, are strings
+    ("pair" may be left out, as a complex field's default is name + "bar")."""
+    return type(v) is list and all(
+        type(e) is dict and all(type(e[k]) is str
+                                for k in ("name", "kind", "pair") if k in e)
+        for e in v)
+
+
 _INT = (lambda v: type(v) is int, "an integer")  # a bool is no JSON integer
 _STR = (lambda v: type(v) is str, "a string")
 # the JSON type each key must have, and its name in the error message
@@ -114,6 +125,8 @@ _TYPES = {
     "functions": (lambda v: type(v) is dict
                   and all(type(b) is bool for b in v.values()),
                   "an object of booleans"),
+    "fields": (_is_field_list,
+               "a list of objects with string name, kind and pair"),
 }
 
 
@@ -129,7 +142,7 @@ def load_config(data: dict) -> SessionConfig:
         system = _build_system(dim, data.get("fields", []))
     except ConfigError:
         raise
-    except Exception as exc:
+    except ValueError as exc:  # from FieldSystem, once the types are checked
         raise ConfigError(str(exc)) from exc
     return SessionConfig(
         dim=dim,

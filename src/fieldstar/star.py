@@ -20,7 +20,7 @@ from .euler_lagrange import _joint_dual, _partials
 from .jets import FieldExpr, FieldSystem, TermDict, _acc
 from .kernels import Kernel, bracket_sign
 from .poisson import Functional, LabelCollision, bracket_fn
-from .rationals import GRat, ONE
+from .rationals import GRat, I
 from .sigma import _check_dims, _factor, _sort_pair, sigma_terms
 from .tensor import TensorExpr
 
@@ -150,58 +150,43 @@ def star_grouped(A: HbarSeries, labels_a, B: HbarSeries, labels_b, P: Kernel,
 
 
 def commutator_semiclassical(f: FieldExpr, g: FieldExpr, P: Kernel,
-                             system: FieldSystem, a: str = "x", b: str = "y",
-                             order: int = 3) -> HbarSeries:
-    """(f*g - g*f) minus the first-order bracket term; O(hbar^2) contract.
+                             system: FieldSystem, a: str = "x",
+                             b: str = "y") -> HbarSeries:
+    """(f*g - g*f) minus the first-order bracket term, through order 3;
+    O(hbar^2) contract.
 
     The comparison kernel is P + P^t for a symmetric P and P - P^t for an
     antisymmetric one (both equal 2P in pure parity); the swap places g at
     label b and f at label a in both products.
     """
-    fg = star_fn(f, g, P, system, a, b, order)
-    gf = star_fn(g, f, P, system, b, a, order)
+    fg = star_fn(f, g, P, system, a, b, 3)
+    gf = star_fn(g, f, P, system, b, a, 3)
     if bracket_sign(P) < 0:
         Q = P + P.transpose()
     else:
         Q = P - P.transpose()
     br = bracket_fn(f, g, Q, system, a, b)
-    return fg - gf - HbarSeries(f.dim, {1: br}, order, True)
+    return fg - gf - HbarSeries(f.dim, {1: br}, 3, True)
 
 
 # ---------------------------------------------------------------------------
 # functional-level products
 
-class FunctionalDensitySeries:
-    """F * g: a formal product term at order zero plus a density tail."""
-
-    __slots__ = ("functional", "density", "tail", "order", "exact")
-
-    def __init__(self, functional: Functional, density: FieldExpr, tail: dict,
-                 order: int, exact: bool):
-        self.functional = functional
-        self.density = density
-        self.tail = {k: v for k, v in tail.items() if not v.is_zero()}
-        self.order = order
-        self.exact = exact
-
-
 class FunctionalSeries:
-    """F * G: a formal product term at order zero plus a Functional tail."""
+    """F * g or F * G: a formal product term at order zero, left implicit,
+    plus a tail of densities or Functionals keyed by order."""
 
-    __slots__ = ("left", "right", "tail", "order", "exact")
+    __slots__ = ("tail", "order", "exact")
 
-    def __init__(self, left: Functional, right: Functional, tail: dict,
-                 order: int, exact: bool):
-        self.left = left
-        self.right = right
-        self.tail = {k: v for k, v in tail.items() if not v.is_null()}
+    def __init__(self, tail: dict, order: int, exact: bool):
+        self.tail = tail
         self.order = order
         self.exact = exact
 
 
 def star_functional_density(F: Functional, g: FieldExpr, P: Kernel,
                             system: FieldSystem, order: int = 6,
-                            cross_check: bool = False) -> FunctionalDensitySeries:
+                            cross_check: bool = False) -> FunctionalSeries:
     """F * g@y: function-level star integrated over F's label.
 
     With a delta kernel the closed form through dual derivatives is
@@ -210,7 +195,9 @@ def star_functional_density(F: Functional, g: FieldExpr, P: Kernel,
     S = star_fn(F.density, g, P, system, "x", "y", order)
     tail = {k: T.integrate_out("x").to_field_expr("y")
             for k, T in S.terms.items() if k >= 1}
-    result = FunctionalDensitySeries(F, g, tail, order, S.exact)
+    # zero densities are dropped
+    result = FunctionalSeries({k: v for k, v in tail.items() if v}, order,
+                              S.exact)
     if cross_check:
         closed = star_functional_density_closed(F, g, P, system, order)
         if {k: v for k, v in result.tail.items() if k <= order} != closed:
@@ -273,7 +260,9 @@ def star_functionals(F: Functional, G: Functional, P: Kernel,
     tail = {k: Functional(T.integrate_out("x").to_field_expr("y"), system,
                           check=False)
             for k, T in S.terms.items() if k >= 1}
-    result = FunctionalSeries(F, G, tail, order, S.exact)
+    # null functionals, total divergences among them, are dropped
+    result = FunctionalSeries({k: v for k, v in tail.items()
+                               if not v.is_null()}, order, S.exact)
     if cross_check:
         closed = star_functionals_closed(F, G, P, system, order)
         keys = set(result.tail) | set(closed)
@@ -385,24 +374,20 @@ class TruncationError(RuntimeError):
 
 
 def equation_of_motion(H: Functional, field: FieldExpr, P: Kernel,
-                       system: FieldSystem, prefactor=None,
-                       order: int = 6) -> FieldExpr:
+                       system: FieldSystem) -> FieldExpr:
     """Time derivative of a linear field from the star commutator with H.
 
     The commutator equals the bracket with the doubled kernel, so the
-    equation of motion is prefactor * {H, field}_P; the star route is
-    computed as well and the factor-two relation asserted exactly.
+    equation of motion is i * {H, field}_P; the star route is computed
+    through order 6 as well and the factor-two relation asserted exactly.
     """
     from .poisson import bracket_functional_density
 
-    if prefactor is None:
-        prefactor = ONE
-    Hf = star_fn(H.density, field, P, system, "x", "y", order)
-    fH = star_fn(field, H.density, P, system, "y", "x", order)
+    Hf = star_fn(H.density, field, P, system, "x", "y", 6)
+    fH = star_fn(field, H.density, P, system, "y", "x", 6)
     comm = Hf - fH
     if not comm.exact:
-        raise TruncationError(
-            f"star commutator did not terminate within order {order}")
+        raise TruncationError("star commutator did not terminate within order 6")
     total = FieldExpr.zero(field.dim)
     for k, T in comm.terms.items():
         if k == 0:
@@ -415,4 +400,4 @@ def equation_of_motion(H: Functional, field: FieldExpr, P: Kernel,
     if total != bracket + bracket:
         raise AssertionError(
             "star commutator does not equal the bracket with doubled kernel")
-    return bracket.scale(prefactor)
+    return bracket.scale(I)

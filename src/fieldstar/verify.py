@@ -249,7 +249,7 @@ def verify_variational_oracle(seed: int = 0) -> VerifyReport:
 
     rng = random.Random(seed)
     system = real_system(1)
-    sampler = GridSampler(1, 256, rng=random.Random(seed + 1))
+    sampler = GridSampler(1, random.Random(seed + 1))
 
     def checks():
         for _ in range(20):

@@ -144,8 +144,8 @@ def test_criterion_07_wave_equation():
     P = Kernel.delta(dim, I)
     xi0 = FieldExpr.jet("pi", (0,) * dim)
     u0 = FieldExpr.jet("phi", (0,) * dim)
-    pidot = equation_of_motion(H, xi0, P, system, prefactor=I)
-    phidot = equation_of_motion(H, u0, P, system, prefactor=I)
+    pidot = equation_of_motion(H, xi0, P, system)
+    phidot = equation_of_motion(H, u0, P, system)
     ok = render_field_expr(pidot) == "laplacian(phi) - m^2*phi - U'(phi)"
     ok &= render_field_expr(phidot) == "pi"
     _report(7, "wave equation example", ok)

@@ -173,6 +173,15 @@ def test_config_with_two_field_pairs_is_rejected(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_config_field_paired_with_itself_is_rejected(tmp_path, capsys):
+    config = dict(KG_CONFIG, fields=[{"name": "phi", "kind": "real",
+                                      "pair": "phi"}])
+    path = _write(tmp_path, "self.json", config)
+    assert main(["eom", "--config", path, "--field", "phi"]) == 2
+    assert capsys.readouterr().err == (
+        "error: field 'phi' cannot be paired with itself\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["bracket", "1/0", "pi"],
     ["vardiff", "1/0", "--field", "phi"],
@@ -242,7 +251,9 @@ def test_config_exponent_above_the_bound_exits_two(tmp_path, capsys):
     ("dim", "x"), ("dim", 3.5), ("dim", True), ("order", [1]), ("seed", "x"),
     ("tolerance", "tight"), ("constants", 5), ("constants", ["m", 1]),
     ("functions", 5), ("functions", {"U": "no"}), ("functions", {"U": 0}),
-    ("kernel", 5), ("hamiltonian", 5),
+    ("kernel", 5), ("hamiltonian", 5), ("fields", ["phi"]),
+    ("fields", [{"name": 3, "kind": "real", "pair": "pi"}]),
+    ("fields", [{"name": "phi", "kind": "real", "pair": ["pi"]}]),
 ])
 def test_config_value_of_the_wrong_json_type_exits_two(key, value, tmp_path,
                                                        capsys):

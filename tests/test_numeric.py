@@ -45,7 +45,7 @@ def test_expression_evaluation_matches_direct_formula():
 def test_total_derivative_matches_spectral_differentiation():
     rng = random.Random(41)
     system = real_system(1)
-    sampler = GridSampler(1, 256, rng=random.Random(42))
+    sampler = GridSampler(1, random.Random(42))
     for _ in range(5):
         f = random_density(system, rng, max_degree=3, max_jet_order=1,
                            terms=3, complex_ok=False)
@@ -58,7 +58,7 @@ def test_total_derivative_matches_spectral_differentiation():
 def test_variational_oracle_agreement():
     rng = random.Random(43)
     system = real_system(1)
-    sampler = GridSampler(1, 256, rng=random.Random(44))
+    sampler = GridSampler(1, random.Random(44))
     for _ in range(5):
         density = random_density(system, rng, max_degree=3, max_jet_order=2,
                                  terms=3, constants=("m",),

@@ -10,7 +10,6 @@ from fieldstar.parser import (
     ParseError,
     default_context,
     parse_expr,
-    parse_functional,
     parse_kernel,
 )
 from fieldstar.randexpr import random_expr
@@ -67,15 +66,6 @@ def test_kernel_grammar():
     assert parse_kernel("i*delta", CTX1) == Kernel.delta(1, I)
     assert parse_kernel("d1^2 d3 delta", CTX3) \
         == Kernel.derivative_delta(3, (2, 0, 1))
-
-
-def test_functional_grammar_enforces_condition_b():
-    F = parse_functional("int{x}: phi*pi", CTX1)
-    assert F.density == FieldExpr.jet("phi", (0,)) * FieldExpr.jet("pi", (0,))
-    from fieldstar.poisson import ConditionBViolation
-
-    with pytest.raises(ConditionBViolation):
-        parse_functional("int{x}: phi + 1", CTX1)
 
 
 def test_parse_errors_carry_positions():

@@ -22,7 +22,6 @@ from fieldstar.poisson import (
     bracket_functionals,
     functional_null,
     jacobi_residual,
-    leibniz_module_bracket_functional,
 )
 from fieldstar.randexpr import random_density, random_expr
 from fieldstar.rationals import GRat, I
@@ -213,19 +212,6 @@ def test_density_functional_bracket_mirrors_functional_density():
     rhs = -bracket_functional_density(F, xi(), P, SYS1, y="z",
                                       cross_check=False)
     assert lhs == rhs
-
-
-def test_module_leibniz_law_for_functionals():
-    P = Kernel.delta(1)
-    H = Functional(u() * xi(), SYS1)
-    F = Functional(u() ** 2, SYS1)
-    g = xi()
-    pairs = leibniz_module_bracket_functional(H, g, "y", F, P, SYS1)
-    assert len(pairs) == 2
-    (HF, gg), (FF, Hg) = pairs
-    assert gg == g and FF == F
-    assert HF == bracket_functionals(H, F, P, SYS1, cross_check=False)
-    assert Hg == bracket_functional_density(H, g, P, SYS1, cross_check=False)
 
 
 def test_three_dimensional_basic_bracket():

@@ -185,6 +185,24 @@ def test_functional_functional_star_tail():
     assert series.tail[1] == Functional((u() ** 2).scale(-2), SYS1)
 
 
+def test_functional_star_tails_drop_vanishing_orders():
+    # int phi^2 * pi*pi[1]: the order-2 density is zero and is dropped
+    P = Kernel.delta(1)
+    F = Functional(u() ** 2, SYS1)
+    density = star_functional_density(F, xi() * xi((1,)), P, SYS1,
+                                      cross_check=True)
+    two = GRat(2)
+    assert density.tail == {
+        1: (u() * xi((1,))).scale(two) + (u((1,)) * xi()).scale(two)}
+    assert density.exact
+    # int phi^2 * int pi*pi[1]: the order-1 functional is the divergence
+    # D(2*phi*pi), a null functional, and is dropped
+    functionals = star_functionals(F, Functional(xi() * xi((1,)), SYS1), P,
+                                   SYS1, cross_check=True)
+    assert functionals.tail == {}
+    assert functionals.exact
+
+
 def test_star_closed_forms_cross_check_random():
     rng = random.Random(17)
     for P in default_kernels(1):
@@ -246,14 +264,14 @@ def test_wave_equation_equations_of_motion():
     P = Kernel.delta(dim, I)
     u0 = FieldExpr.jet("phi", (0,) * dim)
     xi0 = FieldExpr.jet("pi", (0,) * dim)
-    pidot = equation_of_motion(H, xi0, P, system, prefactor=I)
+    pidot = equation_of_motion(H, xi0, P, system)
     m = FieldExpr.const_symbol("m", dim)
     U1 = FieldExpr.function("U", "phi", dim, order=1)
     laplacian = FieldExpr.zero(dim)
     for index in ((2, 0, 0), (0, 2, 0), (0, 0, 2)):
         laplacian = laplacian + FieldExpr.jet("phi", index)
     assert pidot == laplacian - m * m * u0 - U1
-    assert equation_of_motion(H, u0, P, system, prefactor=I) == xi0
+    assert equation_of_motion(H, u0, P, system) == xi0
 
 
 def test_complex_pairing_star_example():
