@@ -34,7 +34,6 @@ def _session(args) -> SessionConfig:
         if dim < 1:
             raise ConfigError("session dimension must be >= 1")
         # keep the declared fields, at the new dimension
-        changes["dim"] = dim
         changes["system"] = FieldSystem(dim, list(cfg.system.sorts.values()))
     for option, name in (("kernel", "kernel_text"), ("order", "order"),
                          ("seed", "seed")):
@@ -54,11 +53,16 @@ def _emit(value, args) -> None:
         print(render_tensor_expr(value))
 
 
+def _check_field(cfg: SessionConfig, name: str) -> None:
+    """Refuse a --field that the session's system does not declare."""
+    if name not in cfg.system.sort_names():
+        raise ConfigError(f"unknown field {name!r}")
+
+
 def cmd_bracket(args) -> int:
     cfg = _session(args)
-    ctx = cfg.context()
-    f = parse_expr(args.f, ctx)
-    g = parse_expr(args.g, ctx)
+    f = parse_expr(args.f, cfg)
+    g = parse_expr(args.g, cfg)
     result = bracket_fn(f, g, cfg.kernel(), cfg.system)
     _emit(result, args)
     return 0
@@ -66,9 +70,8 @@ def cmd_bracket(args) -> int:
 
 def cmd_star(args) -> int:
     cfg = _session(args)
-    ctx = cfg.context()
-    f = parse_expr(args.f, ctx)
-    g = parse_expr(args.g, ctx)
+    f = parse_expr(args.f, cfg)
+    g = parse_expr(args.g, cfg)
     series = star_fn(f, g, cfg.kernel(), cfg.system, order=cfg.order)
     if args.json:
         print(dumps_canonical(to_json(series)))
@@ -83,11 +86,8 @@ def cmd_star(args) -> int:
 def cmd_eom(args) -> int:
     cfg = _session(args)
     H = cfg.hamiltonian()
-    sort = args.field
-    if sort not in cfg.system.sort_names():
-        print(f"error: unknown field {sort!r}", file=sys.stderr)
-        return 2
-    field = FieldExpr.jet(sort, mi_zero(cfg.dim), cfg.dim)
+    _check_field(cfg, args.field)
+    field = FieldExpr.jet(args.field, mi_zero(cfg.dim), cfg.dim)
     result = equation_of_motion(H, field, cfg.kernel(), cfg.system)
     _emit(result, args)
     return 0
@@ -95,10 +95,8 @@ def cmd_eom(args) -> int:
 
 def cmd_vardiff(args) -> int:
     cfg = _session(args)
-    f = parse_expr(args.density, cfg.context())
-    if args.field not in cfg.system.sort_names():
-        print(f"error: unknown field {args.field!r}", file=sys.stderr)
-        return 2
+    f = parse_expr(args.density, cfg)
+    _check_field(cfg, args.field)
     _emit(variational_derivative(f, args.field), args)
     return 0
 
@@ -121,7 +119,7 @@ def cmd_verify(args) -> int:
     rng = random.Random(cfg.seed)
     system = complex_system(cfg.dim) if args.pairing == "complex" \
         else cfg.system
-    kernels = [parse_kernel(args.kernel, cfg.context())] if args.kernel \
+    kernels = [parse_kernel(args.kernel, cfg)] if args.kernel \
         else V.default_kernels(cfg.dim)
     # the suites run once per kernel, each with its share of --trials
     per_kernel = {"jacobi": (V.verify_jacobi, 1), "assoc": (V.verify_assoc, 5),
@@ -177,11 +175,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact symbolic brackets and star products of scalar fields")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, order=False, json=True):
+    # each command takes only the session flags it reads
+    def common(p, kernel=True, seed=False, order=False, json=True):
         p.add_argument("--config", help="session config (canonical JSON)")
         p.add_argument("--dim", type=int, help="session dimension")
-        p.add_argument("--kernel", help="kernel text, e.g. 'i*delta'")
-        p.add_argument("--seed", type=int, help="random seed")
+        if kernel:
+            p.add_argument("--kernel", help="kernel text, e.g. 'i*delta'")
+        if seed:
+            p.add_argument("--seed", type=int, help="random seed")
         if json:
             p.add_argument("--json", action="store_true",
                            help="emit canonical JSON")
@@ -208,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vardiff", help="variational derivative of a density")
     p.add_argument("density")
     p.add_argument("--field", required=True)
-    common(p)
+    common(p, kernel=False)
     p.set_defaults(func=cmd_vardiff)
 
     p = sub.add_parser("classify", help="classify a kernel's parity")
@@ -221,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      "complex-equiv", "peierls"])
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--pairing", choices=["real", "complex"], default="real")
-    common(p, json=False)
+    common(p, seed=True, json=False)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("peierls", help="Green-function numerics")

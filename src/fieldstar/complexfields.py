@@ -61,28 +61,13 @@ def nls_hamiltonian(dim: int) -> Functional:
     return Functional(density, complex_system(dim))
 
 
-def nls_equation_of_motion(dim: int = 3, kappa_only: bool = False,
-                           gradient_only: bool = False) -> FieldExpr:
-    """Right-hand side of i psi_t = i {H, psi}_{i delta}.
-
-    Returns -laplacian(psi) + 2 kappa |psi|^2 psi for the full Hamiltonian;
-    the flags drop the gradient or interaction part for the specializations.
-    """
-    system = complex_system(dim)
-    kappa = FieldExpr.const_symbol("kappa", dim)
-    z0 = FieldExpr.jet("psi", (0,) * dim)
-    zb0 = FieldExpr.jet("psibar", (0,) * dim)
-    density = FieldExpr.zero(dim)
-    if not gradient_only:
-        density = density + kappa * (z0 * zb0) ** 2
-    if not kappa_only:
-        for i in range(1, dim + 1):
-            e = mi_unit(dim, i)
-            density = density + FieldExpr.jet("psi", e) * FieldExpr.jet("psibar", e)
-    H = Functional(density, system)
-    P = Kernel.delta(dim, I)
-    rhs = bracket_functional_density(H, z0, P, system).scale(I)
-    return rhs
+def nls_equation_of_motion(dim: int = 3) -> FieldExpr:
+    """Right-hand side of i psi_t = i {H, psi}_{i delta} for the NLS
+    Hamiltonian: -laplacian(psi) + 2 kappa |psi|^2 psi."""
+    H = nls_hamiltonian(dim)
+    psi = FieldExpr.jet("psi", (0,) * dim)
+    return bracket_functional_density(H, psi, Kernel.delta(dim, I),
+                                      H.system).scale(I)
 
 
 def conjugation_residual(f: FieldExpr, g: FieldExpr, P: Kernel,

@@ -68,17 +68,17 @@ class FieldSystem:
         return sorted(self.sorts)
 
 
-def real_system(dim: int, position: str = "phi", momentum: str = "pi") -> FieldSystem:
+def real_system(dim: int) -> FieldSystem:
     return FieldSystem(dim, [
-        FieldSort(position, "position", momentum),
-        FieldSort(momentum, "momentum", position),
+        FieldSort("phi", "position", "pi"),
+        FieldSort("pi", "momentum", "phi"),
     ])
 
 
-def complex_system(dim: int, holo: str = "psi", anti: str = "psibar") -> FieldSystem:
+def complex_system(dim: int) -> FieldSystem:
     return FieldSystem(dim, [
-        FieldSort(holo, "holomorphic", anti),
-        FieldSort(anti, "antiholomorphic", holo),
+        FieldSort("psi", "holomorphic", "psibar"),
+        FieldSort("psibar", "antiholomorphic", "psi"),
     ])
 
 

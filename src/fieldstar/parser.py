@@ -19,13 +19,16 @@ Kernels:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
+from typing import TYPE_CHECKING
 
-from .jets import FieldExpr, FieldSystem, mi_zero, real_system
+from .jets import FieldExpr, mi_zero
 from .kernels import Kernel
 from .rationals import GRat, I, ONE
+
+if TYPE_CHECKING:
+    from .session import SessionConfig
 
 
 class ParseError(ValueError):
@@ -34,23 +37,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-
-
-@dataclass
-class ParseContext:
-    """Symbol environment: session dimension, sorts, declared names."""
-
-    system: FieldSystem
-    constants: frozenset = frozenset({"m", "kappa"})
-    functions: dict = field(default_factory=lambda: {"U": True})
-
-    @property
-    def dim(self) -> int:
-        return self.system.dim
-
-
-def default_context(dim: int = 3) -> ParseContext:
-    return ParseContext(real_system(dim))
 
 
 _TOKEN = re.compile(r"""
@@ -102,9 +88,12 @@ def _natural(text: str, pos: int) -> int:
 
 
 class _Parser:
-    def __init__(self, text: str, ctx: ParseContext):
+    """Reads only the session's system, constants and functions."""
+
+    def __init__(self, text: str, cfg: SessionConfig):
         self.text = text
-        self.ctx = ctx
+        self.cfg = cfg
+        self.dim = cfg.system.dim
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -175,7 +164,7 @@ class _Parser:
 
     def parse_primary(self) -> FieldExpr:
         kind, text, pos = self.next()
-        dim = self.ctx.dim
+        dim = self.dim
         if text == "(":
             inner = self.parse_sum()
             self.expect(")")
@@ -197,8 +186,7 @@ class _Parser:
         raise ParseError(f"unexpected token {text!r}", pos)
 
     def parse_name(self, name: str, pos: int) -> FieldExpr:
-        ctx = self.ctx
-        dim = ctx.dim
+        dim = self.dim
         if name == "i":
             return FieldExpr.const(I, dim)
         deriv = _DERIV.match(name)
@@ -222,26 +210,26 @@ class _Parser:
             return result
         order = len(name) - len(name.rstrip("'"))
         base = name.rstrip("'")
-        if base in ctx.functions or (order > 0 and self.peek()[1] == "("):
+        if base in self.cfg.functions or (order > 0 and self.peek()[1] == "("):
             if self.peek()[1] != "(":
                 raise ParseError(f"function symbol {base!r} needs an argument", pos)
             self.next()
             k2, arg, p2 = self.next()
-            if k2 != "name" or arg not in ctx.system.sort_names():
+            if k2 != "name" or arg not in self.cfg.system.sort_names():
                 raise ParseError(f"function argument must be a field sort, "
                                  f"found {arg!r}", p2)
             self.expect(")")
-            vanishes = ctx.functions.get(base, True)
+            vanishes = self.cfg.functions.get(base, True)
             return FieldExpr.function(base, arg, dim, order, vanishes)
         if order:
             raise ParseError(f"primes are only valid on function symbols", pos)
-        if name in ctx.system.sort_names():
+        if name in self.cfg.system.sort_names():
             if self.peek()[1] == "[":
                 self.next()
                 index = self.parse_index()
                 return FieldExpr.jet(name, index, dim)
             return FieldExpr.jet(name, mi_zero(dim), dim)
-        if name in ctx.constants:
+        if name in self.cfg.constants:
             return FieldExpr.const_symbol(name, dim)
         raise ParseError(f"unknown symbol {name!r}", pos)
 
@@ -257,16 +245,15 @@ class _Parser:
                 break
             if text != ",":
                 raise ParseError("expected ',' or ']' in multi-index", pos)
-        if len(entries) != self.ctx.dim:
+        if len(entries) != self.dim:
             raise ParseError(f"multi-index length {len(entries)} != session "
-                             f"dimension {self.ctx.dim}", pos)
+                             f"dimension {self.dim}", pos)
         return tuple(entries)
 
     # -- kernel grammar -----------------------------------------------------
 
     def parse_kernel(self) -> Kernel:
-        dim = self.ctx.dim
-        result = Kernel.zero(dim)
+        result = Kernel.zero(self.dim)
         negate = False
         if self.peek()[1] in ("+", "-"):
             negate = self.next()[1] == "-"
@@ -281,7 +268,7 @@ class _Parser:
         return result
 
     def parse_kernel_term(self) -> Kernel:
-        dim = self.ctx.dim
+        dim = self.dim
         coeff = ONE
         gamma = list(mi_zero(dim))
         while True:
@@ -334,16 +321,16 @@ def _as_scalar(expr: FieldExpr, pos: int) -> GRat:
     return expr.terms[()]
 
 
-def parse_expr(text: str, ctx: ParseContext) -> FieldExpr:
-    p = _Parser(text, ctx)
+def parse_expr(text: str, cfg: SessionConfig) -> FieldExpr:
+    p = _Parser(text, cfg)
     result = p.parse_sum()
     if not p.at_end():
         raise ParseError(f"trailing input {p.peek()[1]!r}", p.peek()[2])
     return result
 
 
-def parse_kernel(text: str, ctx: ParseContext) -> Kernel:
-    p = _Parser(text, ctx)
+def parse_kernel(text: str, cfg: SessionConfig) -> Kernel:
+    p = _Parser(text, cfg)
     result = p.parse_kernel()
     if not p.at_end():
         raise ParseError(f"trailing input {p.peek()[1]!r}", p.peek()[2])

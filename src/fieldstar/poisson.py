@@ -91,15 +91,6 @@ class Functional:
     def __add__(self, other: "Functional") -> "Functional":
         return Functional(self.density + other.density, self.system, check=False)
 
-    def __sub__(self, other: "Functional") -> "Functional":
-        return Functional(self.density - other.density, self.system, check=False)
-
-    def __neg__(self) -> "Functional":
-        return Functional(-self.density, self.system, check=False)
-
-    def scale(self, c) -> "Functional":
-        return Functional(self.density.scale(c), self.system, check=False)
-
     def is_null(self) -> bool:
         """True iff the functional vanishes (density is a total divergence)."""
         return functional_null(self.density, self.system)

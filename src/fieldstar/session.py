@@ -24,6 +24,11 @@ import json
 from dataclasses import dataclass, field
 
 from .jets import FieldSort, FieldSystem, real_system
+from .parser import parse_expr, parse_kernel
+from .poisson import Functional
+
+# the session dimension when neither the config nor --dim gives one
+DEFAULT_DIM = 3
 
 
 class ConfigError(ValueError):
@@ -32,8 +37,11 @@ class ConfigError(ValueError):
 
 @dataclass
 class SessionConfig:
-    dim: int = 3
-    system: FieldSystem = None
+    """The one settings object of a session; the parser reads its system,
+    constants and functions.  Its field defaults are the defaults of every
+    config key a file leaves out."""
+
+    system: FieldSystem = field(default_factory=lambda: real_system(DEFAULT_DIM))
     constants: frozenset = frozenset({"m", "kappa"})
     functions: dict = field(default_factory=lambda: {"U": True})
     kernel_text: str = "delta"
@@ -43,33 +51,20 @@ class SessionConfig:
     hamiltonian_text: str | None = None
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ConfigError("session dimension must be >= 1")
         if self.order < 0:
             raise ConfigError("series order must be >= 0")
-        if self.system is None:
-            self.system = real_system(self.dim)
-        if self.dim != self.system.dim:
-            raise ConfigError("field system dimension disagrees with session")
 
-    def context(self):
-        from .parser import ParseContext
-
-        return ParseContext(self.system, self.constants, dict(self.functions))
+    @property
+    def dim(self) -> int:
+        return self.system.dim
 
     def kernel(self):
-        from .parser import parse_kernel
-
-        return parse_kernel(self.kernel_text, self.context())
+        return parse_kernel(self.kernel_text, self)
 
     def hamiltonian(self):
-        from .parser import parse_expr
-        from .poisson import Functional
-
         if self.hamiltonian_text is None:
             raise ConfigError("no hamiltonian declared in the session config")
-        return Functional(parse_expr(self.hamiltonian_text, self.context()),
-                          self.system)
+        return Functional(parse_expr(self.hamiltonian_text, self), self.system)
 
 
 def _build_system(dim: int, entries: list) -> FieldSystem:
@@ -128,6 +123,14 @@ _TYPES = {
     "fields": (_is_field_list,
                "a list of objects with string name, kind and pair"),
 }
+# the SessionConfig field each other key sets, and the conversion of its
+# checked JSON value
+_SETTINGS = {
+    "constants": ("constants", frozenset), "functions": ("functions", dict),
+    "kernel": ("kernel_text", str), "order": ("order", int),
+    "tolerance": ("tolerance", float), "seed": ("seed", int),
+    "hamiltonian": ("hamiltonian_text", str),
+}
 
 
 def load_config(data: dict) -> SessionConfig:
@@ -137,24 +140,17 @@ def load_config(data: dict) -> SessionConfig:
         if key in data and not ok(data[key]):
             raise ConfigError(f"config {key!r} must be {kind}, "
                               f"got {json.dumps(data[key])}")
-    dim = data.get("dim", 3)
     try:
-        system = _build_system(dim, data.get("fields", []))
+        system = _build_system(data.get("dim", DEFAULT_DIM),
+                               data.get("fields", []))
     except ConfigError:
         raise
     except ValueError as exc:  # from FieldSystem, once the types are checked
         raise ConfigError(str(exc)) from exc
-    return SessionConfig(
-        dim=dim,
-        system=system,
-        constants=frozenset(data.get("constants", ["m", "kappa"])),
-        functions=dict(data.get("functions", {"U": True})),
-        kernel_text=data.get("kernel", "delta"),
-        order=data.get("order", 6),
-        tolerance=float(data.get("tolerance", 1e-8)),
-        seed=data.get("seed", 0),
-        hamiltonian_text=data.get("hamiltonian"),
-    )
+    # a key the file leaves out takes SessionConfig's default
+    return SessionConfig(system, **{name: convert(data[key])
+                                    for key, (name, convert) in _SETTINGS.items()
+                                    if key in data})
 
 
 def load_config_file(path: str) -> SessionConfig:

@@ -83,33 +83,31 @@ def series_mul(A: HbarSeries, B: HbarSeries) -> HbarSeries:
 
 
 def exp_sigma(S: HbarSeries | list, a: str, b: str, P: Kernel,
-              system: FieldSystem, order: int | None = None) -> HbarSeries:
-    """Apply the exponential of one operator instance to a series.
+              system: FieldSystem, order: int) -> HbarSeries:
+    """Apply the exponential of one operator instance to a series, through
+    ``order``.
 
     ``S`` is an HbarSeries or a list of (L, R) TensorExpr pairs; the list
     stands for the exact series whose only coefficient, at order 0, is the
     sum of the products L (x) R, and goes to ``sigma_terms`` as it is
-    (L holds the atoms at ``a``).  The order is then required.
+    (L holds the atoms at ``a``).
     """
     pairs = None
     if not isinstance(S, HbarSeries):
-        if order is None:
-            raise ValueError("factor pairs need an order")
         pairs, start = S, {}
         dim = _check_dims(pairs, P, system)
         for L, R in pairs:
             _acc(start, 0, L * R)
         S = HbarSeries(dim, start, order, True)
-    K = S.order if order is None else order
     coeffs: dict = {}
     exact = S.exact
     for j, Tj in S.terms.items():
-        if j > K:
+        if j > order:
             continue
         _acc(coeffs, j, Tj)
         gen = sigma_terms(_factor(Tj, a) if pairs is None else pairs,
                           a, b, P, system)
-        for k in range(j + 1, K + 1):
+        for k in range(j + 1, order + 1):
             Tk = next(gen, None)
             if Tk is None:
                 break
@@ -118,7 +116,7 @@ def exp_sigma(S: HbarSeries | list, a: str, b: str, P: Kernel,
             # terminated within the order budget only if nothing is left
             if next(gen, None) is not None:
                 exact = False
-    return HbarSeries(S.dim, coeffs, K, exact)
+    return HbarSeries(S.dim, coeffs, order, exact)
 
 
 def star_fn(f: FieldExpr, g: FieldExpr, P: Kernel, system: FieldSystem,
@@ -150,22 +148,21 @@ def star_grouped(A: HbarSeries, labels_a, B: HbarSeries, labels_b, P: Kernel,
 
 
 def commutator_semiclassical(f: FieldExpr, g: FieldExpr, P: Kernel,
-                             system: FieldSystem, a: str = "x",
-                             b: str = "y") -> HbarSeries:
+                             system: FieldSystem) -> HbarSeries:
     """(f*g - g*f) minus the first-order bracket term, through order 3;
     O(hbar^2) contract.
 
     The comparison kernel is P + P^t for a symmetric P and P - P^t for an
     antisymmetric one (both equal 2P in pure parity); the swap places g at
-    label b and f at label a in both products.
+    label y and f at label x in both products.
     """
-    fg = star_fn(f, g, P, system, a, b, 3)
-    gf = star_fn(g, f, P, system, b, a, 3)
+    fg = star_fn(f, g, P, system, "x", "y", 3)
+    gf = star_fn(g, f, P, system, "y", "x", 3)
     if bracket_sign(P) < 0:
         Q = P + P.transpose()
     else:
         Q = P - P.transpose()
-    br = bracket_fn(f, g, Q, system, a, b)
+    br = bracket_fn(f, g, Q, system, "x", "y")
     return fg - gf - HbarSeries(f.dim, {1: br}, 3, True)
 
 

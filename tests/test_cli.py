@@ -1,9 +1,14 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
 from fieldstar.cli import MAX_MODES, build_parser, main
-from fieldstar.session import ConfigError, load_config
+from fieldstar.jets import complex_system, real_system
+from fieldstar.session import ConfigError, SessionConfig, load_config
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 KG_CONFIG = {
     "dim": 3,
@@ -103,6 +108,45 @@ def test_parse_error_exits_two(capsys):
 
 def test_unknown_field_exits_two(kg_config, capsys):
     assert main(["eom", "--config", kg_config, "--field", "nope"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["eom", "--config", str(CONFIGS / "kg.json"), "--field", "chi"],
+    ["vardiff", "phi", "--field", "chi", "--dim", "1"],
+])
+def test_unknown_field_names_the_field(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown field 'chi'\n"
+
+
+def _settings(cfg):
+    """A SessionConfig's values, with its system as comparable data."""
+    values = dataclasses.asdict(cfg)
+    values["system"] = (cfg.dim, cfg.system.sorts)
+    return values
+
+
+def test_config_keys_left_out_take_the_session_defaults():
+    assert _settings(load_config({})) == _settings(SessionConfig())
+    data = json.loads((CONFIGS / "nls.json").read_text())
+    cfg = load_config(data)
+    assert cfg.system.sorts == complex_system(3).sorts
+    assert cfg.dim == data["dim"]
+    assert cfg.constants == frozenset(data["constants"])
+    assert cfg.functions == data["functions"]
+    assert cfg.kernel_text == data["kernel"]
+    assert cfg.order == data["order"]
+    assert cfg.tolerance == data["tolerance"]
+    assert cfg.seed == data["seed"]
+    assert cfg.hamiltonian_text == data["hamiltonian"]
+
+
+def test_the_session_dimension_is_its_systems():
+    cfg = SessionConfig(complex_system(2))
+    assert cfg.dim == 2
+    assert dataclasses.replace(cfg, system=real_system(4)).dim == 4
 
 
 def test_json_output_is_canonical(capsys):
@@ -296,6 +340,13 @@ USAGE_CASES = [
     ["vardiff", "phi", "--field", "phi", "--bogus"],
     ["classify", "-h"], ["classify", "--dim"], ["classify", "--bogus"],
     ["classify", "--json"],
+    # --seed is read only by verify, and --kernel not by vardiff
+    ["bracket", "phi", "pi", "--seed", "1"],
+    ["star", "phi", "pi", "--seed", "1"],
+    ["eom", "--field", "phi", "--seed", "1"],
+    ["vardiff", "phi", "--field", "phi", "--seed", "1"],
+    ["classify", "--seed", "1"],
+    ["vardiff", "phi", "--field", "phi", "--kernel", "delta"],
     ["verify", "-h"], ["verify"], ["verify", "assoc", "--order", "-1"],
     ["verify", "jacobi", "--json"],
     ["peierls", "-h"], ["peierls"], ["peierls", "eval", "-h"],

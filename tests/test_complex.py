@@ -10,6 +10,7 @@ from fieldstar.complexfields import (
 )
 from fieldstar.jets import FieldExpr, complex_system
 from fieldstar.kernels import Kernel
+from fieldstar.poisson import Functional, bracket_functional_density
 from fieldstar.randexpr import random_expr
 from fieldstar.rationals import GRat, I
 
@@ -41,12 +42,22 @@ def test_nls_specializations():
     z0 = FieldExpr.jet("psi", (0, 0, 0))
     zb0 = FieldExpr.jet("psibar", (0, 0, 0))
     kappa = FieldExpr.const_symbol("kappa", 3)
-    free = nls_equation_of_motion(dim=3, gradient_only=True)
+    system = complex_system(3)
+
+    def rhs(density):
+        H = Functional(density, system)
+        return bracket_functional_density(H, z0, Kernel.delta(3, I),
+                                          system).scale(I)
+
+    gradient = FieldExpr.zero(3)
     laplacian = FieldExpr.zero(3)
+    for index in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+        gradient = gradient \
+            + FieldExpr.jet("psi", index) * FieldExpr.jet("psibar", index)
     for index in ((2, 0, 0), (0, 2, 0), (0, 0, 2)):
         laplacian = laplacian + FieldExpr.jet("psi", index)
-    assert free == -laplacian
-    interaction = nls_equation_of_motion(dim=3, kappa_only=True)
+    assert rhs(gradient) == -laplacian
+    interaction = rhs(kappa * (z0 * zb0) ** 2)
     assert interaction == (kappa * z0 * z0 * zb0).scale(2)
 
 

@@ -12,8 +12,9 @@ from fieldstar.numeric import (
     spectral_derivative,
     variational_oracle_error,
 )
-from fieldstar.parser import default_context, parse_expr
+from fieldstar.parser import parse_expr
 from fieldstar.randexpr import random_density
+from fieldstar.session import SessionConfig
 
 
 def test_spectral_derivative_exact_on_band_limited_data():
@@ -32,8 +33,7 @@ def test_grid_integral_of_trig_vanishes():
 
 
 def test_expression_evaluation_matches_direct_formula():
-    ctx = default_context(1)
-    expr = parse_expr("phi^2*pi + d1(phi)", ctx)
+    expr = parse_expr("phi^2*pi + d1(phi)", SessionConfig(real_system(1)))
     x = np.arange(256) * (2 * math.pi / 256)
     phi = np.sin(x)
     pi = np.cos(2 * x)

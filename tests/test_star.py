@@ -115,7 +115,8 @@ def _series_route(f, g, P, system, a, b, order):
     """The star through a series input: the product f@a (x) g@b as the
     one coefficient, which exp_sigma splits into factor pairs again."""
     T = TensorExpr.from_field(f, a) * TensorExpr.from_field(g, b)
-    return exp_sigma(HbarSeries(f.dim, {0: T}, order, True), a, b, P, system)
+    return exp_sigma(HbarSeries(f.dim, {0: T}, order, True), a, b, P, system,
+                     order)
 
 
 @pytest.mark.parametrize("dim", [1, 3])
@@ -160,12 +161,6 @@ def test_star_of_another_dimension_rejected():
         star_fn(FieldExpr.zero(1), u(), Kernel.delta(1), real_system(3))
     with pytest.raises(DimensionMismatch):
         star_fn(u(), xi(), Kernel.delta(1), real_system(3))
-
-
-def test_factor_pairs_need_an_order():
-    pair = (TensorExpr.from_field(u(), "x"), TensorExpr.from_field(xi(), "y"))
-    with pytest.raises(ValueError, match="factor pairs need an order"):
-        exp_sigma([pair], "x", "y", Kernel.delta(1), SYS1)
 
 
 def test_functional_density_star_tail():
