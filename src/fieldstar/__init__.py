@@ -1,7 +1,7 @@
 """Exact symbolic deformation quantization for scalar fields.
 
 Poisson brackets and star products of jet polynomials, densities, and
-functionals over conjugate sort pairs, with delta-distribution kernels and
+functionals over one conjugate sort pair, with delta-distribution kernels and
 Gaussian-rational coefficients; every structural theorem (Jacobi,
 associativity, duality, closed forms, semiclassical limit) is verifiable
 with exact zero residuals.
@@ -20,7 +20,6 @@ from .jets import (
     ConditionBError,
     DimensionMismatch,
     FieldExpr,
-    FieldSort,
     FieldSystem,
     complex_system,
     real_system,
@@ -64,7 +63,6 @@ __all__ = [
     "DimensionMismatch",
     "ELOperator",
     "FieldExpr",
-    "FieldSort",
     "FieldSystem",
     "Functional",
     "GRat",

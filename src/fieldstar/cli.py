@@ -11,9 +11,9 @@ import dataclasses
 import random
 import sys
 
-from .jets import FieldExpr, FieldSystem, complex_system, mi_zero
+from .jets import FieldExpr, complex_system, mi_zero
 from .kernels import MixedKernelError
-from .parser import ParseError, parse_expr, parse_kernel
+from .parser import ParseError, parse_expr
 from .poisson import ConditionBViolation, bracket_fn
 from .render import (
     dumps_canonical,
@@ -34,7 +34,7 @@ def _session(args) -> SessionConfig:
         if dim < 1:
             raise ConfigError("session dimension must be >= 1")
         # keep the declared fields, at the new dimension
-        changes["system"] = FieldSystem(dim, list(cfg.system.sorts.values()))
+        changes["system"] = dataclasses.replace(cfg.system, dim=dim)
     for option, name in (("kernel", "kernel_text"), ("order", "order"),
                          ("seed", "seed")):
         value = getattr(args, option, None)
@@ -119,8 +119,9 @@ def cmd_verify(args) -> int:
     rng = random.Random(cfg.seed)
     system = complex_system(cfg.dim) if args.pairing == "complex" \
         else cfg.system
-    kernels = [parse_kernel(args.kernel, cfg)] if args.kernel \
-        else V.default_kernels(cfg.dim)
+    # the config's or --kernel's kernel, else the two defaults
+    kernels = V.default_kernels(cfg.dim) if cfg.kernel_text is None \
+        else [cfg.kernel()]
     # the suites run once per kernel, each with its share of --trials
     per_kernel = {"jacobi": (V.verify_jacobi, 1), "assoc": (V.verify_assoc, 5),
                   "semiclassical": (V.verify_semiclassical, 1),

@@ -33,53 +33,39 @@ class ConditionBError(ValueError):
 
 
 @dataclass(frozen=True)
-class FieldSort:
-    """One family of jet variables: a name, its role, and its conjugate."""
-
-    name: str
-    kind: str  # "position" | "momentum" | "holomorphic" | "antiholomorphic"
-    partner: str
-
-    def is_primary(self) -> bool:
-        return self.kind in ("position", "holomorphic")
-
-
 class FieldSystem:
-    """The declared sorts of a session, with their conjugate pairing."""
+    """The session's one field and its conjugate: the equal-time pair
+    (phi, pi), or (psi, psibar) for a complex field.  Every bracket and star
+    pairs the primary sort with its conjugate."""
 
-    def __init__(self, dim: int, sorts: list[FieldSort]):
-        if dim < 1:
+    dim: int
+    primary: str
+    conjugate: str
+
+    def __post_init__(self):
+        if self.primary == self.conjugate:
+            raise ValueError(
+                f"field {self.primary!r} cannot be paired with itself")
+        if self.dim < 1:
             raise ValueError("dimension must be >= 1")
-        self.dim = dim
-        self.sorts = {s.name: s for s in sorts}
-        for s in sorts:
-            if s.partner not in self.sorts:
-                raise ValueError(f"sort {s.name} pairs with undeclared {s.partner}")
-            if self.sorts[s.partner].partner != s.name:
-                raise ValueError(f"pairing of {s.name} is not involutive")
 
     def partner(self, sort: str) -> str:
-        return self.sorts[sort].partner
-
-    def primary_sorts(self) -> list[str]:
-        return [n for n, s in sorted(self.sorts.items()) if s.is_primary()]
+        if sort == self.primary:
+            return self.conjugate
+        if sort == self.conjugate:
+            return self.primary
+        raise KeyError(sort)
 
     def sort_names(self) -> list[str]:
-        return sorted(self.sorts)
+        return sorted((self.primary, self.conjugate))
 
 
 def real_system(dim: int) -> FieldSystem:
-    return FieldSystem(dim, [
-        FieldSort("phi", "position", "pi"),
-        FieldSort("pi", "momentum", "phi"),
-    ])
+    return FieldSystem(dim, "phi", "pi")
 
 
 def complex_system(dim: int) -> FieldSystem:
-    return FieldSystem(dim, [
-        FieldSort("psi", "holomorphic", "psibar"),
-        FieldSort("psibar", "antiholomorphic", "psi"),
-    ])
+    return FieldSystem(dim, "psi", "psibar")
 
 
 # ---------------------------------------------------------------------------

@@ -151,12 +151,12 @@ def bracket_density_functional(h: FieldExpr, z: str, F: Functional, P: Kernel,
 def bracket_functionals(F: Functional, G: Functional, P: Kernel,
                         system: FieldSystem,
                         cross_check: bool = True) -> Functional:
-    """{F, G}_P as a functional; definitional path with the closed form, the
-    order-one term of the star's closed form, asserted equivalent modulo
-    total divergence."""
-    T = bracket_fn(F.density, G.density, P, system, "x", "y")
-    result = Functional(T.integrate_out("x").to_field_expr("y"), system,
-                        check=False)
+    """{F, G}_P as a functional: ``bracket_functional_density`` with G's
+    density, and the closed form, the order-one term of the star's closed
+    form, asserted equivalent modulo total divergence."""
+    result = Functional(bracket_functional_density(F, G.density, P, system,
+                                                   cross_check=False),
+                        system, check=False)
     if cross_check:
         from .star import star_functionals_closed
 

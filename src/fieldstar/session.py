@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .jets import FieldSort, FieldSystem, real_system
+from .jets import FieldSystem, real_system
 from .parser import parse_expr, parse_kernel
 from .poisson import Functional
 
@@ -44,7 +44,7 @@ class SessionConfig:
     system: FieldSystem = field(default_factory=lambda: real_system(DEFAULT_DIM))
     constants: frozenset = frozenset({"m", "kappa"})
     functions: dict = field(default_factory=lambda: {"U": True})
-    kernel_text: str = "delta"
+    kernel_text: str | None = None  # None: the kernel delta
     order: int = 6
     tolerance: float = 1e-8
     seed: int = 0
@@ -59,7 +59,8 @@ class SessionConfig:
         return self.system.dim
 
     def kernel(self):
-        return parse_kernel(self.kernel_text, self)
+        return parse_kernel("delta" if self.kernel_text is None
+                            else self.kernel_text, self)
 
     def hamiltonian(self):
         if self.hamiltonian_text is None:
@@ -70,33 +71,26 @@ class SessionConfig:
 def _build_system(dim: int, entries: list) -> FieldSystem:
     if not entries:
         return real_system(dim)
-    sorts = []
+    pairs = []
     for entry in entries:
         name = entry.get("name")
         kind = entry.get("kind", "real")
         if not name:
             raise ConfigError("field entry needs a name")
-        if entry.get("pair") == name:
-            raise ConfigError(f"field {name!r} cannot be paired with itself")
         if kind == "real":
             pair = entry.get("pair")
             if not pair:
                 raise ConfigError(f"real field {name!r} needs a 'pair' entry")
-            sorts.append(FieldSort(name, "position", pair))
-            sorts.append(FieldSort(pair, "momentum", name))
         elif kind == "complex":
             pair = entry.get("pair", name + "bar")
-            sorts.append(FieldSort(name, "holomorphic", pair))
-            sorts.append(FieldSort(pair, "antiholomorphic", name))
         else:
             raise ConfigError(f"unknown field kind {kind!r}")
-    system = FieldSystem(dim, tuple(sorts))
-    primaries = system.primary_sorts()
-    if len(primaries) != 1:
-        # brackets and stars pair exactly one field with its conjugate
+        pairs.append((name, pair))
+    if len(pairs) != 1:
+        names = ", ".join(sorted(name for name, _pair in pairs))
         raise ConfigError("only one field (one conjugate pair) is supported, "
-                          f"got {len(primaries)}: {', '.join(primaries)}")
-    return system
+                          f"got {len(pairs)}: {names}")
+    return FieldSystem(dim, *pairs[0])
 
 
 def _is_field_list(v) -> bool:

@@ -185,14 +185,6 @@ def _product(out: dict, X: dict, Y: dict, kernel: list, a: str, pair,
                     _acc(out, (pre + block + post, dkey), cx * cr)
 
 
-def _sort_pair(system: FieldSystem) -> tuple[str, str]:
-    primaries = system.primary_sorts()
-    if len(primaries) != 1:
-        raise ValueError("the operator needs exactly one conjugate sort pair")
-    p = primaries[0]
-    return p, system.partner(p)
-
-
 def _check_dims(products: list, P: Kernel, system: FieldSystem) -> int:
     """The dimension of every factor, the kernel and the system alike;
     DimensionMismatch otherwise."""
@@ -260,7 +252,7 @@ def sigma_first(calls: list, P: Kernel, system: FieldSystem) -> TensorExpr:
     key gets one GRat.  ``memo`` is shared, as its blocks carry their
     labels; ``atoms`` is not, as the inserted atom depends on (a, b)."""
     sign = bracket_sign(P)
-    p, q = _sort_pair(system)
+    p, q = system.primary, system.conjugate
     real, D, setups = _setup(calls, P, system)
     out: dict = {}
     memo: dict = {}
@@ -297,7 +289,7 @@ def sigma_terms(products: list, a: str, b: str, P: Kernel,
         return
     _a, _b, dim, pair, side_a, side_b, kernel, factors = setups[0]
     sign = bracket_sign(P)
-    p, q = _sort_pair(system)
+    p, q = system.primary, system.conjugate
 
     def power(inserted, atoms: dict) -> dict:
         out: dict = {}

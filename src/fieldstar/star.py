@@ -21,7 +21,7 @@ from .jets import FieldExpr, FieldSystem, TermDict, _acc
 from .kernels import Kernel, bracket_sign
 from .poisson import Functional, LabelCollision, bracket_fn
 from .rationals import GRat, I
-from .sigma import _check_dims, _factor, _sort_pair, sigma_terms
+from .sigma import _check_dims, _factor, sigma_terms
 from .tensor import TensorExpr
 
 
@@ -197,7 +197,7 @@ def star_functional_density(F: Functional, g: FieldExpr, P: Kernel,
                               S.exact)
     if cross_check:
         closed = star_functional_density_closed(F, g, P, system, order)
-        if {k: v for k, v in result.tail.items() if k <= order} != closed:
+        if result.tail != closed:
             raise AssertionError(
                 "definitional and closed-form functional-density stars differ")
     return result
@@ -223,7 +223,7 @@ def _closed_terms(P: Kernel, system: FieldSystem, order: int):
     tails: order k, i conjugate and j = k - i primary partials on the y
     side, their partners on the x side, weight binom(k, i) * sign^j / k!."""
     sign = bracket_sign(P)
-    p, q = _sort_pair(system)
+    p, q = system.primary, system.conjugate
     for k in range(1, order + 1):
         for i in range(k + 1):
             j = k - i
@@ -251,12 +251,10 @@ def star_functional_density_closed(F: Functional, g: FieldExpr, P: Kernel,
 def star_functionals(F: Functional, G: Functional, P: Kernel,
                      system: FieldSystem, order: int = 6,
                      cross_check: bool = False) -> FunctionalSeries:
-    """F * G: function-level star integrated over the first label; the tail
-    is a Functional per order."""
-    S = star_fn(F.density, G.density, P, system, "x", "y", order)
-    tail = {k: Functional(T.integrate_out("x").to_field_expr("y"), system,
-                          check=False)
-            for k, T in S.terms.items() if k >= 1}
+    """F * G: ``star_functional_density`` with G's density; the tail is a
+    Functional per order."""
+    S = star_functional_density(F, G.density, P, system, order)
+    tail = {k: Functional(v, system, check=False) for k, v in S.tail.items()}
     # null functionals, total divergences among them, are dropped
     result = FunctionalSeries({k: v for k, v in tail.items()
                                if not v.is_null()}, order, S.exact)

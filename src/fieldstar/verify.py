@@ -202,46 +202,37 @@ def verify_peierls(drift_tol: float = 1e-8) -> VerifyReport:
 
     from . import peierls as pz
 
-    failures = 0
-    details = []
-    if not pz.peierls_bracket_residual().is_zero():
-        failures += 1
-        details.append("symbolic bracket != -G(t-s)")
-    star = pz.peierls_star()
-    if not (star[1] + pz.green_mode_diff()).is_zero():
-        failures += 1
-        details.append("star hbar^1 != -G(t-s)")
-    if not (pz.peierls_commutator()
-            + pz.green_mode_diff().scale(2)).is_zero():
-        failures += 1
-        details.append("commutator != -2 G(t-s)")
     times = np.linspace(0.0, 10.0, 41)
-    for m in (0.0, 1.0):
-        pde = max(pz.green_pde_residual(m, t, MODES) for t in times)
-        odd = max(pz.green_oddness_residual(m, t, MODES) for t in times)
-        if pde >= MODE_TOL or odd >= MODE_TOL:
-            failures += 1
-            details.append(f"green residual m={m}: pde {pde:.2e} odd {odd:.2e}")
-    phi0 = pz.SpectralField.from_modes({1: 1 / 2j, -1: -1 / 2j}, MODES)
-    pi0 = pz.SpectralField.zero(MODES)
-    x = np.arange(256) * (2 * np.pi / 256)
-    worst = max(
-        float(np.max(np.abs(pz.cauchy_solve(phi0, pi0, 0.0, t)[0]
-                            .evaluate(x).real - np.sin(x) * np.cos(t))))
-        for t in times)
-    if worst >= MODE_TOL:
-        failures += 1
-        details.append(f"sin x cos t mismatch {worst:.2e}")
-    rng = np.random.default_rng(12345)
-    data_phi = pz.SpectralField.sample(rng.normal(size=64), MODES)
-    data_pi = pz.SpectralField.sample(rng.normal(size=64), MODES)
-    for m in (0.0, 1.0):
-        drift = pz.energy_drift(data_phi, data_pi, m, times)
-        if drift >= drift_tol:
-            failures += 1
-            details.append(f"energy drift m={m}: {drift:.2e}")
-    total = 3 + 2 + 1 + 2
-    return VerifyReport("peierls", total, failures, "; ".join(details))
+
+    def checks():
+        yield None if pz.peierls_bracket_residual().is_zero() \
+            else "symbolic bracket != -G(t-s)"
+        yield None if (pz.peierls_star()[1] + pz.green_mode_diff()).is_zero() \
+            else "star hbar^1 != -G(t-s)"
+        yield None if (pz.peierls_commutator()
+                       + pz.green_mode_diff().scale(2)).is_zero() \
+            else "commutator != -2 G(t-s)"
+        for m in (0.0, 1.0):
+            pde = max(pz.green_pde_residual(m, t, MODES) for t in times)
+            odd = max(pz.green_oddness_residual(m, t, MODES) for t in times)
+            yield f"green residual m={m}: pde {pde:.2e} odd {odd:.2e}" \
+                if pde >= MODE_TOL or odd >= MODE_TOL else None
+        phi0 = pz.SpectralField.from_modes({1: 1 / 2j, -1: -1 / 2j}, MODES)
+        pi0 = pz.SpectralField.zero(MODES)
+        x = np.arange(256) * (2 * np.pi / 256)
+        worst = max(
+            float(np.max(np.abs(pz.cauchy_solve(phi0, pi0, 0.0, t)[0]
+                                .evaluate(x).real - np.sin(x) * np.cos(t))))
+            for t in times)
+        yield f"sin x cos t mismatch {worst:.2e}" if worst >= MODE_TOL else None
+        rng = np.random.default_rng(12345)
+        data_phi = pz.SpectralField.sample(rng.normal(size=64), MODES)
+        data_pi = pz.SpectralField.sample(rng.normal(size=64), MODES)
+        for m in (0.0, 1.0):
+            drift = pz.energy_drift(data_phi, data_pi, m, times)
+            yield f"energy drift m={m}: {drift:.2e}" \
+                if drift >= drift_tol else None
+    return _report("peierls", checks())
 
 
 def verify_variational_oracle(seed: int = 0) -> VerifyReport:

@@ -121,18 +121,12 @@ def test_unknown_field_names_the_field(argv, capsys):
     assert captured.err == "error: unknown field 'chi'\n"
 
 
-def _settings(cfg):
-    """A SessionConfig's values, with its system as comparable data."""
-    values = dataclasses.asdict(cfg)
-    values["system"] = (cfg.dim, cfg.system.sorts)
-    return values
-
-
 def test_config_keys_left_out_take_the_session_defaults():
-    assert _settings(load_config({})) == _settings(SessionConfig())
+    assert dataclasses.asdict(load_config({})) \
+        == dataclasses.asdict(SessionConfig())
     data = json.loads((CONFIGS / "nls.json").read_text())
     cfg = load_config(data)
-    assert cfg.system.sorts == complex_system(3).sorts
+    assert cfg.system == complex_system(3)
     assert cfg.dim == data["dim"]
     assert cfg.constants == frozenset(data["constants"])
     assert cfg.functions == data["functions"]
@@ -215,6 +209,57 @@ def test_config_with_two_field_pairs_is_rejected(tmp_path, capsys):
     path = _write(tmp_path, "two.json", config)
     assert main(["bracket", "--config", path, "phi", "pi"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_config_listing_the_pair_from_both_sides_is_rejected(tmp_path,
+                                                             capsys):
+    # each side would otherwise overwrite the other, and the bracket of
+    # phi with pi would change sign
+    config = {"dim": 1, "fields": [{"name": "phi", "pair": "pi"},
+                                   {"name": "pi", "pair": "phi"}]}
+    path = _write(tmp_path, "both.json", config)
+    assert main(["bracket", "phi", "pi", "--config", path, "--dim", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: only one field (one conjugate pair) is "
+                            "supported, got 2: phi, pi\n")
+
+
+@pytest.mark.parametrize("fields,message", [
+    ([{"name": "psi", "kind": "complex", "pair": "psi"}],
+     "field 'psi' cannot be paired with itself"),
+    ([{"name": "phi", "kind": "real"}], "real field 'phi' needs a 'pair' entry"),
+    ([{"name": "phi", "kind": "spinor", "pair": "pi"}],
+     "unknown field kind 'spinor'"),
+    ([{"kind": "real", "pair": "pi"}], "field entry needs a name"),
+    ([{"name": "phi", "kind": "real", "pair": "pi"},
+      {"name": "chi", "kind": "real", "pair": "rho"}],
+     "only one field (one conjugate pair) is supported, got 2: chi, phi"),
+])
+def test_config_field_errors_keep_their_text(fields, message):
+    with pytest.raises(ConfigError) as err:
+        load_config({"dim": 1, "fields": fields})
+    assert str(err.value) == message
+
+
+def test_verify_runs_the_declared_kernel(tmp_path, capsys):
+    path = _write(tmp_path, "anti.json", {"dim": 1, "kernel": "d1 delta"})
+    assert main(["verify", "jacobi", "--config", path, "--trials", "2"]) == 0
+    assert capsys.readouterr().out == "PASS jacobi: 2/2 trials\n"
+    # without a declared kernel, the two defaults
+    assert main(["verify", "jacobi", "--dim", "1", "--trials", "2"]) == 0
+    assert capsys.readouterr().out == "PASS jacobi: 2/2 trials\n" * 2
+
+
+def test_verify_refuses_a_declared_mixed_kernel(tmp_path, capsys):
+    path = _write(tmp_path, "mixed.json",
+                  {"dim": 1, "kernel": "delta + d1 delta"})
+    assert main(["classify", "--config", path]) == 0
+    assert capsys.readouterr().out == "mixed\n"
+    assert main(["verify", "jacobi", "--config", path, "--trials", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: mixed-parity kernel")
 
 
 def test_config_field_paired_with_itself_is_rejected(tmp_path, capsys):

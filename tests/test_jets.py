@@ -6,6 +6,7 @@ from fieldstar.jets import (
     ConditionBError,
     DimensionMismatch,
     FieldExpr,
+    FieldSystem,
     complex_system,
     mi_add,
     mi_order,
@@ -28,6 +29,26 @@ def test_multi_index_helpers():
     assert mi_unit(3, 2) == (0, 1, 0)
     assert mi_add((1, 0, 2), (0, 1, 0)) == (1, 1, 2)
     assert mi_order((2, 0, 1)) == 3
+
+
+def test_field_system_is_one_conjugate_pair():
+    system = FieldSystem(2, "phi", "pi")
+    assert (system.partner("phi"), system.partner("pi")) == ("pi", "phi")
+    assert system.sort_names() == ["phi", "pi"]
+    assert FieldSystem(1, "pi", "phi").sort_names() == ["phi", "pi"]
+    assert complex_system(1).sort_names() == ["psi", "psibar"]
+    with pytest.raises(KeyError):
+        system.partner("chi")
+
+
+@pytest.mark.parametrize("args,message", [
+    ((1, "phi", "phi"), "field 'phi' cannot be paired with itself"),
+    ((0, "phi", "pi"), "dimension must be >= 1"),
+])
+def test_field_system_refuses_self_pairing_and_dimension_below_one(args,
+                                                                   message):
+    with pytest.raises(ValueError, match=message):
+        FieldSystem(*args)
 
 
 def test_ring_axioms_on_small_expressions():

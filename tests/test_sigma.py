@@ -33,7 +33,7 @@ from fieldstar.kernels import Kernel, bracket_sign
 from fieldstar.poisson import bracket_fn, jacobi_residual
 from fieldstar.randexpr import multi_indices, random_expr
 from fieldstar.rationals import GRat, I, ONE, ZERO
-from fieldstar.sigma import _factor, _sort_pair, sigma_first, sigma_terms
+from fieldstar.sigma import _factor, sigma_first, sigma_terms
 from fieldstar.star import star_fn
 from fieldstar.tensor import TensorExpr, _canon_located, delta_atom
 from fieldstar.verify import default_kernels
@@ -111,7 +111,7 @@ def reference_powers(T, a, b, P, system, count: int) -> list:
     """The term dicts of the first ``count`` nonzero operator powers, power
     k divided by k! (the k-th term of the exponential)."""
     sign = bracket_sign(P)
-    p, q = _sort_pair(system)
+    p, q = system.primary, system.conjugate
     dim = T.dim
     works: dict = {}
     for (mon, deltas), c in T.terms.items():
@@ -172,7 +172,7 @@ def cases(draw):
 def build(case):
     dim, pairing, kernel, (a, b), specs = case
     system = real_system(dim) if pairing == "real" else complex_system(dim)
-    sorts = _sort_pair(system)
+    sorts = (system.primary, system.conjugate)
     terms: dict = {}
     for (re, im), by_label, deltas in specs:
         located = []

@@ -14,6 +14,7 @@ import pytest
 
 import fieldstar.complexfields
 import fieldstar.numeric
+import fieldstar.peierls
 import fieldstar.verify as V
 from fieldstar.euler_lagrange import ELOperator
 from fieldstar.jets import FieldExpr, FieldSystem, complex_system, real_system
@@ -215,6 +216,11 @@ FAILING = {
          (fieldstar.complexfields, "conjugation_residual", {3: ONE_TERM},
           ZERO)],
         2, "FAIL complex-equiv: 5/7 trials (equivalence term: delta{x,y})"),
+    "peierls": (
+        lambda: V.verify_peierls(),
+        [(fieldstar.peierls, "peierls_bracket_residual", {1: ONE_TERM}, ZERO),
+         (fieldstar.peierls, "energy_drift", {2: 1.0}, 0.0)],
+        2, "FAIL peierls: 6/8 trials (symbolic bracket != -G(t-s))"),
     "variational-oracle": (
         lambda: V.verify_variational_oracle(),
         [(fieldstar.numeric, "variational_oracle_error",
