@@ -45,9 +45,10 @@ from .poisson import (
 from .rationals import GRat, I, ONE, ZERO
 from .star import (
     HbarSeries,
-    TruncationError,
     assoc_residuals,
+    closed_form_residuals,
     commutator_semiclassical,
+    eom_residual,
     equation_of_motion,
     star_density,
     star_fn,
@@ -76,7 +77,6 @@ __all__ = [
     "ONE",
     "SYMMETRIC",
     "TensorExpr",
-    "TruncationError",
     "ZERO",
     "apply_dual",
     "apply_el",
@@ -86,11 +86,13 @@ __all__ = [
     "bracket_functionals",
     "bracket_sign",
     "bracket_tensor",
+    "closed_form_residuals",
     "commutator_semiclassical",
     "complex_system",
     "dual_derivative",
     "duality_residual",
     "el_power_duality_residual",
+    "eom_residual",
     "equation_of_motion",
     "jacobi_residual",
     "real_system",

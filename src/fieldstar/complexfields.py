@@ -19,8 +19,9 @@ from .jets import (
     real_system,
 )
 from .kernels import Kernel
-from .poisson import Functional, bracket_fn, bracket_functional_density
+from .poisson import Functional, bracket_fn
 from .rationals import I
+from .star import equation_of_motion
 from .tensor import TensorExpr, _canon_located
 
 
@@ -66,8 +67,7 @@ def nls_equation_of_motion(dim: int = 3) -> FieldExpr:
     Hamiltonian: -laplacian(psi) + 2 kappa |psi|^2 psi."""
     H = nls_hamiltonian(dim)
     psi = FieldExpr.jet("psi", (0,) * dim)
-    return bracket_functional_density(H, psi, Kernel.delta(dim, I),
-                                      H.system).scale(I)
+    return equation_of_motion(H, psi, Kernel.delta(dim, I), H.system)
 
 
 def conjugation_residual(f: FieldExpr, g: FieldExpr, P: Kernel,

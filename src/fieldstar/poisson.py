@@ -3,9 +3,9 @@
 The function-level bracket applies the sort-paired bidifferential operator
 once, leaving the kernel explicit in the result.  Density-level brackets
 are the same algebra under the substitution reading of jet variables.
-Functional levels integrate one or both labels out and are cross-asserted
-against independently computed closed forms: the order-one terms of the
-functional star closed forms in ``star``.
+Functional levels integrate one or both labels out; on request they are
+compared with independently computed closed forms, the order-one terms of
+the functional star closed forms in ``star``.
 """
 
 from __future__ import annotations
@@ -95,13 +95,10 @@ class Functional:
         """True iff the functional vanishes (density is a total divergence)."""
         return functional_null(self.density, self.system)
 
-    def equivalent(self, other: "Functional") -> bool:
-        return functional_null(self.density - other.density, self.system)
-
     def __eq__(self, other):
         if not isinstance(other, Functional):
             return NotImplemented
-        return self.equivalent(other)
+        return functional_null(self.density - other.density, self.system)
 
     def __repr__(self):
         from .render import render_field_expr
@@ -109,34 +106,39 @@ class Functional:
         return f"Functional({render_field_expr(self.density)!r})"
 
 
+def _null_residuals(density: FieldExpr, system: FieldSystem):
+    """The Euler criterion as residuals, yielded one at a time: the
+    variational derivative by each sort, then the value at the jet origin
+    (the density itself where that value is unknown).  All are zero iff the
+    density integrates to zero."""
+    for sort in system.sort_names():
+        yield variational_derivative(density, sort)
+    try:
+        yield FieldExpr.const(density.eval_at_origin(), density.dim)
+    except ConditionBError:
+        yield density
+
+
 def functional_null(density: FieldExpr, system: FieldSystem) -> bool:
     """Euler criterion: the density integrates to zero iff every variational
     derivative vanishes and the density vanishes at the jet origin."""
-    for sort in system.sort_names():
-        if not variational_derivative(density, sort).is_zero():
-            return False
-    try:
-        return not density.eval_at_origin()
-    except ConditionBError:
-        return False
+    return all(r.is_zero() for r in _null_residuals(density, system))
 
 
 def bracket_functional_density(F: Functional, g: FieldExpr, P: Kernel,
                                system: FieldSystem, y: str = "y",
-                               cross_check: bool = True) -> FieldExpr:
+                               cross_check: bool = False) -> FieldExpr:
     """{F, g@y}_P: the function-level bracket with F's density, integrated
-    over F's label.  The closed form, the order-one term of the star's
-    closed form, is computed independently and asserted equal."""
+    over F's label.  ``cross_check`` raises if the closed form, the
+    order-one term of the star's closed form, differs."""
     x = "x" if y != "x" else "x0"
     T = bracket_fn(F.density, g, P, system, x, y)
     result = T.integrate_out(x).to_field_expr(y)
     if cross_check:
-        from .star import star_functional_density_closed
+        from .star import _density_residuals, _raise_if_nonzero
 
-        closed = star_functional_density_closed(F, g, P, system, 1)
-        if result != closed.get(1, FieldExpr.zero(g.dim)):
-            raise AssertionError(
-                "definitional and closed-form functional-density brackets differ")
+        _raise_if_nonzero("functional-density bracket", _density_residuals(
+            {1: result}, F, g, P, system, 1))
     return result
 
 
@@ -150,20 +152,15 @@ def bracket_density_functional(h: FieldExpr, z: str, F: Functional, P: Kernel,
 
 def bracket_functionals(F: Functional, G: Functional, P: Kernel,
                         system: FieldSystem,
-                        cross_check: bool = True) -> Functional:
+                        cross_check: bool = False) -> Functional:
     """{F, G}_P as a functional: ``bracket_functional_density`` with G's
-    density, and the closed form, the order-one term of the star's closed
-    form, asserted equivalent modulo total divergence."""
-    result = Functional(bracket_functional_density(F, G.density, P, system,
-                                                   cross_check=False),
+    density.  ``cross_check`` raises if the closed form, the order-one term
+    of the star's closed form, differs modulo total divergence."""
+    result = Functional(bracket_functional_density(F, G.density, P, system),
                         system, check=False)
     if cross_check:
-        from .star import star_functionals_closed
+        from .star import _functional_residuals, _raise_if_nonzero
 
-        zero = Functional(FieldExpr.zero(F.density.dim), system, check=False)
-        closed = star_functionals_closed(F, G, P, system, 1).get(1, zero)
-        if not result.equivalent(closed):
-            raise AssertionError(
-                "definitional and closed-form functional brackets differ")
+        _raise_if_nonzero("functional-functional bracket",
+                          _functional_residuals({1: result}, F, G, P, system, 1))
     return result
-

@@ -19,7 +19,14 @@ from math import comb, factorial
 from .euler_lagrange import _joint_dual, _partials
 from .jets import FieldExpr, FieldSystem, TermDict, _acc
 from .kernels import Kernel, bracket_sign
-from .poisson import Functional, LabelCollision, bracket_fn
+from .poisson import (
+    Functional,
+    LabelCollision,
+    _null_residuals,
+    bracket_fn,
+    bracket_functional_density,
+    bracket_functionals,
+)
 from .rationals import GRat, I
 from .sigma import _check_dims, _factor, sigma_terms
 from .tensor import TensorExpr
@@ -187,7 +194,7 @@ def star_functional_density(F: Functional, g: FieldExpr, P: Kernel,
     """F * g@y: function-level star integrated over F's label.
 
     With a delta kernel the closed form through dual derivatives is
-    available and asserted on request.
+    available; ``cross_check`` raises if it differs.
     """
     S = star_fn(F.density, g, P, system, "x", "y", order)
     tail = {k: T.integrate_out("x").to_field_expr("y")
@@ -196,56 +203,50 @@ def star_functional_density(F: Functional, g: FieldExpr, P: Kernel,
     result = FunctionalSeries({k: v for k, v in tail.items() if v}, order,
                               S.exact)
     if cross_check:
-        closed = star_functional_density_closed(F, g, P, system, order)
-        if result.tail != closed:
-            raise AssertionError(
-                "definitional and closed-form functional-density stars differ")
+        _raise_if_nonzero("functional-density star", _density_residuals(
+            result.tail, F, g, P, system, order))
     return result
 
 
-def _pair_with_kernel(expr: FieldExpr, label: str, P: Kernel, other: str) -> FieldExpr:
-    """<P(label, other), expr@label> as a field expression at the other label."""
-    T = TensorExpr.from_field(expr, label) * TensorExpr.from_kernel(P, label, other)
-    return T.integrate_out(label).to_field_expr(other)
+def _closed_tail(F: Functional, P: Kernel, system: FieldSystem, order: int,
+                 act) -> dict:
+    """The nonzero densities of a closed-form tail for a delta-type kernel.
 
-
-def _related_multi(g: FieldExpr, sorts: list, inner: FieldExpr) -> FieldExpr:
-    """Related-operator action: the mixed jet partials of g by ``sorts`` as
-    coefficients of the total derivative of ``inner`` by their summed index."""
-    total = FieldExpr.zero(g.dim)
-    for partial, index in _partials(g, sorts):
-        total = total + partial * inner.total_derivative_multi(index)
-    return total
-
-
-def _closed_terms(P: Kernel, system: FieldSystem, order: int):
-    """Yield (k, x-side sorts, y-side sorts, coefficient) of the closed-form
-    tails: order k, i conjugate and j = k - i primary partials on the y
-    side, their partners on the x side, weight binom(k, i) * sign^j / k!."""
+    At order k, with i conjugate and j = k - i primary partials on the y side
+    and their partners on the x side, a term is ``act(y-side sorts,
+    paired)`` of weight binom(k, i) * sign^j / k!, where ``paired`` is the
+    kernel pairing of the joint dual derivative of F's density by the
+    x-side sorts.
+    """
     sign = bracket_sign(P)
     p, q = system.primary, system.conjugate
+    tail: dict = {}
     for k in range(1, order + 1):
         for i in range(k + 1):
             j = k - i
+            fi = _joint_dual(F.density, [q] * j + [p] * i)
+            if fi.is_zero():
+                continue
+            T = TensorExpr.from_field(fi, "x") * TensorExpr.from_kernel(P, "x", "y")
             c = GRat(comb(k, i)) / GRat(factorial(k))
             if sign < 0 and j % 2 == 1:
                 c = -c
-            yield k, [q] * j + [p] * i, [p] * j + [q] * i, c
+            paired = T.integrate_out("x").to_field_expr("y")
+            _acc(tail, k, act([p] * j + [q] * i, paired).scale(c))
+    return {k: v for k, v in tail.items() if v}
 
 
 def star_functional_density_closed(F: Functional, g: FieldExpr, P: Kernel,
                                    system: FieldSystem,
                                    order: int = 6) -> dict:
     """Closed form of the tail of F * g@y for a delta-type kernel: the
-    related operator of g applied to the kernel pairing of the joint dual
-    derivative of F's density, per term of ``_closed_terms``."""
-    tail: dict = {}
-    for k, xs, ys, c in _closed_terms(P, system, order):
-        fi = _joint_dual(F.density, xs)
-        if not fi.is_zero():
-            piece = _related_multi(g, ys, _pair_with_kernel(fi, "x", P, "y"))
-            _acc(tail, k, piece.scale(c))
-    return {k: v for k, v in tail.items() if v}
+    related operator of g applied to the paired dual derivative of F, that
+    is, g's mixed jet partials by the y-side sorts as coefficients of the
+    total derivative of ``paired`` by their summed index."""
+    def related(ys, paired):
+        return sum((partial * paired.total_derivative_multi(index)
+                    for partial, index in _partials(g, ys)), FieldExpr.zero(g.dim))
+    return _closed_tail(F, P, system, order, related)
 
 
 def star_functionals(F: Functional, G: Functional, P: Kernel,
@@ -259,32 +260,64 @@ def star_functionals(F: Functional, G: Functional, P: Kernel,
     result = FunctionalSeries({k: v for k, v in tail.items()
                                if not v.is_null()}, order, S.exact)
     if cross_check:
-        closed = star_functionals_closed(F, G, P, system, order)
-        keys = set(result.tail) | set(closed)
-        zero = Functional(FieldExpr.zero(F.density.dim), system, check=False)
-        for k in keys:
-            if not result.tail.get(k, zero).equivalent(closed.get(k, zero)):
-                raise AssertionError(
-                    "definitional and closed-form functional stars differ")
+        _raise_if_nonzero("functional-functional star", _functional_residuals(
+            result.tail, F, G, P, system, order))
     return result
 
 
 def star_functionals_closed(F: Functional, G: Functional, P: Kernel,
                             system: FieldSystem, order: int = 6) -> dict:
-    """Closed form of the tail of F * G: kernel pairings of the joint dual
-    derivatives of both densities, per term of ``_closed_terms``."""
-    tail: dict = {}
-    for k, xs, ys, c in _closed_terms(P, system, order):
-        fi = _joint_dual(F.density, xs)
-        gi = _joint_dual(G.density, ys)
-        if fi.is_zero() or gi.is_zero():
-            continue
-        T = (TensorExpr.from_field(fi, "x") * TensorExpr.from_field(gi, "y")
-             * TensorExpr.from_kernel(P, "x", "y"))
-        piece = T.integrate_out("x").to_field_expr("y")
-        _acc(tail, k, piece.scale(c))
-    return {k: Functional(v, system, check=False)
-            for k, v in tail.items() if v}
+    """Closed form of the densities of the tail of F * G: the joint dual
+    derivative of G's density times the paired dual derivative of F."""
+    return _closed_tail(F, P, system, order,
+                        lambda ys, paired: _joint_dual(G.density, ys) * paired)
+
+
+def _density_residuals(tail: dict, F: Functional, g: FieldExpr, P: Kernel,
+                       system: FieldSystem, order: int) -> list:
+    """Per order, a functional-density tail minus its closed form."""
+    closed = star_functional_density_closed(F, g, P, system, order)
+    zero = FieldExpr.zero(g.dim)
+    return [tail.get(k, zero) - closed.get(k, zero)
+            for k in sorted(set(tail) | set(closed))]
+
+
+def _functional_residuals(tail: dict, F: Functional, G: Functional,
+                          P: Kernel, system: FieldSystem, order: int) -> list:
+    """Per order, a functional-functional tail minus its closed form: the
+    Euler criterion's residuals of the difference of densities."""
+    closed = star_functionals_closed(F, G, P, system, order)
+    zero = FieldExpr.zero(F.density.dim)
+    return [r for k in sorted(set(tail) | set(closed))
+            for r in _null_residuals((tail[k].density if k in tail else zero)
+                                     - closed.get(k, zero), system)]
+
+
+def _raise_if_nonzero(form: str, residuals: list) -> None:
+    if not all(r.is_zero() for r in residuals):
+        raise AssertionError(f"definitional and closed-form {form}s differ")
+
+
+def closed_form_residuals(F: Functional, G: Functional, g: FieldExpr,
+                          P: Kernel, system: FieldSystem,
+                          order: int = 6) -> dict:
+    """Definition minus closed form of each functional product, keyed by its
+    name: the brackets and stars (through ``order``) of F with g and of F
+    with G.  Each value is a list of residuals, all zero when the closed
+    form holds."""
+    return {
+        "functional-density bracket": _density_residuals(
+            {1: bracket_functional_density(F, g, P, system)},
+            F, g, P, system, 1),
+        "functional-functional bracket": _functional_residuals(
+            {1: bracket_functionals(F, G, P, system)}, F, G, P, system, 1),
+        "functional-density star": _density_residuals(
+            star_functional_density(F, g, P, system, order).tail,
+            F, g, P, system, order),
+        "functional-functional star": _functional_residuals(
+            star_functionals(F, G, P, system, order).tail,
+            F, G, P, system, order),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -364,35 +397,22 @@ def assoc_residuals(f: FieldExpr, g: FieldExpr, h: FieldExpr, P: Kernel,
 # ---------------------------------------------------------------------------
 # equations of motion
 
-class TruncationError(RuntimeError):
-    """A star series did not terminate within the configured order."""
-
-
 def equation_of_motion(H: Functional, field: FieldExpr, P: Kernel,
                        system: FieldSystem) -> FieldExpr:
-    """Time derivative of a linear field from the star commutator with H.
+    """Time derivative of a linear field, i * {H, field}_P: the star
+    commutator with H is the bracket with the doubled kernel, an identity
+    ``eom_residual`` checks."""
+    return bracket_functional_density(H, field, P, system).scale(I)
 
-    The commutator equals the bracket with the doubled kernel, so the
-    equation of motion is i * {H, field}_P; the star route is computed
-    through order 6 as well and the factor-two relation asserted exactly.
-    """
-    from .poisson import bracket_functional_density
 
-    Hf = star_fn(H.density, field, P, system, "x", "y", 6)
-    fH = star_fn(field, H.density, P, system, "y", "x", 6)
-    comm = Hf - fH
-    if not comm.exact:
-        raise TruncationError("star commutator did not terminate within order 6")
-    total = FieldExpr.zero(field.dim)
-    for k, T in comm.terms.items():
-        if k == 0:
-            if not T.is_zero():
-                raise AssertionError("order-zero commutator term did not cancel")
-            continue
-        total = total + T.integrate_out("x").to_field_expr("y")
-    bracket = bracket_functional_density(H, field, P, system, "y",
-                                         cross_check=True)
-    if total != bracket + bracket:
-        raise AssertionError(
-            "star commutator does not equal the bracket with doubled kernel")
-    return bracket.scale(I)
+def eom_residual(H: Functional, field: FieldExpr, P: Kernel,
+                 system: FieldSystem) -> FieldExpr:
+    """The star commutator of H and a field through order 6, integrated over
+    H's label, minus twice {H, field}_P; zero exactly when the commutator
+    is the bracket with the doubled kernel.  For a linear field the
+    commutator ends at order 1, so its orders sum to that coefficient."""
+    comm = (star_fn(H.density, field, P, system, "x", "y")
+            - star_fn(field, H.density, P, system, "y", "x"))
+    bracket = bracket_functional_density(H, field, P, system)
+    return sum((T.integrate_out("x").to_field_expr("y")
+                for T in comm.terms.values()), -bracket - bracket)

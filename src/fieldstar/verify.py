@@ -18,15 +18,10 @@ from .euler_lagrange import (
 )
 from .jets import FieldExpr, FieldSystem, complex_system, real_system
 from .kernels import Kernel
-from .poisson import (
-    Functional,
-    bracket_functional_density,
-    bracket_functionals,
-    jacobi_residual,
-)
+from .poisson import Functional, jacobi_residual
 from .randexpr import multi_indices, random_coeff, random_density, random_expr
 from .rationals import GRat, I
-from .star import assoc_residuals, commutator_semiclassical, star_functional_density, star_functionals
+from .star import assoc_residuals, closed_form_residuals, commutator_semiclassical
 
 # the truncation order of the associativity and closed-form suites, and the
 # spectral suite's mode cutoff and its tolerance on mode-wise residuals
@@ -155,26 +150,9 @@ def verify_closed_forms(system: FieldSystem, P: Kernel, trials: int,
             G = Functional(random_density(system, rng, max_degree=2,
                                           max_jet_order=1, terms=2), system)
             g = random_expr(system, rng, max_degree=2, max_jet_order=1, terms=2)
-            forms = (
-                ("functional-density bracket",
-                 lambda: bracket_functional_density(F, g, P, system,
-                                                    cross_check=True)),
-                ("functional-functional bracket",
-                 lambda: bracket_functionals(F, G, P, system, cross_check=True)),
-                ("functional-density star",
-                 lambda: star_functional_density(F, g, P, system, order=ORDER,
-                                                 cross_check=True)),
-                ("functional-functional star",
-                 lambda: star_functionals(F, G, P, system, order=ORDER,
-                                          cross_check=True)),
-            )
-            for name, run in forms:
-                try:
-                    run()
-                except AssertionError as exc:
-                    yield f"{name}: {exc}"
-                else:
-                    yield None
+            forms = closed_form_residuals(F, G, g, P, system, ORDER)
+            for name, residuals in forms.items():
+                yield _first_nonzero(residuals, f"{name}, first nonzero term: ")
     return _report("closed-forms", checks())
 
 
