@@ -9,6 +9,7 @@ suites use tolerances.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 
 from .euler_lagrange import (
@@ -66,14 +67,15 @@ def _report(name: str, checks) -> VerifyReport:
 
 def _first_nonzero(residuals, prefix: str) -> str | None:
     """None if every residual is zero, else the first rendered term of the
-    first nonzero one, after ``prefix``."""
+    first nonzero one, after ``prefix``; a complex coefficient's " + "
+    inside parentheses does not end the term."""
     from .render import render_field_expr, render_tensor_expr
 
     bad = next((r for r in residuals if not r.is_zero()), None)
     if bad is None:
         return None
     render = render_field_expr if isinstance(bad, FieldExpr) else render_tensor_expr
-    return prefix + render(bad).split(" + ")[0]
+    return prefix + re.split(r" \+ (?![^()]*\))", render(bad))[0]
 
 
 def verify_jacobi(system: FieldSystem, P: Kernel, trials: int,
