@@ -13,6 +13,7 @@ from .jets import (
     FieldExpr,
     FieldSystem,
     _acc,
+    _canon_monomial,
     complex_system,
     conjugate_atom,
     mi_unit,
@@ -22,7 +23,7 @@ from .kernels import Kernel
 from .poisson import Functional, bracket_fn
 from .rationals import I
 from .star import equation_of_motion
-from .tensor import TensorExpr, _canon_located
+from .tensor import TensorExpr
 
 
 def real_complex_equivalence(P: Kernel, dim: int) -> list:
@@ -90,7 +91,7 @@ def conjugation_residual(f: FieldExpr, g: FieldExpr, P: Kernel,
 def _conjugate_tensor(T: TensorExpr, system: FieldSystem) -> TensorExpr:
     terms: dict = {}
     for (mon, deltas), c in T.terms.items():
-        located = _canon_located((lab, conjugate_atom(atom, system))
-                                 for lab, atom in mon)
+        located = _canon_monomial((lab, conjugate_atom(atom, system))
+                                  for lab, atom in mon)
         _acc(terms, (located, deltas), c.conjugate())
     return TensorExpr(T.dim, terms)

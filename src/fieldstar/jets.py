@@ -11,15 +11,17 @@ Monomial atoms are plain tuples so that expressions hash and compare fast:
                                             order-zero jet of arg_sort
     ("j", sort, index)                   jet variable
 
-Atoms within a monomial are kept in a fixed canonical order (constants,
-then function symbols, then jet variables graded-lexicographically).
+Atoms within a monomial are kept in Python's tuple order: constants, then
+function symbols, then jet variables by sort and then lexicographically by
+multi-index, so that equal monomials are equal tuples.  Display order is
+``render``'s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rationals import GRat, ONE, ZERO
+from .rationals import GRat, ONE
 
 MultiIndex = tuple  # tuple of n naturals
 
@@ -89,10 +91,6 @@ def mi_order(a: MultiIndex) -> int:
     return sum(a)
 
 
-def mi_grlex(a: MultiIndex):
-    return (sum(a), a)
-
-
 # ---------------------------------------------------------------------------
 # atoms
 
@@ -108,16 +106,10 @@ def func_atom(name: str, arg_sort: str, order: int = 0, vanishes: bool = True) -
     return ("f", name, order, arg_sort, vanishes)
 
 
-def atom_key(atom: tuple):
-    if atom[0] == "j":
-        return (2, atom[1], mi_grlex(atom[2]))
-    if atom[0] == "f":
-        return (1, atom[1], atom[2], atom[3], atom[4])
-    return (0, atom[1])
-
-
 def _canon_monomial(atoms) -> tuple:
-    return tuple(sorted(atoms, key=atom_key))
+    """Bare atoms, or located (label, atom) pairs, in tuple order; located
+    atoms sort by label first, so the atoms at one label form one block."""
+    return tuple(sorted(atoms))
 
 
 # ---------------------------------------------------------------------------
@@ -334,30 +326,28 @@ class FieldExpr(TermDict):
                     result = -result
         return result
 
-    def eval_at_origin(self) -> GRat:
-        """Value with all jet variables set to zero; condition B holds iff 0.
+    def eval_at_origin(self) -> "FieldExpr":
+        """Value with all jet variables set to zero: the polynomial in
+        constant symbols that survives there; condition B holds iff it is 0.
 
         Function symbols flagged as vanishing at the origin contribute zero
         through derivative order two (the o(s^2) growth assumption); an
         unflagged symbol, or a higher derivative, has unknown value and
         raises ConditionBError.
         """
-        total = ZERO
+        terms = {}
         for mon, c in self.terms.items():
-            vanishes = False
             for atom in mon:
                 if atom[0] == "j":
-                    vanishes = True
                     break
                 if atom[0] == "f":
                     if atom[4] and atom[2] <= 2:
-                        vanishes = True
                         break
                     raise ConditionBError(
                         f"value of {atom[1]} (order {atom[2]}) at the origin is unknown")
-            if not vanishes:
-                total = total + c
-        return total
+            else:
+                terms[mon] = c
+        return FieldExpr(self.dim, terms)
 
     def satisfies_condition_b(self) -> bool:
         return not self.eval_at_origin()

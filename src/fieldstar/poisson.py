@@ -114,7 +114,7 @@ def _null_residuals(density: FieldExpr, system: FieldSystem):
     for sort in system.sort_names():
         yield variational_derivative(density, sort)
     try:
-        yield FieldExpr.const(density.eval_at_origin(), density.dim)
+        yield density.eval_at_origin()
     except ConditionBError:
         yield density
 
@@ -126,14 +126,13 @@ def functional_null(density: FieldExpr, system: FieldSystem) -> bool:
 
 
 def bracket_functional_density(F: Functional, g: FieldExpr, P: Kernel,
-                               system: FieldSystem, y: str = "y",
+                               system: FieldSystem,
                                cross_check: bool = False) -> FieldExpr:
-    """{F, g@y}_P: the function-level bracket with F's density, integrated
+    """{F, g}_P: the function-level bracket with F's density, integrated
     over F's label.  ``cross_check`` raises if the closed form, the
     order-one term of the star's closed form, differs."""
-    x = "x" if y != "x" else "x0"
-    T = bracket_fn(F.density, g, P, system, x, y)
-    result = T.integrate_out(x).to_field_expr(y)
+    T = bracket_fn(F.density, g, P, system, "x", "y")
+    result = T.integrate_out("x").to_field_expr("y")
     if cross_check:
         from .star import _density_residuals, _raise_if_nonzero
 
@@ -142,12 +141,11 @@ def bracket_functional_density(F: Functional, g: FieldExpr, P: Kernel,
     return result
 
 
-def bracket_density_functional(h: FieldExpr, z: str, F: Functional, P: Kernel,
+def bracket_density_functional(h: FieldExpr, F: Functional, P: Kernel,
                                system: FieldSystem) -> FieldExpr:
-    """{h@z, F}_P: integrate the function-level bracket over F's label."""
-    x = "x" if z != "x" else "x0"
-    T = bracket_fn(h, F.density, P, system, z, x)
-    return T.integrate_out(x).to_field_expr(z)
+    """{h, F}_P: integrate the function-level bracket over F's label."""
+    T = bracket_fn(h, F.density, P, system, "y", "x")
+    return T.integrate_out("x").to_field_expr("y")
 
 
 def bracket_functionals(F: Functional, G: Functional, P: Kernel,

@@ -5,7 +5,12 @@ expressions, densities, and kernels round-trip.  Tensor
 expressions render with explicit point labels (``phi{x}``, ``delta{x,y}``)
 for diagnostics; they are not part of the input grammar.
 
-Canonical JSON is byte-stable: term arrays are emitted in canonical order,
+Display order is decided here alone.  The engine keeps a monomial's atoms
+in tuple order, where ``phi[0,2,0]`` precedes ``phi[1,0,0]``; text and JSON
+show each sort's jets graded-lexicographically, lower orders first, and
+every other atom as stored.
+
+Canonical JSON is byte-stable: term arrays are emitted in display order,
 rationals as "p/q" strings, Gaussian rationals as {"re", "im"} objects,
 and all object keys sorted.
 """
@@ -94,6 +99,21 @@ def _atom_str(atom, label: str | None = None) -> str:
     return f"{sort}{at}[{_index_str(index)}]"
 
 
+def _display_terms(value) -> dict:
+    """The terms of a field or tensor expression with each monomial in
+    display order: a stable sort on ``key`` puts jets of one sort in graded
+    order and leaves every other atom where tuple order stored it."""
+    if value.dim == 1:  # one-entry indices: lexicographic order is graded
+        return value.terms
+
+    def key(atom):
+        return atom[:2] + (mi_order(atom[2]),) if atom[0] == "j" else atom[:2]
+    if isinstance(value, FieldExpr):
+        return {tuple(sorted(mon, key=key)): c for mon, c in value.terms.items()}
+    return {(tuple(sorted(mon, key=lambda la: (la[0], key(la[1])))), deltas): c
+            for (mon, deltas), c in value.terms.items()}
+
+
 def _monomial_str(mon) -> str:
     parts = []
     i = 0
@@ -154,7 +174,7 @@ def _term_sort_key(mon):
 
 def render_field_expr(expr: FieldExpr) -> str:
     """Grammar-form text; laplacian sugar folds matched second-order sums."""
-    groups, rest = _laplacian_groups(expr)
+    groups, rest = _laplacian_groups(FieldExpr(expr.dim, _display_terms(expr)))
     entries = []
     for cofactor, sort, c in sorted(groups, key=lambda g: (g[1], g[0])):
         body = f"laplacian({sort})"
@@ -191,10 +211,10 @@ def render_kernel(P: Kernel) -> str:
 
 def render_tensor_expr(T: TensorExpr) -> str:
     entries = []
-    for (mon, deltas) in sorted(T.terms):
+    for (mon, deltas), c in sorted(_display_terms(T).items()):
         factors = [_atom_str(atom, lab) for lab, atom in mon]
         factors += [_gamma_str(g, f"delta{{{a},{b}}}") for a, b, g in deltas]
-        entries.append((T.terms[(mon, deltas)], "*".join(factors)))
+        entries.append((c, "*".join(factors)))
     return _join_terms(entries)
 
 
@@ -214,19 +234,15 @@ def _atom_json(atom):
 
 
 def field_expr_json(expr: FieldExpr) -> dict:
-    data = [[_grat_json(expr.terms[mon]), [_atom_json(a) for a in mon], []]
-            for mon in sorted(expr.terms)]
+    data = [[_grat_json(c), [_atom_json(a) for a in mon], []]
+            for mon, c in sorted(_display_terms(expr).items())]
     return {"kind": "expr", "dim": expr.dim, "data": data}
 
 
 def tensor_expr_json(T: TensorExpr) -> dict:
-    data = []
-    for (mon, deltas) in sorted(T.terms):
-        data.append([
-            _grat_json(T.terms[(mon, deltas)]),
-            [[lab, _atom_json(a)] for lab, a in mon],
-            [[a, b, list(g)] for a, b, g in deltas],
-        ])
+    data = [[_grat_json(c), [[lab, _atom_json(a)] for lab, a in mon],
+             [[a, b, list(g)] for a, b, g in deltas]]
+            for (mon, deltas), c in sorted(_display_terms(T).items())]
     return {"kind": "tensor", "dim": T.dim, "data": data}
 
 

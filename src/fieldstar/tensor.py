@@ -1,9 +1,10 @@
 """Tensor expressions: field content at labeled points times delta kernels.
 
 A term is a pair (located monomial, delta product) with a Gaussian-rational
-coefficient.  Located atoms are (label, atom) pairs; delta atoms are
-canonical triples (a, b, gamma) standing for d_a^gamma delta(a - b) with
-a < b in label order.  Delta products are multisets (sorted tuples).
+coefficient.  Located atoms are (label, atom) pairs in tuple order, so the
+atoms at one label form one block; delta atoms are canonical triples
+(a, b, gamma) standing for d_a^gamma delta(a - b) with a < b in label
+order.  Delta products are multisets (sorted tuples).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .jets import (
     _derivative_mon,
     _partial_mon,
     _times,
-    atom_key,
     mi_add,
     mi_order,
     mi_unit,
@@ -40,14 +40,6 @@ def delta_atom(a: str, b: str, gamma) -> tuple[tuple, GRat]:
         return (a, b, gamma), ONE
     sign = ONE if mi_order(gamma) % 2 == 0 else -ONE
     return (b, a, gamma), sign
-
-
-def _locate_key(latom):
-    return (latom[0], atom_key(latom[1]))
-
-
-def _canon_located(atoms) -> tuple:
-    return tuple(sorted(atoms, key=_locate_key))
 
 
 _label = itemgetter(0)  # the label of a located atom
@@ -113,7 +105,7 @@ class TensorExpr(TermDict):
                 elif m2[-1][0] < m1[0][0]:
                     mon = m2 + m1
                 else:
-                    mon = _canon_located(m1 + m2)
+                    mon = _canon_monomial(m1 + m2)
                 _acc(terms, (mon, tuple(sorted(d1 + d2)) if d1 and d2
                              else d1 + d2), c1 * c2)
         return TensorExpr(self.dim, terms)
@@ -195,8 +187,8 @@ class TensorExpr(TermDict):
         """Rename a point label, re-canonicalizing delta atoms."""
         terms: dict = {}
         for (mon, deltas), c in self.terms.items():
-            located = _canon_located(
-                tuple(((new if lab == old else lab), atom) for lab, atom in mon))
+            located = _canon_monomial(
+                ((new if lab == old else lab), atom) for lab, atom in mon)
             sign = ONE
             new_deltas = []
             for a, b, gamma in deltas:

@@ -336,6 +336,20 @@ def test_config_exponent_above_the_bound_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_config_density_with_a_constant_at_the_origin_exits_two(tmp_path,
+                                                               capsys):
+    # m is a symbol, not 1, so m - 1 does not vanish at the jet origin
+    config = dict(KG_CONFIG, hamiltonian="m - 1 + pi^2")
+    path = _write(tmp_path, "const.json", config)
+    assert main(["eom", "--config", path, "--field", "phi"]) == 2
+    assert capsys.readouterr().err \
+        == "error: density does not vanish at the jet origin\n"
+    config = dict(KG_CONFIG, hamiltonian="m^2*phi^2 + pi^2")
+    path = _write(tmp_path, "mass.json", config)
+    assert main(["eom", "--config", path, "--field", "phi"]) == 0
+    assert capsys.readouterr().out == "2*pi\n"
+
+
 @pytest.mark.parametrize("key,value", [
     ("dim", "x"), ("dim", 3.5), ("dim", True), ("order", [1]), ("seed", "x"),
     ("tolerance", "tight"), ("constants", 5), ("constants", ["m", 1]),

@@ -123,10 +123,16 @@ def test_function_symbol_chain_rule():
 
 
 def test_condition_b_evaluation():
-    assert (u() * xi()).eval_at_origin() == 0
-    assert (u() + FieldExpr.const(GRat(2), 1)).eval_at_origin() == 2
+    assert (u() * xi()).eval_at_origin().is_zero()
+    assert (u() + FieldExpr.const(GRat(2), 1)).eval_at_origin() \
+        == FieldExpr.const(2, 1)
     vanishing = FieldExpr.function("U", "phi", 1, order=2)
-    assert vanishing.eval_at_origin() == 0
+    assert vanishing.eval_at_origin().is_zero()
+    # a constant symbol survives at the origin as a symbol, not as 1
+    m = FieldExpr.const_symbol("m", 1)
+    assert (m * u() + m - FieldExpr.const(1, 1)).eval_at_origin() \
+        == m - FieldExpr.const(1, 1)
+    assert not m.satisfies_condition_b()
     unknown = FieldExpr.function("V", "phi", 1, order=0, vanishes=False)
     with pytest.raises(ConditionBError):
         unknown.eval_at_origin()

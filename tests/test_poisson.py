@@ -157,6 +157,15 @@ def test_functional_rejects_condition_b_violation():
     Functional(u() * xi(), SYS1)  # fine
 
 
+def test_constant_symbols_do_not_vanish_at_the_origin():
+    m = FieldExpr.const_symbol("m", 1)
+    kappa = FieldExpr.const_symbol("kappa", 1)
+    assert not functional_null(m - kappa, SYS1)
+    with pytest.raises(ConditionBViolation):
+        Functional(m - FieldExpr.const(1, 1), SYS1)
+    Functional(m * m * u() ** 2 + xi() ** 2, SYS1)  # fine
+
+
 def test_functional_equality_modulo_divergence():
     f = u() * u((1,))           # = D(phi^2)/2, a total divergence
     assert functional_null(f, SYS1)
@@ -207,10 +216,9 @@ def test_antisymmetry_of_functional_bracket():
 def test_density_functional_bracket_mirrors_functional_density():
     P = Kernel.delta(1)
     F = Functional(u() * xi(), SYS1)
-    lhs = bracket_density_functional(xi(), "z", F, P, SYS1)
-    # {h, F} = -{F, h} relabeled
-    rhs = -bracket_functional_density(F, xi(), P, SYS1, y="z",
-                                      cross_check=False)
+    lhs = bracket_density_functional(xi(), F, P, SYS1)
+    # {h, F} = -{F, h}
+    rhs = -bracket_functional_density(F, xi(), P, SYS1)
     assert lhs == rhs
 
 

@@ -20,6 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 from fieldstar.jets import (
     DimensionMismatch,
     FieldExpr,
+    _canon_monomial,
     complex_system,
     const_atom,
     func_atom,
@@ -35,7 +36,7 @@ from fieldstar.randexpr import multi_indices, random_expr
 from fieldstar.rationals import GRat, I, ONE, ZERO
 from fieldstar.sigma import _factor, sigma_first, sigma_terms
 from fieldstar.star import star_fn
-from fieldstar.tensor import TensorExpr, _canon_located, delta_atom
+from fieldstar.tensor import TensorExpr, delta_atom
 from fieldstar.verify import default_kernels
 
 POWERS = 3
@@ -80,7 +81,7 @@ def _ref_jet_partial_mon(mon, label: str, sort: str, index):
             if lab == label and atom[0] == "f" and atom[3] == sort:
                 rest = list(mon)
                 rest[pos] = (lab, func_atom(atom[1], atom[3], atom[2] + 1, atom[4]))
-                out.append((_canon_located(rest), ONE))
+                out.append((_canon_monomial(rest), ONE))
     return out
 
 
@@ -186,7 +187,7 @@ def build(case):
                     located.append((lab, const_atom("m")))
         delta_atoms = tuple(sorted(delta_atom(l1, l2, g)[0]
                                    for l1, l2, g in deltas))
-        _ref_acc(terms, (_canon_located(located), delta_atoms), GRat(re, im))
+        _ref_acc(terms, (_canon_monomial(located), delta_atoms), GRat(re, im))
     T = TensorExpr(dim, terms)
     return T, a, b, default_kernels(dim)[kernel], system
 

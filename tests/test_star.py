@@ -8,6 +8,7 @@ from fieldstar.jets import (
     DimensionMismatch,
     FieldExpr,
     complex_system,
+    mi_unit,
     real_system,
 )
 from fieldstar.kernels import Kernel
@@ -221,25 +222,39 @@ def test_functional_star_of_densities_nonlinear_in_derivatives():
     assert series.tail[2] == Functional((u() * u((2,))).scale(6), SYS1)
 
 
+def _cross_check_cubic_stars(system, P, rng) -> tuple:
+    """Both functional stars of one draw, cross-checked; their tails' orders."""
+    F, G = (Functional(random_density(system, rng, max_degree=3,
+                                      max_jet_order=2, terms=2),
+                       system) for _ in range(2))
+    g = random_expr(system, rng, max_degree=3, max_jet_order=2, terms=2)
+    density = star_functional_density(F, g, P, system, order=4, cross_check=True)
+    functionals = star_functionals(F, G, P, system, order=4, cross_check=True)
+    return set(density.tail), set(functionals.tail)
+
+
 def test_star_closed_forms_cross_check_cubic_second_order_jets():
     rng = random.Random(23)
     for dim in (1, 3):
         system = real_system(dim)
         for P in (Kernel.delta(dim), Kernel.delta(dim, I)):
             for _ in range(4):
-                F, G = (Functional(random_density(system, rng, max_degree=3,
-                                                  max_jet_order=2, terms=2),
-                                   system) for _ in range(2))
-                g = random_expr(system, rng, max_degree=3, max_jet_order=2,
-                                terms=2)
-                star_functional_density(F, g, P, system, order=4,
-                                        cross_check=True)
-                star_functionals(F, G, P, system, order=4, cross_check=True)
+                _cross_check_cubic_stars(system, P, rng)
+    # an antisymmetric kernel, drawn from a stream of its own so that the
+    # draws above stay where they are; the closed forms' weights past order
+    # 1 depend on the kernel's parity, so each star must reach order 2
+    rng = random.Random(23)
+    reached = [False, False]
+    for dim in (1, 3):
+        system = real_system(dim)
+        P = Kernel.derivative_delta(dim, mi_unit(dim, 1))
+        for _ in range(4):
+            orders = _cross_check_cubic_stars(system, P, rng)
+            reached = [seen or 2 in tail for seen, tail in zip(reached, orders)]
+    assert reached == [True, True]
 
 
 def _kg_hamiltonian(dim: int):
-    from fieldstar.jets import mi_unit
-
     h = GRat(Fraction(1, 2))
     m = FieldExpr.const_symbol("m", dim)
     U = FieldExpr.function("U", "phi", dim)
