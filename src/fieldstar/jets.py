@@ -19,6 +19,7 @@ multi-index, so that equal monomials are equal tuples.  Display order is
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .rationals import GRat, ONE
@@ -84,7 +85,7 @@ def mi_unit(dim: int, direction: int) -> MultiIndex:
 
 
 def mi_add(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def mi_order(a: MultiIndex) -> int:
@@ -332,20 +333,22 @@ class FieldExpr(TermDict):
 
         Function symbols flagged as vanishing at the origin contribute zero
         through derivative order two (the o(s^2) growth assumption); an
-        unflagged symbol, or a higher derivative, has unknown value and
-        raises ConditionBError.
+        unflagged symbol, or a higher derivative, has unknown value.  A
+        term vanishes when any factor does; a term with no vanishing factor
+        and an unknown one raises ConditionBError.
         """
         terms = {}
         for mon, c in self.terms.items():
+            unknown = None
             for atom in mon:
-                if atom[0] == "j":
+                if atom[0] == "j" or atom[0] == "f" and atom[4] and atom[2] <= 2:
                     break
-                if atom[0] == "f":
-                    if atom[4] and atom[2] <= 2:
-                        break
-                    raise ConditionBError(
-                        f"value of {atom[1]} (order {atom[2]}) at the origin is unknown")
+                if atom[0] == "f" and unknown is None:
+                    unknown = atom
             else:
+                if unknown is not None:
+                    raise ConditionBError(
+                        f"value of {unknown[1]} (order {unknown[2]}) at the origin is unknown")
                 terms[mon] = c
         return FieldExpr(self.dim, terms)
 

@@ -29,11 +29,12 @@ delta(lo - hi) for the label pair in order, so derivatives from the hi
 side, and kernel indices when a > b, fold in the parity sign (-1)^|index|.
 
 ``sigma_terms`` yields sigma^k T / k!, the k-th term of the exponential.
-Multiplicities, binomials and parity signs are ints, so when T and P are
-real (over Q) every work coefficient is a plain int numerator over one
-common denominator per call, and each output key gets one GRat, over that
-denominator times k!.  Over Q[i] the work coefficients are GRats, and 1/k!
-is folded into each output denominator.
+Multiplicities, binomials and parity signs are ints, so every work
+coefficient is a numerator over one common denominator per call, and each
+output key gets one GRat, over that denominator times k!.  When T and P
+are real (over Q) a numerator is a plain int; over Q[i] it is a Gaussian
+integer, an (re, im) pair of ints, which the loops multiply and add with
+int arithmetic.
 """
 
 from __future__ import annotations
@@ -47,10 +48,41 @@ from .rationals import ONE, _make
 from .tensor import TensorExpr, _label, _locate
 
 
-def _works(T: TensorExpr) -> dict:
-    """T as operator work terms, each with an empty pending index."""
+def _denominator(F) -> int:
+    """The lcm of the denominators of a term dict's coefficients."""
+    return lcm(*[c._d for c in F.terms.values()])
+
+
+def _numerators(items, real: bool, d: int, m: int = 1) -> dict:
+    """{key: c * d * m} for each (key, c) of ``items``, where d is a
+    multiple of every c's denominator: a plain int over Q, an (re, im)
+    pair of ints over Q[i]."""
+    if real:
+        return {key: c._a * (d // c._d * m) for key, c in items}
+    return {key: (c._a * (s := d // c._d * m), c._b * s) for key, c in items}
+
+
+def _works(T: TensorExpr, real: bool, d: int, m: int = 1) -> dict:
+    """T as operator work terms over d, with numerators times m (see
+    ``_numerators``), each with an empty pending index."""
     zero = mi_zero(T.dim)
-    return {(mon, deltas, zero): c for (mon, deltas), c in T.terms.items()}
+    return _numerators((((mon, deltas, zero), c)
+                        for (mon, deltas), c in T.terms.items()), real, d, m)
+
+
+def _pair_acc(out: dict, key, a: int, b: int):
+    """``jets._acc`` for the Gaussian-integer numerator a + b*i: the key
+    is dropped when both parts of the sum are 0."""
+    acc = out.get(key)
+    if acc is None:
+        out[key] = (a, b)
+        return
+    a += acc[0]
+    b += acc[1]
+    if a or b:
+        out[key] = (a, b)
+    else:
+        del out[key]
 
 
 def _block_partials(block, label: str, sort: str, side: int, dim: int) -> list:
@@ -75,8 +107,9 @@ def _block_partials(block, label: str, sort: str, side: int, dim: int) -> list:
 
 
 def _derive(works: dict, label: str, sort: str, side: int, dim: int,
-            memo: dict) -> dict:
-    """One paired (jet partial x spatial-on-pending-atom) derivation pass.
+            memo: dict, real: bool) -> dict:
+    """One paired (jet partial x spatial-on-pending-atom) derivation pass
+    on int (``real``) or Gaussian-integer numerators.
 
     Located monomials sort by label first, so the atoms at ``label`` form
     one block and the derivative of ``pre + block + post`` is
@@ -100,13 +133,11 @@ def _derive(works: dict, label: str, sort: str, side: int, dim: int,
             new_gamma = memo.get((gamma, index))
             if new_gamma is None:
                 new_gamma = memo[(gamma, index)] = mi_add(gamma, index)
-            if factor == 1:
-                cc = c
-            elif factor == -1:
-                cc = -c
+            key = (pre + new_block + post, deltas, new_gamma)
+            if real:
+                _acc(out, key, c * factor)
             else:
-                cc = c * factor
-            _acc(out, (pre + new_block + post, deltas, new_gamma), cc)
+                _pair_acc(out, key, c[0] * factor, c[1] * factor)
     return out
 
 
@@ -143,26 +174,19 @@ def _factor(T: TensorExpr, a: str) -> list:
     return [(TensorExpr(T.dim, L), TensorExpr(T.dim, R)) for L, R in pairs]
 
 
-def _numerators(works: dict, real: bool) -> tuple[int, dict]:
-    """(d, numerators) with works = numerators / d.
-
-    Over Q, d is the lcm of the denominators and each numerator a plain
-    int; over Q[i], d is 1 and the values stay as they are.
-    """
-    if not real:
-        return 1, works
-    d = lcm(*[c._d for c in works.values()])
-    return d, {key: c._a * (d // c._d) for key, c in works.items()}
-
-
-def _product(out: dict, X: dict, Y: dict, kernel: list, a: str, pair,
-             atoms: dict, memo: dict):
-    """Accumulate X (x) Y (x) kernel into ``out``; ``kernel`` lists each
-    (gamma, coefficient) with the binomial and parity already folded in.
-    The delta part of an output key, cached in ``atoms`` per (deltas,
-    alpha, beta + gamma), holds the inserted atom (lo, hi, gamma) for
-    ``pair`` = (lo, hi); for None it is (deltas, gamma), the atom pending."""
-    kernel = [(g, None if kc == 1 else kc) for g, kc in kernel]
+def _product(out: dict, X: dict, Y: dict, kernel: list, f: int, a: str,
+             pair, atoms: dict, memo: dict, real: bool):
+    """Accumulate f * X (x) Y (x) kernel into ``out``, on int (``real``)
+    or Gaussian-integer numerators; ``kernel`` lists each (gamma,
+    coefficient) with the parity folded in, and f is an int.  The delta
+    part of an output key, cached in ``atoms`` per (deltas, alpha,
+    beta + gamma), holds the inserted atom (lo, hi, gamma) for ``pair`` =
+    (lo, hi); for None it is (deltas, gamma), the atom pending."""
+    if real:
+        kernel = [(g, None if kc * f == 1 else kc * f) for g, kc in kernel]
+    else:
+        kernel = [(g, None if kb == 0 and ka * f == 1
+                   else (ka * f, kb * f)) for g, (ka, kb) in kernel]
     by_alpha: dict = {}
     for (block, _deltas, alpha), cx in X.items():
         by_alpha.setdefault(alpha, []).append((block, cx))
@@ -173,7 +197,13 @@ def _product(out: dict, X: dict, Y: dict, kernel: list, a: str, pair,
             bg = memo.get((beta, gamma))
             if bg is None:
                 bg = memo[(beta, gamma)] = mi_add(beta, gamma)
-            cr = cy if kc is None else cy * kc
+            if kc is None:
+                cr = cy
+            elif real:
+                cr = cy * kc
+            else:
+                cr = (cy[0] * kc[0] - cy[1] * kc[1],
+                      cy[0] * kc[1] + cy[1] * kc[0])
             for alpha, entries in by_alpha.items():
                 dkey = atoms.get((deltas, alpha, bg))
                 if dkey is None:
@@ -181,8 +211,14 @@ def _product(out: dict, X: dict, Y: dict, kernel: list, a: str, pair,
                     dkey = (deltas, g) if pair is None \
                         else tuple(sorted(deltas + ((*pair, g),)))
                     atoms[(deltas, alpha, bg)] = dkey
-                for block, cx in entries:
-                    _acc(out, (pre + block + post, dkey), cx * cr)
+                if real:
+                    for block, cx in entries:
+                        _acc(out, (pre + block + post, dkey), cx * cr)
+                    continue
+                ra, rb = cr
+                for block, (xa, xb) in entries:
+                    _pair_acc(out, (pre + block + post, dkey),
+                              xa * ra - xb * rb, xa * rb + xb * ra)
 
 
 def _check_dims(products: list, P: Kernel, system: FieldSystem) -> int:
@@ -200,15 +236,17 @@ def _check_dims(products: list, P: Kernel, system: FieldSystem) -> int:
 def _setup(calls: list, P: Kernel, system: FieldSystem):
     """(real, D, setups) for operator calls, each (products, a, b): one
     real/complex decision for all calls (real when neither P nor any factor
-    has an imaginary part; the work then runs on int numerators), D the lcm
-    of the calls' denominators (1 over Q[i]), and per call with products
-    (a, b, dim, pair, side_a, side_b, kernel, factors): the label pair in
-    order, the side (0 for lo) of a and of b, the kernel's (gamma,
-    coefficient) list with the parity folded in, and the products as work
-    terms (L, R), L scaled to bring L (x) R (x) kernel over D."""
+    has an imaginary part; the work then runs on int numerators, otherwise
+    on Gaussian-integer ones), D the lcm of the calls' denominators, and
+    per call with products (a, b, dim, pair, side_a, side_b, kernel,
+    factors): the label pair in order, the side (0 for lo) of a and of b,
+    the kernel's (gamma, numerator) list with the parity folded in, and the
+    products as work terms (L, R), L scaled to bring L (x) R (x) kernel
+    over D."""
     real = not any(c._b for c in P.terms.values()) \
         and not any(c._b for products, _a, _b in calls for pair in products
                     for F in pair for c in F.terms.values())
+    kd = _denominator(P)
     setups = []
     for products, a, b in calls:
         if a == b:
@@ -218,31 +256,25 @@ def _setup(calls: list, P: Kernel, system: FieldSystem):
         dim = _check_dims(products, P, system)
         pair = tuple(sorted((a, b)))
         side_a, side_b = (0, 1) if a == pair[0] else (1, 0)
-        kd, kernel = _numerators(
-            {g: c if side_a == 0 or mi_order(g) % 2 == 0 else -c
-             for g, c in P.terms.items()}, real)
-        factors = []
-        for L, R in products:
-            ld, L = _numerators(_works(L), real)
-            rd, R = _numerators(_works(R), real)
-            factors.append((kd * ld * rd, L, R))
+        kernel = _numerators(
+            ((g, c if side_a == 0 or mi_order(g) % 2 == 0 else -c)
+             for g, c in P.terms.items()), real, kd)
         setups.append([a, b, dim, pair, side_a, side_b, list(kernel.items()),
-                       factors])
-    D = lcm(*[d for setup in setups for d, _L, _R in setup[-1]])
+                       [(L, _denominator(L), R, _denominator(R))
+                        for L, R in products]])
+    D = lcm(*[kd * ld * rd for setup in setups
+              for _L, ld, _R, rd in setup[-1]])
     for setup in setups:  # each L over D
-        setup[-1] = [(L if d == D else {key: c * (D // d)
-                                        for key, c in L.items()}, R)
-                     for d, L, R in setup[-1]]
+        setup[-1] = [(_works(L, real, ld, D // (kd * ld * rd)),
+                      _works(R, real, rd)) for L, ld, R, rd in setup[-1]]
     return real, D, setups
 
 
 def _finish(out: dict, real: bool, d: int) -> dict:
-    """The accumulated work coefficients over d, one GRat per key."""
+    """The accumulated numerators over d, one GRat per key."""
     if real:
         return {key: _make(c, 0, d) for key, c in out.items()}
-    if d == 1:
-        return out
-    return {key: _make(c._a, c._b, c._d * d) for key, c in out.items()}
+    return {key: _make(a, b, d) for key, (a, b) in out.items()}
 
 
 def sigma_first(calls: list, P: Kernel, system: FieldSystem) -> TensorExpr:
@@ -261,12 +293,11 @@ def sigma_first(calls: list, P: Kernel, system: FieldSystem) -> TensorExpr:
         for L, R in factors:
             # lineage A (p at a, q at b), then B (q at a, p at b) times s
             for sort_a, sort_b, s in ((p, q, 1), (q, p, sign)):
-                X = _derive(L, a, sort_a, side_a, dim, memo)
-                Y = _derive(R, b, sort_b, side_b, dim, memo) if X else None
+                X = _derive(L, a, sort_a, side_a, dim, memo, real)
+                Y = _derive(R, b, sort_b, side_b, dim, memo, real) \
+                    if X else None
                 if Y:
-                    _product(out, X, Y, kernel if s == 1 else
-                             [(g, -c) for g, c in kernel], a, pair, atoms,
-                             memo)
+                    _product(out, X, Y, kernel, s, a, pair, atoms, memo, real)
     return TensorExpr(P.dim, _finish(out, real, D))
 
 
@@ -280,7 +311,8 @@ def sigma_terms(products: list, a: str, b: str, P: Kernel,
     generator stops as soon as a power vanishes identically; all higher
     powers then vanish as well.  (A power that vanishes only once its
     inserted atom joins an equal delta atom of T is yielded, empty.)  The
-    work runs on int numerators when T and P are real, on GRats otherwise.
+    work runs on int numerators when T and P are real, on Gaussian-integer
+    numerators otherwise.
     Every factor, P and the system share one dimension, or DimensionMismatch
     is raised.
     """
@@ -295,10 +327,8 @@ def sigma_terms(products: list, a: str, b: str, P: Kernel,
         out: dict = {}
         for _start, lines in pairs:
             for j, X, Y in lines:
-                f = comb(k, j) * sign ** j
-                _product(out, X, Y, kernel if f == 1 else
-                         [(g, c * f) for g, c in kernel], a, inserted, atoms,
-                         memo)
+                _product(out, X, Y, kernel, comb(k, j) * sign ** j, a,
+                         inserted, atoms, memo, real)
         return out
 
     def meets() -> bool:
@@ -320,13 +350,14 @@ def sigma_terms(products: list, a: str, b: str, P: Kernel,
         for start, lines in pairs:
             new_lines = []
             for j, X, Y in lines:
-                X = _derive(X, a, p, side_a, dim, memo)
-                Y = _derive(Y, b, q, side_b, dim, memo) if X else None
+                X = _derive(X, a, p, side_a, dim, memo, real)
+                Y = _derive(Y, b, q, side_b, dim, memo, real) if X else None
                 if Y:
                     new_lines.append((j, X, Y))
             if start is not None:
-                X = _derive(start[0], a, q, side_a, dim, memo)
-                Y = _derive(start[1], b, p, side_b, dim, memo) if X else None
+                X = _derive(start[0], a, q, side_a, dim, memo, real)
+                Y = _derive(start[1], b, p, side_b, dim, memo, real) \
+                    if X else None
                 start = (X, Y) if Y else None
                 if Y:
                     new_lines.append((k, X, Y))

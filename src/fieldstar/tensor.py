@@ -24,22 +24,21 @@ from .jets import (
     mi_order,
     mi_unit,
 )
-from .rationals import GRat, ONE
+from .rationals import GRat
 
 
 class NonIntegrableTerm(ValueError):
     """A label was integrated out of a term with no delta atom carrying it."""
 
 
-def delta_atom(a: str, b: str, gamma) -> tuple[tuple, GRat]:
-    """Canonicalize d_a^gamma delta(a-b); returns (atom, sign)."""
+def delta_atom(a: str, b: str, gamma) -> tuple[tuple, int]:
+    """Canonicalize d_a^gamma delta(a-b); returns (atom, int sign)."""
     gamma = tuple(gamma)
     if a == b:
         raise ValueError(f"delta atom at coinciding labels {a!r}")
     if a < b:
-        return (a, b, gamma), ONE
-    sign = ONE if mi_order(gamma) % 2 == 0 else -ONE
-    return (b, a, gamma), sign
+        return (a, b, gamma), 1
+    return (b, a, gamma), -1 if mi_order(gamma) % 2 else 1
 
 
 _label = itemgetter(0)  # the label of a located atom
@@ -84,7 +83,7 @@ class TensorExpr(TermDict):
         terms: dict = {}
         for gamma, c in kernel.terms.items():
             atom, sign = delta_atom(a, b, gamma)
-            _acc(terms, ((), (atom,)), c * sign)
+            _acc(terms, ((), (atom,)), _times(c, sign))
         return cls(kernel.dim, terms)
 
     # -- ring structure -----------------------------------------------------
@@ -189,15 +188,15 @@ class TensorExpr(TermDict):
         for (mon, deltas), c in self.terms.items():
             located = _canon_monomial(
                 ((new if lab == old else lab), atom) for lab, atom in mon)
-            sign = ONE
+            sign = 1
             new_deltas = []
             for a, b, gamma in deltas:
                 a2 = new if a == old else a
                 b2 = new if b == old else b
                 atom, s = delta_atom(a2, b2, gamma)
-                sign = sign * s
+                sign *= s
                 new_deltas.append(atom)
-            _acc(terms, (located, tuple(sorted(new_deltas))), c * sign)
+            _acc(terms, (located, tuple(sorted(new_deltas))), _times(c, sign))
         return TensorExpr(self.dim, terms)
 
     def integrate_out(self, label: str) -> "TensorExpr":

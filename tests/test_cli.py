@@ -58,6 +58,26 @@ def test_eom_prints_wave_equation(kg_config, capsys):
     assert capsys.readouterr().out.strip() == "pi"
 
 
+@pytest.mark.parametrize("hamiltonian", ["U'''(phi)*phi + pi^2",
+                                         "phi*U'''(phi) + pi^2"])
+def test_condition_b_sees_a_jet_behind_a_function_symbol(hamiltonian,
+                                                          tmp_path, capsys):
+    # U''' has no known value at the origin, but phi vanishes there
+    config = _write(tmp_path, "kg.json",
+                    {**KG_CONFIG, "hamiltonian": hamiltonian})
+    assert main(["eom", "--config", config, "--field", "phi"]) == 0
+    assert capsys.readouterr().out == "2*pi\n"
+
+
+def test_condition_b_refuses_an_unknown_value_with_no_vanishing_factor(
+        tmp_path, capsys):
+    config = _write(tmp_path, "kg.json",
+                    {**KG_CONFIG, "hamiltonian": "U'''(phi) + pi^2"})
+    assert main(["eom", "--config", config, "--field", "phi"]) == 2
+    assert capsys.readouterr().err \
+        == "error: value of U (order 3) at the origin is unknown\n"
+
+
 def test_eom_prints_nls(nls_config, capsys):
     assert main(["eom", "--config", nls_config, "--field", "psi"]) == 0
     assert capsys.readouterr().out.strip() \

@@ -141,6 +141,22 @@ def test_condition_b_evaluation():
         deep.eval_at_origin()
 
 
+def test_condition_b_term_vanishes_with_any_vanishing_factor():
+    # function atoms sort before jets, so the unknown factor is met first;
+    # the term still vanishes at the origin
+    deep = FieldExpr.function("U", "phi", 1, order=3)
+    assert (deep * u()).eval_at_origin().is_zero()
+    assert (u() * deep).eval_at_origin().is_zero()
+    # A (unflagged) sorts before U (flagged), and U vanishes
+    A = FieldExpr.function("A", "phi", 1, vanishes=False)
+    U = FieldExpr.function("U", "phi", 1)
+    assert (A * U).eval_at_origin().is_zero()
+    # with no vanishing factor, the unknown one is still reported
+    m = FieldExpr.const_symbol("m", 1)
+    with pytest.raises(ConditionBError, match="value of U"):
+        (m * deep + u()).eval_at_origin()
+
+
 def test_jet_variables_reports_funcsym_argument():
     f = u((1,)) * FieldExpr.function("U", "phi", 1)
     assert ("phi", (1,)) in f.jet_variables("phi")

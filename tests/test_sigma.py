@@ -34,7 +34,7 @@ from fieldstar.kernels import Kernel, bracket_sign
 from fieldstar.poisson import bracket_fn, jacobi_residual
 from fieldstar.randexpr import multi_indices, random_expr
 from fieldstar.rationals import GRat, I, ONE, ZERO
-from fieldstar.sigma import _factor, sigma_first, sigma_terms
+from fieldstar.sigma import _factor, _setup, sigma_first, sigma_terms
 from fieldstar.star import star_fn
 from fieldstar.tensor import TensorExpr, delta_atom
 from fieldstar.verify import default_kernels
@@ -159,8 +159,12 @@ def cases(draw):
     )
     delta = st.tuples(st.sampled_from(labels), st.sampled_from(labels),
                       st.sampled_from(indices)).filter(lambda d: d[0] != d[1])
+    # coefficient parts over denominators 1, 2 and 3, so that a common
+    # denominator above 1 is drawn over Q and over Q[i]
+    den = st.sampled_from((1, 1, 2, 3))
     term = st.tuples(
-        st.tuples(st.integers(-3, 3), st.integers(-2, 2)),
+        st.tuples(st.builds(Fraction, st.integers(-3, 3), den),
+                  st.builds(Fraction, st.integers(-2, 2), den)),
         st.fixed_dictionaries({lab: st.lists(atom, max_size=5)
                                for lab in labels}),
         st.lists(delta, max_size=1),
@@ -206,16 +210,41 @@ EMPTY_BLOCKS = (3, "real", 1, ("z", "x"), [
 ])
 
 
+# Q[i] coefficients over denominators 2 and 3 under the complex kernel of
+# default_kernels, (1 + i)*d1 delta: Gaussian-integer numerators over
+# D = 6, not 1
+MIXED_DENOMINATORS = (1, "complex", 1, ("y", "x"), [
+    ((Fraction(1, 2), Fraction(-2, 3)),
+     {"x": [("j", 0, (0,)), ("j", 1, (1,)), ("j", 1, (0,))],
+      "y": [("j", 1, (0,)), ("j", 0, (2,)), ("j", 0, (0,))]}, []),
+    ((Fraction(-3, 2), Fraction(1, 3)),
+     {"x": [("j", 1, (0,)), ("j", 1, (0,)), ("j", 0, (1,))],
+      "y": [("j", 0, (1,)), ("f", 0, 0), ("j", 1, (0,))]},
+     [("x", "y", (1,))]),
+])
+
+
 @settings(max_examples=150, deadline=None)
 @example(EMPTY_BLOCKS)
+@example(MIXED_DENOMINATORS)
 @given(cases())
 def test_powers_match_per_monomial_reference(case):
     T, a, b, P, system = build(case)
     powers = list(islice(sigma_terms(_factor(T, a), a, b, P, system),
                          POWERS))
-    assert [power.terms for power in powers] \
-        == reference_powers(T, a, b, P, system, POWERS)
+    reference = reference_powers(T, a, b, P, system, POWERS)
+    assert [power.terms for power in powers] == reference
     assert all(power.dim == T.dim for power in powers)
+    # sigma_first, which the brackets run, against the reference too
+    assert sigma_first([(_factor(T, a), a, b)], P, system).terms \
+        == (reference[0] if reference else {})
+
+
+def test_mixed_denominators_case_runs_on_gaussian_integers():
+    T, a, b, P, system = build(MIXED_DENOMINATORS)
+    real, D, _setups = _setup([(_factor(T, a), a, b)], P, system)
+    assert not real and D % 6 == 0
+    assert len(reference_powers(T, a, b, P, system, POWERS)) == POWERS
 
 
 def test_empty_blocks_case_reaches_three_powers():
@@ -359,7 +388,7 @@ def test_given_products_read_the_deltas_of_r():
     assert [power.terms for power in powers] == [{}]
 
 
-# -- fixed cases: the int path over Q and the GRat path over Q[i] -------------
+# -- fixed cases: int numerators over Q, Gaussian integers over Q[i] ---------
 
 PHI, PI = jet("phi", (0,)), jet("pi", (0,))
 # degree 4 at both labels, so that four powers are nonzero; the two rows
@@ -383,14 +412,25 @@ def test_real_input_runs_on_int_numerators_over_a_common_denominator():
     assert any(c._d > 1 for power in powers for c in power.terms.values())
 
 
-def test_imaginary_kernel_keeps_real_input_on_grats():
-    check_powers(REAL_T, "x", "y", Kernel.delta(1, I), 4)
+def _gaussian_integer_path(T, P):
+    """Whether the operator on T over (x, y) runs on Gaussian-integer
+    numerators over a common denominator above 1."""
+    real, D, _setups = _setup([(_factor(T, "x"), "x", "y")], P, SYSTEM)
+    return not real and D > 1
 
 
-def test_complex_input_stays_on_grats():
+def test_imaginary_kernel_puts_real_input_on_gaussian_integers():
+    P = Kernel.delta(1, I)
+    assert _gaussian_integer_path(REAL_T, P)
+    check_powers(REAL_T, "x", "y", P, 4)
+
+
+def test_complex_input_runs_on_gaussian_integers():
     T = REAL_T + at(jet("phi", (1,), GRat(Fraction(1, 3), 2)) * PI ** 3,
                     "x") * at(PHI * PI ** 3, "y")
-    check_powers(T, "x", "y", Kernel.derivative_delta(1, (1,)), 4)
+    P = Kernel.derivative_delta(1, (1,))
+    assert _gaussian_integer_path(T, P)
+    check_powers(T, "x", "y", P, 4)
 
 
 def test_kernel_of_another_dimension_is_rejected():
