@@ -240,10 +240,16 @@ def test_powers_match_per_monomial_reference(case):
         == (reference[0] if reference else {})
 
 
+def _gaussian_integer_path(T, a, b, P, system) -> bool:
+    """Whether the operator on T over (a, b) runs on Gaussian-integer
+    numerators over a common denominator above 1."""
+    real, D, _setups = _setup([(_factor(T, a), a, b)], P, system)
+    return not real and D > 1
+
+
 def test_mixed_denominators_case_runs_on_gaussian_integers():
     T, a, b, P, system = build(MIXED_DENOMINATORS)
-    real, D, _setups = _setup([(_factor(T, a), a, b)], P, system)
-    assert not real and D % 6 == 0
+    assert _gaussian_integer_path(T, a, b, P, system)
     assert len(reference_powers(T, a, b, P, system, POWERS)) == POWERS
 
 
@@ -412,16 +418,9 @@ def test_real_input_runs_on_int_numerators_over_a_common_denominator():
     assert any(c._d > 1 for power in powers for c in power.terms.values())
 
 
-def _gaussian_integer_path(T, P):
-    """Whether the operator on T over (x, y) runs on Gaussian-integer
-    numerators over a common denominator above 1."""
-    real, D, _setups = _setup([(_factor(T, "x"), "x", "y")], P, SYSTEM)
-    return not real and D > 1
-
-
 def test_imaginary_kernel_puts_real_input_on_gaussian_integers():
     P = Kernel.delta(1, I)
-    assert _gaussian_integer_path(REAL_T, P)
+    assert _gaussian_integer_path(REAL_T, "x", "y", P, SYSTEM)
     check_powers(REAL_T, "x", "y", P, 4)
 
 
@@ -429,7 +428,7 @@ def test_complex_input_runs_on_gaussian_integers():
     T = REAL_T + at(jet("phi", (1,), GRat(Fraction(1, 3), 2)) * PI ** 3,
                     "x") * at(PHI * PI ** 3, "y")
     P = Kernel.derivative_delta(1, (1,))
-    assert _gaussian_integer_path(T, P)
+    assert _gaussian_integer_path(T, "x", "y", P, SYSTEM)
     check_powers(T, "x", "y", P, 4)
 
 
