@@ -21,10 +21,13 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .rationals import GRat, ONE
 
 MultiIndex = tuple  # tuple of n naturals
+
+RULE_CACHE_SIZE = 4096  # entries in each process-wide cache of a pure rule
 
 
 class DimensionMismatch(ValueError):
@@ -84,6 +87,7 @@ def mi_unit(dim: int, direction: int) -> MultiIndex:
     return tuple(1 if i == direction - 1 else 0 for i in range(dim))
 
 
+@lru_cache(maxsize=RULE_CACHE_SIZE)
 def mi_add(a: MultiIndex, b: MultiIndex) -> MultiIndex:
     return tuple(map(operator.add, a, b))
 
@@ -115,9 +119,10 @@ def _canon_monomial(atoms) -> tuple:
 
 # ---------------------------------------------------------------------------
 # calculus on bare-atom monomials, one copy of each rule: a rule returns
-# its contributions [(monomial, int multiplicity)]
+# its contributions ((monomial, int multiplicity), ...), cached process-wide
 
-def _partial_mon(mon: tuple, sort: str, index: MultiIndex) -> list:
+@lru_cache(maxsize=RULE_CACHE_SIZE)
+def _partial_mon(mon: tuple, sort: str, index: MultiIndex) -> tuple:
     """Partial derivative by the jet variable sort[index].
 
     The chain rule promotes U^(k)(s_0) to U^(k+1)(s_0) when differentiating
@@ -134,10 +139,11 @@ def _partial_mon(mon: tuple, sort: str, index: MultiIndex) -> list:
                 out.append((_canon_monomial(
                     mon[:pos] + (func_atom(atom[1], sort, atom[2] + 1, atom[4]),)
                     + mon[pos + 1:]), 1))
-    return out
+    return tuple(out)
 
 
-def _derivative_mon(mon: tuple, e: MultiIndex) -> list:
+@lru_cache(maxsize=RULE_CACHE_SIZE)
+def _derivative_mon(mon: tuple, e: MultiIndex) -> tuple:
     """Total derivative along the unit index ``e``: Leibniz over the atoms,
     with U^(k)(s_0) prolonged to U^(k+1)(s_0) * s_e."""
     out = []
@@ -154,7 +160,7 @@ def _derivative_mon(mon: tuple, e: MultiIndex) -> list:
             continue
         out.append((_canon_monomial(mon[:pos] + new + mon[pos + 1:]),
                     mon.count(atom)))
-    return out
+    return tuple(out)
 
 
 def conjugate_atom(atom: tuple, system: FieldSystem) -> tuple:

@@ -37,11 +37,11 @@ def bracket_fn(f: FieldExpr, g: FieldExpr, P: Kernel, system: FieldSystem,
 def _tensor_calls(h: FieldExpr, c: str, T: TensorExpr, P: Kernel,
                   system: FieldSystem) -> list:
     """The ``sigma_first`` calls of {h@c, T}_P: one per label of T."""
-    if c in T.labels():
+    if c in (labels := T.labels()):
         raise LabelCollision(f"label {c!r} already occurs in the tensor operand")
     H = TensorExpr.from_field(h, c)
     _check_dims([(H, T)], P, system)  # also when T has no label to bracket
-    return [([(H, T)], c, l) for l in sorted(T.labels())]
+    return [([(H, T)], c, l) for l in sorted(labels)]
 
 
 def bracket_tensor(h: FieldExpr, c: str, T: TensorExpr, P: Kernel,

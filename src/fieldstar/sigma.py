@@ -34,15 +34,21 @@ coefficient is a numerator over one common denominator per call, and each
 output key gets one GRat, over that denominator times k!.  When T and P
 are real (over Q) a numerator is a plain int; over Q[i] it is a Gaussian
 integer, an (re, im) pair of ints, which the loops multiply and add with
-int arithmetic.
+int arithmetic.  The jet calculus under the loops (``_block_partials``,
+``jets.mi_add`` and ``jets._partial_mon``) is cached process-wide, in
+``lru_cache``s of ``jets.RULE_CACHE_SIZE`` entries: the rules are pure,
+their arguments are few small tuples, and their values are tuples, which
+callers cannot mutate.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from functools import lru_cache
 from math import comb, factorial, lcm
 
-from .jets import FieldSystem, _acc, _partial_mon, mi_add, mi_order, mi_zero
+from .jets import (RULE_CACHE_SIZE, FieldSystem, _acc, _partial_mon, mi_add,
+                   mi_order, mi_zero)
 from .kernels import Kernel, bracket_sign
 from .rationals import ONE, _make
 from .tensor import TensorExpr, _label, _locate
@@ -85,7 +91,8 @@ def _pair_acc(out: dict, key, a: int, b: int):
         del out[key]
 
 
-def _block_partials(block, label: str, sort: str, side: int, dim: int) -> list:
+@lru_cache(maxsize=RULE_CACHE_SIZE)
+def _block_partials(block, label: str, sort: str, side: int, dim: int) -> tuple:
     """Every (new block, index, int factor) that one derivation pass makes
     from the atoms at one label; the factor holds the multiplicity and, on
     the side that carries the parity, the sign (-1)^|index|."""
@@ -96,44 +103,36 @@ def _block_partials(block, label: str, sort: str, side: int, dim: int) -> list:
         elif atom[0] == "f" and atom[3] == sort:
             indices.add(mi_zero(dim))
     if not indices:
-        return []
+        return ()
     bare = tuple([atom for _lab, atom in block])
     out = []
     for index in sorted(indices):
         sign = -1 if side == 1 and mi_order(index) % 2 == 1 else 1
         for new, mult in _partial_mon(bare, sort, index):
             out.append((_locate(label, new), index, sign * mult))
-    return out
+    return tuple(out)
 
 
 def _derive(works: dict, label: str, sort: str, side: int, dim: int,
-            memo: dict, real: bool) -> dict:
+            real: bool) -> dict:
     """One paired (jet partial x spatial-on-pending-atom) derivation pass
     on int (``real``) or Gaussian-integer numerators.
 
     Located monomials sort by label first, so the atoms at ``label`` form
     one block and the derivative of ``pre + block + post`` is
-    ``pre + new_block + post``, already canonical.  ``memo`` holds the
-    partials of each (block, sort, side) met so far and each gamma + index;
-    the two kinds of key differ in length.
+    ``pre + new_block + post``, already canonical.  The block's partials
+    and each gamma + index come from the process-wide caches.
     """
     out: dict = {}
     for (mon, deltas, gamma), c in works.items():
         lo = bisect_left(mon, label, key=_label)
         hi = bisect_right(mon, label, lo, key=_label)
-        block = mon[lo:hi]
-        parts = memo.get((block, sort, side))
-        if parts is None:
-            parts = _block_partials(block, label, sort, side, dim)
-            memo[(block, sort, side)] = parts
+        parts = _block_partials(mon[lo:hi], label, sort, side, dim)
         if not parts:
             continue
         pre, post = mon[:lo], mon[hi:]
         for new_block, index, factor in parts:
-            new_gamma = memo.get((gamma, index))
-            if new_gamma is None:
-                new_gamma = memo[(gamma, index)] = mi_add(gamma, index)
-            key = (pre + new_block + post, deltas, new_gamma)
+            key = (pre + new_block + post, deltas, mi_add(gamma, index))
             if real:
                 _acc(out, key, c * factor)
             else:
@@ -175,7 +174,7 @@ def _factor(T: TensorExpr, a: str) -> list:
 
 
 def _product(out: dict, X: dict, Y: dict, kernel: list, f: int, a: str,
-             pair, atoms: dict, memo: dict, real: bool):
+             pair, atoms: dict, real: bool):
     """Accumulate f * X (x) Y (x) kernel into ``out``, on int (``real``)
     or Gaussian-integer numerators; ``kernel`` lists each (gamma,
     coefficient) with the parity folded in, and f is an int.  The delta
@@ -194,9 +193,7 @@ def _product(out: dict, X: dict, Y: dict, kernel: list, f: int, a: str,
         cut = bisect_left(rest, a, key=_label)
         pre, post = rest[:cut], rest[cut:]
         for gamma, kc in kernel:
-            bg = memo.get((beta, gamma))
-            if bg is None:
-                bg = memo[(beta, gamma)] = mi_add(beta, gamma)
+            bg = mi_add(beta, gamma)
             if kc is None:
                 cr = cy
             elif real:
@@ -225,11 +222,8 @@ def _check_dims(products: list, P: Kernel, system: FieldSystem) -> int:
     """The dimension of every factor, the kernel and the system alike;
     DimensionMismatch otherwise."""
     L0 = products[0][0]
-    for L, R in products:
-        L0._check(L)
-        L0._check(R)
-    L0._check(P)
-    L0._check(system)
+    for F in [F for pair in products for F in pair] + [P, system]:
+        L0._check(F)
     return L0.dim
 
 
@@ -242,11 +236,9 @@ def _setup(calls: list, P: Kernel, system: FieldSystem):
     factors): the label pair in order, the side (0 for lo) of a and of b,
     the kernel's (gamma, numerator) list with the parity folded in, and the
     products as work terms (L, R), L scaled to bring L (x) R (x) kernel
-    over D."""
-    real = not any(c._b for c in P.terms.values()) \
-        and not any(c._b for products, _a, _b in calls for pair in products
-                    for F in pair for c in F.terms.values())
-    kd = _denominator(P)
+    over D.  A product that several calls share, as the calls of one
+    {h@c, T} do, becomes work terms once."""
+    shared: dict = {}  # (id(L), id(R)) -> (L, R): each product once
     setups = []
     for products, a, b in calls:
         if a == b:
@@ -256,17 +248,23 @@ def _setup(calls: list, P: Kernel, system: FieldSystem):
         dim = _check_dims(products, P, system)
         pair = tuple(sorted((a, b)))
         side_a, side_b = (0, 1) if a == pair[0] else (1, 0)
-        kernel = _numerators(
+        keys = [(id(L), id(R)) for L, R in products]
+        shared.update(zip(keys, products))
+        setups.append([a, b, dim, pair, side_a, side_b, None, keys])
+    real = not any(c._b for F in [F for LR in shared.values() for F in LR]
+                   + [P] for c in F.terms.values())
+    kd = _denominator(P)
+    shared = {key: (L, _denominator(L), R, _denominator(R))
+              for key, (L, R) in shared.items()}
+    D = lcm(*[kd * ld * rd for _L, ld, _R, rd in shared.values()])
+    works = {key: (_works(L, real, ld, D // (kd * ld * rd)), _works(R, real, rd))
+             for key, (L, ld, R, rd) in shared.items()}  # each L over D
+    for setup in setups:
+        side_a = setup[4]
+        setup[6] = list(_numerators(
             ((g, c if side_a == 0 or mi_order(g) % 2 == 0 else -c)
-             for g, c in P.terms.items()), real, kd)
-        setups.append([a, b, dim, pair, side_a, side_b, list(kernel.items()),
-                       [(L, _denominator(L), R, _denominator(R))
-                        for L, R in products]])
-    D = lcm(*[kd * ld * rd for setup in setups
-              for _L, ld, _R, rd in setup[-1]])
-    for setup in setups:  # each L over D
-        setup[-1] = [(_works(L, real, ld, D // (kd * ld * rd)),
-                      _works(R, real, rd)) for L, ld, R, rd in setup[-1]]
+             for g, c in P.terms.items()), real, kd).items())
+        setup[7] = [works[key] for key in setup[7]]
     return real, D, setups
 
 
@@ -281,23 +279,21 @@ def sigma_first(calls: list, P: Kernel, system: FieldSystem) -> TensorExpr:
     """The sum over ``calls``, each (products, a, b), of each call's first
     ``sigma_terms`` term: the operator on (a, b) applied once to the sum of
     the products.  All calls accumulate into one term dict, and each output
-    key gets one GRat.  ``memo`` is shared, as its blocks carry their
-    labels; ``atoms`` is not, as the inserted atom depends on (a, b)."""
+    key gets one GRat.  The jet calculus is cached process-wide; ``atoms``
+    is kept per call, as the inserted atom depends on (a, b)."""
     sign = bracket_sign(P)
     p, q = system.primary, system.conjugate
     real, D, setups = _setup(calls, P, system)
     out: dict = {}
-    memo: dict = {}
     for a, b, dim, pair, side_a, side_b, kernel, factors in setups:
         atoms: dict = {}
         for L, R in factors:
             # lineage A (p at a, q at b), then B (q at a, p at b) times s
             for sort_a, sort_b, s in ((p, q, 1), (q, p, sign)):
-                X = _derive(L, a, sort_a, side_a, dim, memo, real)
-                Y = _derive(R, b, sort_b, side_b, dim, memo, real) \
-                    if X else None
+                X = _derive(L, a, sort_a, side_a, dim, real)
+                Y = _derive(R, b, sort_b, side_b, dim, real) if X else None
                 if Y:
-                    _product(out, X, Y, kernel, s, a, pair, atoms, memo, real)
+                    _product(out, X, Y, kernel, s, a, pair, atoms, real)
     return TensorExpr(P.dim, _finish(out, real, D))
 
 
@@ -328,7 +324,7 @@ def sigma_terms(products: list, a: str, b: str, P: Kernel,
         for _start, lines in pairs:
             for j, X, Y in lines:
                 _product(out, X, Y, kernel, comb(k, j) * sign ** j, a,
-                         inserted, atoms, memo, real)
+                         inserted, atoms, real)
         return out
 
     def meets() -> bool:
@@ -337,7 +333,6 @@ def sigma_terms(products: list, a: str, b: str, P: Kernel,
         return any(d[:2] == pair for _L, R in products
                    for _rest, deltas in R.terms for d in deltas)
 
-    memo: dict = {}
     atoms: dict = {}
     # per pair: the current (X, Y) of lineage 0 of the next power, or None
     # once it vanished, and the live lineages (j, X, Y), where j counts the
@@ -350,14 +345,13 @@ def sigma_terms(products: list, a: str, b: str, P: Kernel,
         for start, lines in pairs:
             new_lines = []
             for j, X, Y in lines:
-                X = _derive(X, a, p, side_a, dim, memo, real)
-                Y = _derive(Y, b, q, side_b, dim, memo, real) if X else None
+                X = _derive(X, a, p, side_a, dim, real)
+                Y = _derive(Y, b, q, side_b, dim, real) if X else None
                 if Y:
                     new_lines.append((j, X, Y))
             if start is not None:
-                X = _derive(start[0], a, q, side_a, dim, memo, real)
-                Y = _derive(start[1], b, p, side_b, dim, memo, real) \
-                    if X else None
+                X = _derive(start[0], a, q, side_a, dim, real)
+                Y = _derive(start[1], b, p, side_b, dim, real) if X else None
                 start = (X, Y) if Y else None
                 if Y:
                     new_lines.append((k, X, Y))
