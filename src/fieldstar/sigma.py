@@ -39,12 +39,27 @@ int arithmetic.  The jet calculus under the loops (``_block_partials``,
 ``lru_cache``s of ``jets.RULE_CACHE_SIZE`` entries: the rules are pure,
 their arguments are few small tuples, and their values are tuples, which
 callers cannot mutate.
+
+The loop that multiplies the derived factors (``_product``) makes one
+contribution per (X term, Y term, kernel index) and spends most of its
+time hashing keys: CPython does not cache tuple hashes, and a key
+(located monomial, delta tuple) nests a tuple per atom.  So it
+accumulates under flat int keys, (block ids in label order..., delta-part
+id), and ``_finish`` turns each output key back into its (located
+monomial, deltas) once, when it makes the key's GRat.  A ``_Keys`` holds
+the ids of one invocation (one ``sigma_first`` call or one ``sigma_terms``
+generator) and nothing outlives it.  Each part is interned once, not per
+contribution: X's a-block per X term, Y's rest per distinct rest, the
+delta part per ``atoms`` miss.  Ids of whole blocks keep a key canonical
+across the calls of one ``sigma_first``, whose outer brackets on different
+first labels must cancel against each other.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
+from itertools import groupby
 from math import comb, factorial, lcm
 
 from .jets import (RULE_CACHE_SIZE, FieldSystem, _acc, _partial_mon, mi_add,
@@ -173,14 +188,54 @@ def _factor(T: TensorExpr, a: str) -> list:
     return [(TensorExpr(T.dim, L), TensorExpr(T.dim, R)) for L, R in pairs]
 
 
+class _Keys:
+    """The ids of one operator invocation: each located label block and
+    each delta part gets an int id (see the module docstring)."""
+
+    __slots__ = ("ids", "values", "rests")
+
+    def __init__(self):
+        self.ids: dict = {}     # block or delta part -> id
+        self.values: list = []  # id -> block or delta part
+        self.rests: dict = {}   # rest -> (labels, ids) of its blocks
+
+    def intern(self, value) -> int:
+        i = self.ids.get(value)
+        if i is None:
+            i = self.ids[value] = len(self.values)
+            self.values.append(value)
+        return i
+
+    def rest(self, rest) -> tuple:
+        """(labels, ids) of the blocks of a located monomial."""
+        split = self.rests.get(rest)
+        if split is None:
+            labels, ids = [], []
+            for label, atoms in groupby(rest, key=_label):
+                labels.append(label)
+                ids.append(self.intern(tuple(atoms)))
+            split = self.rests[rest] = (labels, tuple(ids))
+        return split
+
+    def decode(self, key) -> tuple:
+        """The (located monomial, delta part) of an output key."""
+        values = self.values
+        mon = ()
+        for i in key[:-1]:
+            mon += values[i]
+        return mon, values[key[-1]]
+
+
 def _product(out: dict, X: dict, Y: dict, kernel: list, f: int, a: str,
-             pair, atoms: dict, real: bool):
+             pair, atoms: dict, keys: _Keys, real: bool):
     """Accumulate f * X (x) Y (x) kernel into ``out``, on int (``real``)
     or Gaussian-integer numerators; ``kernel`` lists each (gamma,
-    coefficient) with the parity folded in, and f is an int.  The delta
-    part of an output key, cached in ``atoms`` per (deltas, alpha,
-    beta + gamma), holds the inserted atom (lo, hi, gamma) for ``pair`` =
-    (lo, hi); for None it is (deltas, gamma), the atom pending."""
+    coefficient) with the parity folded in, and f is an int.  ``out`` is
+    keyed by ``keys`` ids: the blocks of X's a-block and of Y's rest, then
+    the delta part.  The delta part, its id cached in ``atoms`` per
+    (deltas, alpha, beta + gamma), holds the inserted atom (lo, hi, gamma)
+    for ``pair`` = (lo, hi); for None it is (deltas, gamma), the atom
+    pending."""
     if real:
         kernel = [(g, None if kc * f == 1 else kc * f) for g, kc in kernel]
     else:
@@ -188,10 +243,12 @@ def _product(out: dict, X: dict, Y: dict, kernel: list, f: int, a: str,
                    else (ka * f, kb * f)) for g, (ka, kb) in kernel]
     by_alpha: dict = {}
     for (block, _deltas, alpha), cx in X.items():
-        by_alpha.setdefault(alpha, []).append((block, cx))
+        xid = (keys.intern(block),) if block else ()
+        by_alpha.setdefault(alpha, []).append((xid, cx))
     for (rest, deltas, beta), cy in Y.items():
-        cut = bisect_left(rest, a, key=_label)
-        pre, post = rest[:cut], rest[cut:]
+        labels, ids = keys.rest(rest)
+        cut = bisect_left(labels, a)
+        pre, post = ids[:cut], ids[cut:]
         for gamma, kc in kernel:
             bg = mi_add(beta, gamma)
             if kc is None:
@@ -202,19 +259,20 @@ def _product(out: dict, X: dict, Y: dict, kernel: list, f: int, a: str,
                 cr = (cy[0] * kc[0] - cy[1] * kc[1],
                       cy[0] * kc[1] + cy[1] * kc[0])
             for alpha, entries in by_alpha.items():
-                dkey = atoms.get((deltas, alpha, bg))
-                if dkey is None:
+                did = atoms.get((deltas, alpha, bg))
+                if did is None:
                     g = mi_add(alpha, bg)
-                    dkey = (deltas, g) if pair is None \
-                        else tuple(sorted(deltas + ((*pair, g),)))
-                    atoms[(deltas, alpha, bg)] = dkey
+                    did = atoms[(deltas, alpha, bg)] = keys.intern(
+                        (deltas, g) if pair is None
+                        else tuple(sorted(deltas + ((*pair, g),))))
+                tail = post + (did,)
                 if real:
-                    for block, cx in entries:
-                        _acc(out, (pre + block + post, dkey), cx * cr)
+                    for xid, cx in entries:
+                        _acc(out, pre + xid + tail, cx * cr)
                     continue
                 ra, rb = cr
-                for block, (xa, xb) in entries:
-                    _pair_acc(out, (pre + block + post, dkey),
+                for xid, (xa, xb) in entries:
+                    _pair_acc(out, pre + xid + tail,
                               xa * ra - xb * rb, xa * rb + xb * ra)
 
 
@@ -268,33 +326,42 @@ def _setup(calls: list, P: Kernel, system: FieldSystem):
     return real, D, setups
 
 
-def _finish(out: dict, real: bool, d: int) -> dict:
-    """The accumulated numerators over d, one GRat per key."""
+def _finish(out: dict, real: bool, d: int, keys: _Keys) -> dict:
+    """The accumulated numerators over d, one GRat per key, each key
+    decoded once."""
+    decode = keys.decode
     if real:
-        return {key: _make(c, 0, d) for key, c in out.items()}
-    return {key: _make(a, b, d) for key, (a, b) in out.items()}
+        return {decode(key): _make(c, 0, d) for key, c in out.items()}
+    return {decode(key): _make(a, b, d) for key, (a, b) in out.items()}
 
 
 def sigma_first(calls: list, P: Kernel, system: FieldSystem) -> TensorExpr:
     """The sum over ``calls``, each (products, a, b), of each call's first
     ``sigma_terms`` term: the operator on (a, b) applied once to the sum of
-    the products.  All calls accumulate into one term dict, and each output
-    key gets one GRat.  The jet calculus is cached process-wide; ``atoms``
-    is kept per call, as the inserted atom depends on (a, b)."""
+    the products.  All calls accumulate into one term dict under the ids
+    of one ``_Keys``, and each output key gets one GRat.  A factor that
+    several calls share, as the H of one {h@c, T} is, is derived once per
+    (label, sort, side).  The jet calculus is cached process-wide;
+    ``atoms`` is kept per call, as the inserted atom depends on (a, b)."""
     sign = bracket_sign(P)
     p, q = system.primary, system.conjugate
     real, D, setups = _setup(calls, P, system)
+    keys = _Keys()
+    derived: dict = {}  # (id(L), a, sort, side) -> the derivative of L
     out: dict = {}
     for a, b, dim, pair, side_a, side_b, kernel, factors in setups:
         atoms: dict = {}
         for L, R in factors:
             # lineage A (p at a, q at b), then B (q at a, p at b) times s
             for sort_a, sort_b, s in ((p, q, 1), (q, p, sign)):
-                X = _derive(L, a, sort_a, side_a, dim, real)
+                at = (id(L), a, sort_a, side_a)
+                X = derived.get(at)
+                if X is None:
+                    X = derived[at] = _derive(L, a, sort_a, side_a, dim, real)
                 Y = _derive(R, b, sort_b, side_b, dim, real) if X else None
                 if Y:
-                    _product(out, X, Y, kernel, s, a, pair, atoms, real)
-    return TensorExpr(P.dim, _finish(out, real, D))
+                    _product(out, X, Y, kernel, s, a, pair, atoms, keys, real)
+    return TensorExpr(P.dim, _finish(out, real, D, keys))
 
 
 def sigma_terms(products: list, a: str, b: str, P: Kernel,
@@ -324,7 +391,7 @@ def sigma_terms(products: list, a: str, b: str, P: Kernel,
         for _start, lines in pairs:
             for j, X, Y in lines:
                 _product(out, X, Y, kernel, comb(k, j) * sign ** j, a,
-                         inserted, atoms, real)
+                         inserted, atoms, keys, real)
         return out
 
     def meets() -> bool:
@@ -334,6 +401,7 @@ def sigma_terms(products: list, a: str, b: str, P: Kernel,
                    for _rest, deltas in R.terms for d in deltas)
 
     atoms: dict = {}
+    keys = _Keys()  # the generator's own ids, shared by its powers
     # per pair: the current (X, Y) of lineage 0 of the next power, or None
     # once it vanished, and the live lineages (j, X, Y), where j counts the
     # B factors: X = d_{p,a}^i d_{q,a}^j L and Y = d_{q,b}^i d_{p,b}^j R
@@ -363,4 +431,4 @@ def sigma_terms(products: list, a: str, b: str, P: Kernel,
         # inserted atom joins the deltas
         if not out and not (meets() and power(None, {})):
             return
-        yield TensorExpr(dim, _finish(out, real, den * factorial(k)))
+        yield TensorExpr(dim, _finish(out, real, den * factorial(k), keys))

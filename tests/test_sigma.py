@@ -17,6 +17,7 @@ from math import factorial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fieldstar import sigma
 from fieldstar.jets import (
     DimensionMismatch,
     FieldExpr,
@@ -31,9 +32,10 @@ from fieldstar.jets import (
     real_system,
 )
 from fieldstar.kernels import Kernel, bracket_sign
-from fieldstar.poisson import bracket_fn, jacobi_residual
+from fieldstar.poisson import _tensor_calls, bracket_fn, jacobi_residual
 from fieldstar.randexpr import multi_indices, random_expr
 from fieldstar.rationals import GRat, I, ONE, ZERO
+from fieldstar.render import dumps_canonical, to_json
 from fieldstar.sigma import _factor, _setup, sigma_first, sigma_terms
 from fieldstar.star import star_fn
 from fieldstar.tensor import TensorExpr, delta_atom
@@ -561,3 +563,99 @@ def test_jacobi_residual_matches_three_separate_brackets():
             assert all(not term.is_zero() for term in outer)
             assert jacobi_residual(f, g, h, P, system) \
                 == outer[0] + outer[1] + outer[2]
+
+
+# -- output keys interned per invocation ----------------------------------------
+
+def _json(T) -> str:
+    return dumps_canonical(to_json(T))
+
+
+def _jacobi_kernels(dim: int, gaussian: bool) -> list:
+    """A symmetric and an antisymmetric kernel: real ones, or those of
+    ``default_kernels``, which have imaginary parts."""
+    if gaussian:
+        return default_kernels(dim)
+    e1 = (1,) + (0,) * (dim - 1)
+    return [Kernel.delta(dim) + Kernel.derivative_delta(
+        dim, mi_add(e1, e1), Fraction(1, 2)), Kernel.derivative_delta(dim, e1)]
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_keys_merge_across_first_labels(dim, gaussian):
+    # the six calls of a Jacobi triple have first labels z, y and x; one
+    # sigma_first over any run of them must merge equal output keys of
+    # calls on different first labels, as the separate sums do
+    rng = random.Random(f"merge:{dim}:{gaussian}")
+    system = real_system(dim)
+    for P in _jacobi_kernels(dim, gaussian):
+        f, g, h = (random_expr(system, rng, 3, 1, complex_ok=gaussian)
+                   for _ in range(3))
+        calls = _tensor_calls(h, "z", bracket_fn(f, g, P, system, "x", "y"),
+                              P, system)
+        calls += _tensor_calls(g, "y", bracket_fn(h, f, P, system, "z", "x"),
+                               P, system)
+        calls += _tensor_calls(f, "x", bracket_fn(g, h, P, system, "y", "z"),
+                               P, system)
+        assert [a for _products, a, _b in calls] == ["z", "z", "y", "y",
+                                                     "x", "x"]
+        separate = TensorExpr.zero(dim)
+        for n, call in enumerate(calls, 1):
+            separate = separate + sigma_first([call], P, system)
+            assert _json(sigma_first(calls[:n], P, system)) == _json(separate)
+        assert separate.is_zero()  # the Jacobi identity
+        assert not sigma_first(calls[:4], P, system).is_zero()
+
+
+def test_tables_belong_to_one_generator():
+    # two generators on different inputs, advanced in alternation, each
+    # yield what they yield when run alone
+    rng = random.Random(14)
+    system = real_system(1)
+    inputs = []
+    for gaussian, (a, b) in ((False, ("x", "y")), (True, ("y", "x"))):
+        f, g = (random_expr(system, rng, 4, 2, complex_ok=gaussian)
+                for _ in range(2))
+        inputs.append(([(at(f, a), at(g, b))], a, b,
+                       _jacobi_kernels(1, gaussian)[0]))
+    alone = [[_json(T) for T in islice(sigma_terms(products, a, b, P, system),
+                                       POWERS + 2)]
+             for products, a, b, P in inputs]
+    assert all(len(powers) >= POWERS for powers in alone)
+    gens = [sigma_terms(products, a, b, P, system)
+            for products, a, b, P in inputs]
+    alternated = [[], []]
+    for _ in range(POWERS + 2):
+        for gen, powers in zip(gens, alternated):
+            T = next(gen, None)
+            if T is not None:
+                powers.append(_json(T))
+    assert alternated == alone
+
+
+@pytest.mark.parametrize("c", ["w", "z"])
+def test_shared_factor_is_derived_once_per_sort(c, monkeypatch):
+    # {h@c, T} on a two-label T makes one call per label of T, and c sorts
+    # on the same side of both, so H's two passes (one per sort) serve
+    # both calls
+    derive = sigma._derive
+    passes = []
+
+    def counting(works, label, sort, side, dim, real):
+        passes.append((label, sort, side))
+        return derive(works, label, sort, side, dim, real)
+
+    f, g, h = F, G, jet("phi", (1,)) * jet("pi", (0,)) ** 2
+    for P in default_kernels(1):
+        T = bracket_fn(f, g, P, SYSTEM)
+        expected = _old_bracket_tensor(h, c, T, P, SYSTEM)
+        passes.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(sigma, "_derive", counting)
+            result = sigma_first(_tensor_calls(h, c, T, P, SYSTEM), P,
+                                 SYSTEM)
+        assert result == expected
+        at_c = [p for p in passes if p[0] == c]
+        assert len(at_c) == len(set(at_c)) == 2
+        assert len(passes) == 2 + 4  # and two per label of T
