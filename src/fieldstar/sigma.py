@@ -45,8 +45,9 @@ contribution per (X term, Y term, kernel index) and spends most of its
 time hashing keys: CPython does not cache tuple hashes, and a key
 (located monomial, delta tuple) nests a tuple per atom.  So it
 accumulates under flat int keys, (block ids in label order..., delta-part
-id), and ``_finish`` turns each output key back into its (located
-monomial, deltas) once, when it makes the key's GRat.  A ``_Keys`` holds
+id).  ``_finish`` turns them back into (located monomial, deltas): it
+joins each distinct block prefix once per call, and makes one GRat per
+distinct numerator, shared by every key that has it.  A ``_Keys`` holds
 the ids of one invocation (one ``sigma_first`` call or one ``sigma_terms``
 generator) and nothing outlives it.  Each part is interned once, not per
 contribution: X's a-block per X term, Y's rest per distinct rest, the
@@ -140,12 +141,15 @@ def _derive(works: dict, label: str, sort: str, side: int, dim: int,
     """
     out: dict = {}
     for (mon, deltas, gamma), c in works.items():
-        lo = bisect_left(mon, label, key=_label)
-        hi = bisect_right(mon, label, lo, key=_label)
-        parts = _block_partials(mon[lo:hi], label, sort, side, dim)
+        if mon and mon[0][0] == label == mon[-1][0]:
+            block, pre, post = mon, (), ()  # every atom is at ``label``
+        else:
+            lo = bisect_left(mon, label, key=_label)
+            hi = bisect_right(mon, label, lo, key=_label)
+            block, pre, post = mon[lo:hi], mon[:lo], mon[hi:]
+        parts = _block_partials(block, label, sort, side, dim)
         if not parts:
             continue
-        pre, post = mon[:lo], mon[hi:]
         for new_block, index, factor in parts:
             key = (pre + new_block + post, deltas, mi_add(gamma, index))
             if real:
@@ -216,14 +220,6 @@ class _Keys:
                 ids.append(self.intern(tuple(atoms)))
             split = self.rests[rest] = (labels, tuple(ids))
         return split
-
-    def decode(self, key) -> tuple:
-        """The (located monomial, delta part) of an output key."""
-        values = self.values
-        mon = ()
-        for i in key[:-1]:
-            mon += values[i]
-        return mon, values[key[-1]]
 
 
 def _product(out: dict, X: dict, Y: dict, kernel: list, f: int, a: str,
@@ -327,12 +323,24 @@ def _setup(calls: list, P: Kernel, system: FieldSystem):
 
 
 def _finish(out: dict, real: bool, d: int, keys: _Keys) -> dict:
-    """The accumulated numerators over d, one GRat per key, each key
-    decoded once."""
-    decode = keys.decode
-    if real:
-        return {decode(key): _make(c, 0, d) for key, c in out.items()}
-    return {decode(key): _make(a, b, d) for key, (a, b) in out.items()}
+    """The accumulated numerators over d as a term dict, in ``out``'s
+    order.  Keys with one block prefix share its located monomial, and
+    keys with one numerator share its GRat, which is immutable; both
+    tables are this call's own, as d changes with the power."""
+    values = keys.values
+    mons: dict = {}    # block ids -> located monomial
+    coeffs: dict = {}  # numerator -> GRat over d
+    result = {}
+    for key, c in out.items():
+        prefix = key[:-1]
+        mon = mons.get(prefix)
+        if mon is None:
+            mon = mons[prefix] = sum([values[i] for i in prefix], ())
+        g = coeffs.get(c)
+        if g is None:
+            g = coeffs[c] = _make(c, 0, d) if real else _make(*c, d)
+        result[mon, values[key[-1]]] = g
+    return result
 
 
 def sigma_first(calls: list, P: Kernel, system: FieldSystem) -> TensorExpr:

@@ -110,6 +110,7 @@ def exp_sigma(S: HbarSeries | list, a: str, b: str, P: Kernel,
     exact = S.exact
     for j, Tj in S.terms.items():
         if j > order:
+            exact = False  # a nonzero coefficient is cut off
             continue
         _acc(coeffs, j, Tj)
         gen = sigma_terms(_factor(Tj, a) if pairs is None else pairs,

@@ -659,3 +659,81 @@ def test_shared_factor_is_derived_once_per_sort(c, monkeypatch):
         at_c = [p for p in passes if p[0] == c]
         assert len(at_c) == len(set(at_c)) == 2
         assert len(passes) == 2 + 4  # and two per label of T
+
+
+# -- output terms built from shared parts -------------------------------------
+
+def _linear_power(coeffs, jets, e):
+    """(c1 j1 + c2 j2 + c3 j3)^e over the jets (sort, index)."""
+    total = FieldExpr.zero(1)
+    for c, (sort, index) in zip(coeffs, jets):
+        total = total + jet(sort, index, c)
+    return total ** e
+
+
+def _star_degree_inputs():
+    """star-degree's input shape at e = 3, f = (a1 phi[1] + a2 pi[1] +
+    a3 phi)^3 and g = (b1 phi[2] + b2 pi + b3 pi[1])^3, with coefficients
+    1, 2 and 1/2 up to sign, or with a1 and b2 off the real line, under
+    delta and d1 delta."""
+    half = Fraction(1, 2)
+    for a1, b2 in ((1, -2), (GRat(1, 2), GRat(half, -1))):
+        f = _linear_power([a1, -2, half],
+                          [("phi", (1,)), ("pi", (1,)), ("phi", (0,))], 3)
+        g = _linear_power([half, b2, 1],
+                          [("phi", (2,)), ("pi", (0,)), ("pi", (1,))], 3)
+        for P in (Kernel.delta(1), Kernel.derivative_delta(1, (1,))):
+            yield f, g, P
+
+
+def test_star_degree_shape_matches_the_reference():
+    # keys of one power share block prefixes and numerators there; the
+    # denominator grows with k!, so a numerator's GRat belongs to one power
+    shared = 0
+    for f, g, P in _star_degree_inputs():
+        L, R = at(f, "x"), at(g, "y")
+        powers = [power.terms for power in islice(
+            sigma_terms([(L, R)], "x", "y", P, SYSTEM), 8)]
+        assert powers == reference_powers(L * R, "x", "y", P, SYSTEM, 8)
+        assert len(powers) == 3
+        for terms in powers:
+            values = list(terms.values())
+            # one GRat per distinct numerator, shared by the keys that have it
+            assert len({id(c) for c in values}) == len(set(values))
+            shared += len(set(values)) < len(values)
+    assert shared >= 8
+
+
+def test_one_label_factor_and_two_label_factor_match_the_reference(
+        monkeypatch):
+    # L's atoms are all at its label, so _derive takes each of its terms
+    # whole; R = g@b * h@z * K(b, z) has atoms at two labels and a delta
+    # atom, so _derive finds R's label block by bisection (by atom label;
+    # _product's cut of a rest's block labels is not counted)
+    bisect = sigma.bisect_left
+    calls = []
+
+    def counting(*args, **kwargs):
+        if "key" in kwargs and args[0]:  # an empty monomial has no block
+            calls.append(args[1])
+        return bisect(*args, **kwargs)
+
+    monkeypatch.setattr(sigma, "bisect_left", counting)
+    K = Kernel.delta(1) + Kernel.derivative_delta(1, (1,), Fraction(1, 3))
+    h = jet("phi", (1,), 2) * jet("pi", (0,)) + jet("pi", (2,), GRat(0, 1))
+    for P in default_kernels(1):
+        for a, b in (("x", "y"), ("y", "x")):
+            L, R = at(F, a), at(G, b) * at(h, "z") \
+                * TensorExpr.from_kernel(K, b, "z")
+            calls.clear()
+            powers = [power.terms for power in islice(
+                sigma_terms([(L, R)], a, b, P, SYSTEM), POWERS)]
+            assert powers == reference_powers(L * R, a, b, P, SYSTEM, POWERS)
+            assert len(powers) == POWERS
+            assert set(calls) == {b}
+            # a product of two one-label factors takes no bisection
+            calls.clear()
+            assert [power.terms for power in islice(
+                sigma_terms([(L, at(G, b))], a, b, P, SYSTEM), POWERS)] \
+                == reference_powers(L * at(G, b), a, b, P, SYSTEM, POWERS)
+            assert calls == []

@@ -25,6 +25,7 @@ from fieldstar.star import (
     star_fn,
     star_functional_density,
     star_functionals,
+    star_grouped,
     to_series,
 )
 from fieldstar.tensor import TensorExpr
@@ -56,8 +57,23 @@ def test_star_truncation_keeps_only_orders_up_to_k():
     P = Kernel.delta(1)
     series = star_fn(u(), xi(), P, SYS1, order=0)
     assert sorted(series.coeffs) == [0] and not series.exact
+    # the nonzero u(x)*xi(y) at hbar^0 is cut off, so the series is not exact
     series = star_fn(u(), xi(), P, SYS1, order=-1)
-    assert series.is_zero() and series.exact
+    assert series.is_zero() and not series.exact
+
+
+def test_truncated_grouped_star_is_not_exact():
+    # phi^2 * pi^2 has a nonzero hbar^2 coefficient; a grouped star cut at
+    # order 1 drops it, so its result no longer holds at every order
+    P = Kernel.delta(1)
+    fg = star_fn(u() ** 2, xi() ** 2, P, SYS1, "x", "y", 6)
+    assert fg.exact and not fg.coefficient(2).is_zero()
+    m = to_series(FieldExpr.const_symbol("m", 1), "z", 6)
+    series = star_grouped(fg, ["x", "y"], m, ["z"], P, SYS1, order=1)
+    assert sorted(series.coeffs) == [0, 1]
+    assert series.coefficient(2).is_zero() and not series.exact
+    # cut at the top order it keeps everything, and stays exact
+    assert star_grouped(fg, ["x", "y"], m, ["z"], P, SYS1, order=2).exact
 
 
 def test_star_reversed_pair_uses_the_sign():
