@@ -13,7 +13,7 @@ from __future__ import annotations
 from .euler_lagrange import variational_derivative
 from .jets import ConditionBError, FieldExpr, FieldSystem
 from .kernels import Kernel
-from .sigma import _check_dims, sigma_first
+from .sigma import _check_dims, sigma_terms
 from .tensor import TensorExpr
 
 
@@ -31,12 +31,19 @@ def bracket_fn(f: FieldExpr, g: FieldExpr, P: Kernel, system: FieldSystem,
     if a == b:
         raise LabelCollision(f"both operands at label {a!r}")
     product = (TensorExpr.from_field(f, a), TensorExpr.from_field(g, b))
-    return sigma_first([([product], a, b)], P, system)
+    return _first_power([([product], a, b)], P, system)
+
+
+def _first_power(calls: list, P: Kernel, system: FieldSystem) -> TensorExpr:
+    """The operator applied once, summed over ``calls``: the first power
+    of ``sigma_terms``, or zero when it yields none."""
+    T = next(sigma_terms(calls, P, system), None)
+    return TensorExpr(P.dim, {}) if T is None else T
 
 
 def _tensor_calls(h: FieldExpr, c: str, T: TensorExpr, P: Kernel,
                   system: FieldSystem) -> list:
-    """The ``sigma_first`` calls of {h@c, T}_P: one per label of T."""
+    """The operator calls of {h@c, T}_P: one per label of T."""
     if c in (labels := T.labels()):
         raise LabelCollision(f"label {c!r} already occurs in the tensor operand")
     H = TensorExpr.from_field(h, c)
@@ -51,7 +58,7 @@ def bracket_tensor(h: FieldExpr, c: str, T: TensorExpr, P: Kernel,
     Existing kernel atoms in T are constants for the bracket; the label c
     must not occur in T.
     """
-    return sigma_first(_tensor_calls(h, c, T, P, system), P, system)
+    return _first_power(_tensor_calls(h, c, T, P, system), P, system)
 
 
 def jacobi_residual(f: FieldExpr, g: FieldExpr, h: FieldExpr, P: Kernel,
@@ -60,7 +67,7 @@ def jacobi_residual(f: FieldExpr, g: FieldExpr, h: FieldExpr, P: Kernel,
     calls = _tensor_calls(h, "z", bracket_fn(f, g, P, system, "x", "y"), P, system)
     calls += _tensor_calls(g, "y", bracket_fn(h, f, P, system, "z", "x"), P, system)
     calls += _tensor_calls(f, "x", bracket_fn(g, h, P, system, "y", "z"), P, system)
-    return sigma_first(calls, P, system)
+    return _first_power(calls, P, system)
 
 
 # ---------------------------------------------------------------------------

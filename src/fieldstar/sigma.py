@@ -17,21 +17,22 @@ the rest, and A and B commute, so on a product L (x) R the k-th power is
     sum_i C(k,i) s^(k-i) (d_{p,a}^i d_{q,a}^(k-i) L) (x) (d_{q,b}^i d_{p,b}^(k-i) R).
 
 ``sigma_terms`` therefore takes T as a short list of such products (L, R)
-of TensorExprs, differentiates each factor on its own and multiplies.
-Callers that know the split pass it: the star f@a * g@b hands f@a (x) g@b
-to ``exp_sigma``; the brackets, {f@a, g@b} on that pair and {h@c, T} on
-h@c (x) T once per label of T, need only the first power, and
-``sigma_first`` sums those of many calls in one pass.  ``_factor`` splits
-a general sum into products; only the exponential of a series coefficient,
-as the grouped star forms it, needs it.  A factor's work terms track the
+of TensorExprs, differentiates each factor on its own and multiplies.  It
+runs a list of calls, each such a list on its own label pair, and yields
+the sum of their powers.  Callers that know the split pass it: the star
+f@a * g@b hands f@a (x) g@b to ``exp_sigma``, as one call; the brackets,
+{f@a, g@b} on that pair and {h@c, T} on h@c (x) T once per label of T,
+read the first power of all their calls.  ``_factor`` splits a general
+sum into products; only the exponential of a series coefficient, as the
+grouped star forms it, needs it.  A factor's work terms track the
 index gamma it adds to the pending atom.  The atom is d_lo^gamma
 delta(lo - hi) for the label pair in order, so derivatives from the hi
 side, and kernel indices when a > b, fold in the parity sign (-1)^|index|.
 
 ``sigma_terms`` yields sigma^k T / k!, the k-th term of the exponential.
 Multiplicities, binomials and parity signs are ints, so every work
-coefficient is a numerator over one common denominator per call, and each
-output key gets one GRat, over that denominator times k!.  When T and P
+coefficient is a numerator over one common denominator per generator, and
+each output key gets one GRat, over that denominator times k!.  When T and P
 are real (over Q) a numerator is a plain int; over Q[i] it is a Gaussian
 integer, an (re, im) pair of ints, which the loops multiply and add with
 int arithmetic.  The jet calculus under the loops (``_block_partials``,
@@ -48,12 +49,12 @@ accumulates under flat int keys, (block ids in label order..., delta-part
 id).  ``_finish`` turns them back into (located monomial, deltas): it
 joins each distinct block prefix once per call, and makes one GRat per
 distinct numerator, shared by every key that has it.  A ``_Keys`` holds
-the ids of one invocation (one ``sigma_first`` call or one ``sigma_terms``
-generator) and nothing outlives it.  Each part is interned once, not per
-contribution: X's a-block per X term, Y's rest per distinct rest, the
-delta part per ``atoms`` miss.  Ids of whole blocks keep a key canonical
-across the calls of one ``sigma_first``, whose outer brackets on different
-first labels must cancel against each other.
+the ids of one generator, for all its calls and powers, and nothing
+outlives it.  Each part is interned once, not per contribution: X's
+a-block per X term, Y's rest per distinct rest, the delta part per
+``atoms`` miss.  Ids of whole blocks keep a key canonical across calls on
+different first labels, as the outer brackets of a Jacobi sum are, which
+must cancel against each other.
 """
 
 from __future__ import annotations
@@ -193,7 +194,7 @@ def _factor(T: TensorExpr, a: str) -> list:
 
 
 class _Keys:
-    """The ids of one operator invocation: each located label block and
+    """The ids of one ``sigma_terms`` generator: each located label block and
     each delta part gets an int id (see the module docstring)."""
 
     __slots__ = ("ids", "values", "rests")
@@ -286,25 +287,20 @@ def _setup(calls: list, P: Kernel, system: FieldSystem):
     real/complex decision for all calls (real when neither P nor any factor
     has an imaginary part; the work then runs on int numerators, otherwise
     on Gaussian-integer ones), D the lcm of the calls' denominators, and
-    per call with products (a, b, dim, pair, side_a, side_b, kernel,
+    per call with products a tuple (a, b, pair, side_a, side_b, kernel,
     factors): the label pair in order, the side (0 for lo) of a and of b,
     the kernel's (gamma, numerator) list with the parity folded in, and the
     products as work terms (L, R), L scaled to bring L (x) R (x) kernel
     over D.  A product that several calls share, as the calls of one
     {h@c, T} do, becomes work terms once."""
-    shared: dict = {}  # (id(L), id(R)) -> (L, R): each product once
-    setups = []
     for products, a, b in calls:
         if a == b:
             raise ValueError(f"operator label pair coincides: {a!r}")
-        if not products:
-            continue
-        dim = _check_dims(products, P, system)
-        pair = tuple(sorted((a, b)))
-        side_a, side_b = (0, 1) if a == pair[0] else (1, 0)
-        keys = [(id(L), id(R)) for L, R in products]
-        shared.update(zip(keys, products))
-        setups.append([a, b, dim, pair, side_a, side_b, None, keys])
+        if products:
+            _check_dims(products, P, system)
+    calls = [call for call in calls if call[0]]
+    shared = {(id(L), id(R)): (L, R)
+              for products, _a, _b in calls for L, R in products}
     real = not any(c._b for F in [F for LR in shared.values() for F in LR]
                    + [P] for c in F.terms.values())
     kd = _denominator(P)
@@ -313,12 +309,15 @@ def _setup(calls: list, P: Kernel, system: FieldSystem):
     D = lcm(*[kd * ld * rd for _L, ld, _R, rd in shared.values()])
     works = {key: (_works(L, real, ld, D // (kd * ld * rd)), _works(R, real, rd))
              for key, (L, ld, R, rd) in shared.items()}  # each L over D
-    for setup in setups:
-        side_a = setup[4]
-        setup[6] = list(_numerators(
+    setups = []
+    for products, a, b in calls:
+        pair = tuple(sorted((a, b)))
+        side_a = 0 if a == pair[0] else 1
+        kernel = list(_numerators(
             ((g, c if side_a == 0 or mi_order(g) % 2 == 0 else -c)
              for g, c in P.terms.items()), real, kd).items())
-        setup[7] = [works[key] for key in setup[7]]
+        setups.append((a, b, pair, side_a, 1 - side_a, kernel,
+                       [works[id(L), id(R)] for L, R in products]))
     return real, D, setups
 
 
@@ -343,100 +342,93 @@ def _finish(out: dict, real: bool, d: int, keys: _Keys) -> dict:
     return result
 
 
-def sigma_first(calls: list, P: Kernel, system: FieldSystem) -> TensorExpr:
-    """The sum over ``calls``, each (products, a, b), of each call's first
-    ``sigma_terms`` term: the operator on (a, b) applied once to the sum of
-    the products.  All calls accumulate into one term dict under the ids
-    of one ``_Keys``, and each output key gets one GRat.  A factor that
-    several calls share, as the H of one {h@c, T} is, is derived once per
-    (label, sort, side).  The jet calculus is cached process-wide;
-    ``atoms`` is kept per call, as the inserted atom depends on (a, b)."""
-    sign = bracket_sign(P)
-    p, q = system.primary, system.conjugate
-    real, D, setups = _setup(calls, P, system)
-    keys = _Keys()
-    derived: dict = {}  # (id(L), a, sort, side) -> the derivative of L
-    out: dict = {}
-    for a, b, dim, pair, side_a, side_b, kernel, factors in setups:
-        atoms: dict = {}
-        for L, R in factors:
-            # lineage A (p at a, q at b), then B (q at a, p at b) times s
-            for sort_a, sort_b, s in ((p, q, 1), (q, p, sign)):
-                at = (id(L), a, sort_a, side_a)
-                X = derived.get(at)
-                if X is None:
-                    X = derived[at] = _derive(L, a, sort_a, side_a, dim, real)
-                Y = _derive(R, b, sort_b, side_b, dim, real) if X else None
-                if Y:
-                    _product(out, X, Y, kernel, s, a, pair, atoms, keys, real)
-    return TensorExpr(P.dim, _finish(out, real, D, keys))
+def sigma_terms(calls: list, P: Kernel, system: FieldSystem):
+    """Generate the sum over ``calls`` of sigma^k T / k!, the terms of the
+    operator's exponential, for k = 1, 2, ....  A call (products, a, b) is
+    the operator on the label pair (a, b) and T, the sum of the TensorExpr
+    ``products`` L (x) R (as ``_factor`` makes them: L holds the atoms at
+    ``a``, R the rest).
 
-
-def sigma_terms(products: list, a: str, b: str, P: Kernel,
-                system: FieldSystem):
-    """Generate the terms sigma^k T / k! of the operator's exponential, for
-    k = 1, 2, ..., where T is the sum of the TensorExpr ``products`` L (x) R
-    (as ``_factor`` makes them: L holds the atoms at ``a``, R the rest).
-
-    Each yielded TensorExpr has the inserted kernel atom canonicalized.  The
-    generator stops as soon as a power vanishes identically; all higher
-    powers then vanish as well.  (A power that vanishes only once its
-    inserted atom joins an equal delta atom of T is yielded, empty.)  The
-    work runs on int numerators when T and P are real, on Gaussian-integer
-    numerators otherwise.
-    Every factor, P and the system share one dimension, or DimensionMismatch
-    is raised.
+    Each yielded TensorExpr has the inserted kernel atoms canonicalized.  On
+    one ordered pair the generator stops at the first power that vanishes
+    identically, as all higher powers then do.  (A power that vanishes only
+    once its inserted atom joins an equal delta atom of T is yielded,
+    empty.)  The operator on (b, a) is s times the one on (a, b), so calls
+    on several ordered pairs can cancel at one power and not at the next:
+    they run until no lineage is left, and yield the vanishing powers,
+    empty.  Every factor, P and the system share one dimension, or
+    DimensionMismatch is raised.
     """
-    real, den, setups = _setup([(products, a, b)], P, system)
-    if not setups:
-        return
-    _a, _b, dim, pair, side_a, side_b, kernel, factors = setups[0]
-    sign = bracket_sign(P)
+    real, D, setups = _setup(calls, P, system)
+    dim, sign = P.dim, bracket_sign(P)
     p, q = system.primary, system.conjugate
+    keys = _Keys()  # the generator's own ids, shared by all calls and powers
+    # per product of a call: the call with its table of inserted atom ids,
+    # the current (X, Y) of lineage 0 of the next power, or None once it
+    # vanished, and the live lineages (j, X, Y), where j counts the B
+    # factors: X = d_{p,a}^i d_{q,a}^j L and Y = d_{q,b}^i d_{p,b}^j R
+    walks = []
+    for a, b, pair, side_a, side_b, kernel, factors in setups:
+        call = (a, b, pair, side_a, side_b, kernel, {})
+        walks += [(call, (L, R), [(0, L, R)]) for L, R in factors]
+    ordered = {(a, b) for a, b, *_rest in setups}
 
-    def power(inserted, atoms: dict) -> dict:
+    def derive(F: dict, label: str, sort: str, side: int) -> dict:
+        # a factor that several calls share, as the H of one {h@c, T} is,
+        # is derived once per (label, sort, side) and power (``walks`` holds
+        # each source meanwhile, so no id is reused); one call shares none
+        if len(setups) == 1:
+            return _derive(F, label, sort, side, dim, real)
+        at = (id(F), label, sort, side)
+        out = derived.get(at)
+        if out is None:
+            out = derived[at] = _derive(F, label, sort, side, dim, real)
+        return out
+
+    def power(pending: bool) -> dict:
         out: dict = {}
-        for _start, lines in pairs:
+        for (a, _b, pair, _sa, _sb, kernel, atoms), _start, lines in walks:
             for j, X, Y in lines:
                 _product(out, X, Y, kernel, comb(k, j) * sign ** j, a,
-                         inserted, atoms, keys, real)
+                         None if pending else pair, {} if pending else atoms,
+                         keys, real)
         return out
 
     def meets() -> bool:
         # the inserted atom can only meet a delta atom of T on its labels,
         # and T's deltas are all in the R factors
-        return any(d[:2] == pair for _L, R in products
-                   for _rest, deltas in R.terms for d in deltas)
+        pair = setups[0][2]
+        return any(d[:2] == pair for *_call, factors in setups
+                   for _L, R in factors for _mon, deltas, _g in R
+                   for d in deltas)
 
-    atoms: dict = {}
-    keys = _Keys()  # the generator's own ids, shared by its powers
-    # per pair: the current (X, Y) of lineage 0 of the next power, or None
-    # once it vanished, and the live lineages (j, X, Y), where j counts the
-    # B factors: X = d_{p,a}^i d_{q,a}^j L and Y = d_{q,b}^i d_{p,b}^j R
-    pairs = [((L, R), [(0, L, R)]) for L, R in factors]
     k = 0
-    while pairs:
+    while walks:
         k += 1
+        derived: dict = {}  # (id(source), label, sort, side) -> derivative
         live = []
-        for start, lines in pairs:
+        for call, start, lines in walks:
+            a, b, _pair, side_a, side_b, _kernel, _atoms = call
             new_lines = []
             for j, X, Y in lines:
-                X = _derive(X, a, p, side_a, dim, real)
-                Y = _derive(Y, b, q, side_b, dim, real) if X else None
+                X = derive(X, a, p, side_a)
+                Y = derive(Y, b, q, side_b) if X else None
                 if Y:
                     new_lines.append((j, X, Y))
             if start is not None:
-                X = _derive(start[0], a, q, side_a, dim, real)
-                Y = _derive(start[1], b, p, side_b, dim, real) if X else None
+                X = derive(start[0], a, q, side_a)
+                Y = derive(start[1], b, p, side_b) if X else None
                 start = (X, Y) if Y else None
                 if Y:
                     new_lines.append((k, X, Y))
             if new_lines:
-                live.append((start, new_lines))
-        pairs = live
-        out = power(pair, atoms)
-        # the next power can be nonzero only if this one is before the
-        # inserted atom joins the deltas
-        if not out and not (meets() and power(None, {})):
+                live.append((call, start, new_lines))
+        walks = live
+        if not walks:
             return
-        yield TensorExpr(dim, _finish(out, real, den * factorial(k), keys))
+        out = power(False)
+        # on one ordered pair, the next power can be nonzero only if this
+        # one is before the inserted atom joins the deltas
+        if not out and len(ordered) == 1 and not (meets() and power(True)):
+            return
+        yield TensorExpr(dim, _finish(out, real, D * factorial(k), keys))

@@ -96,8 +96,8 @@ def exp_sigma(S: HbarSeries | list, a: str, b: str, P: Kernel,
 
     ``S`` is an HbarSeries or a list of (L, R) TensorExpr pairs; the list
     stands for the exact series whose only coefficient, at order 0, is the
-    sum of the products L (x) R, and goes to ``sigma_terms`` as it is
-    (L holds the atoms at ``a``).
+    sum of the products L (x) R, and goes to ``sigma_terms`` as the
+    products of one call on (a, b) (L holds the atoms at ``a``).
     """
     pairs = None
     if not isinstance(S, HbarSeries):
@@ -113,8 +113,8 @@ def exp_sigma(S: HbarSeries | list, a: str, b: str, P: Kernel,
             exact = False  # a nonzero coefficient is cut off
             continue
         _acc(coeffs, j, Tj)
-        gen = sigma_terms(_factor(Tj, a) if pairs is None else pairs,
-                          a, b, P, system)
+        gen = sigma_terms([(_factor(Tj, a) if pairs is None else pairs, a, b)],
+                          P, system)
         for k in range(j + 1, order + 1):
             Tk = next(gen, None)
             if Tk is None:

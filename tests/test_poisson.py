@@ -76,7 +76,7 @@ def test_bracket_is_bilinear_and_leibniz_in_each_slot():
 
 
 def _first_power_of_split(T, a, b, P, system):
-    for term in sigma_terms(_factor(T, a), a, b, P, system):
+    for term in sigma_terms([(_factor(T, a), a, b)], P, system):
         return term
     return TensorExpr.zero(T.dim)
 

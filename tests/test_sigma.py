@@ -32,11 +32,12 @@ from fieldstar.jets import (
     real_system,
 )
 from fieldstar.kernels import Kernel, bracket_sign
-from fieldstar.poisson import _tensor_calls, bracket_fn, jacobi_residual
+from fieldstar.poisson import (_first_power, _tensor_calls, bracket_fn,
+                               jacobi_residual)
 from fieldstar.randexpr import multi_indices, random_expr
 from fieldstar.rationals import GRat, I, ONE, ZERO
 from fieldstar.render import dumps_canonical, to_json
-from fieldstar.sigma import _factor, _setup, sigma_first, sigma_terms
+from fieldstar.sigma import _factor, _setup, sigma_terms
 from fieldstar.star import star_fn
 from fieldstar.tensor import TensorExpr, delta_atom
 from fieldstar.verify import default_kernels
@@ -232,13 +233,13 @@ MIXED_DENOMINATORS = (1, "complex", 1, ("y", "x"), [
 @given(cases())
 def test_powers_match_per_monomial_reference(case):
     T, a, b, P, system = build(case)
-    powers = list(islice(sigma_terms(_factor(T, a), a, b, P, system),
+    powers = list(islice(sigma_terms([(_factor(T, a), a, b)], P, system),
                          POWERS))
     reference = reference_powers(T, a, b, P, system, POWERS)
     assert [power.terms for power in powers] == reference
     assert all(power.dim == T.dim for power in powers)
-    # sigma_first, which the brackets run, against the reference too
-    assert sigma_first([(_factor(T, a), a, b)], P, system).terms \
+    # the first power as the brackets read it, against the reference too
+    assert _first_power([(_factor(T, a), a, b)], P, system).terms \
         == (reference[0] if reference else {})
 
 
@@ -281,7 +282,7 @@ def check_powers(T, a, b, P, count=POWERS):
     """Compare the first powers with the reference; return how many
     products the kernel split T into."""
     powers = [power.terms for power in islice(
-        sigma_terms(_factor(T, a), a, b, P, SYSTEM), count)]
+        sigma_terms([(_factor(T, a), a, b)], P, SYSTEM), count)]
     assert powers == reference_powers(T, a, b, P, SYSTEM, count)
     assert len(powers) == count
     return len(_factor(T, a))
@@ -333,7 +334,7 @@ def test_power_cancelled_by_an_equal_delta_atom_is_yielded_empty():
         ((1, 0), {"x": [("j", 0, (0,))], "y": [("j", 1, (0,))]},
          [("x", "y", (1,))]),
     ]))
-    powers = list(sigma_terms(_factor(T, a), a, b, Kernel.delta(1),
+    powers = list(sigma_terms([(_factor(T, a), a, b)], Kernel.delta(1),
                               SYSTEM))
     assert [power.terms for power in powers] == [{}] \
         == reference_powers(T, a, b, Kernel.delta(1), SYSTEM, POWERS)
@@ -373,10 +374,10 @@ def test_given_product_matches_the_split_of_the_product():
     reached = 0
     for L, R, a, b, P, system in _seeded_products():
         given = [power.terms for power in islice(sigma_terms(
-            [(L, R)], a, b, P, system), POWERS)]
+            [([(L, R)], a, b)], P, system), POWERS)]
         T = L * R
         split = [power.terms for power in islice(sigma_terms(
-            _factor(T, a), a, b, P, system), POWERS)]
+            [(_factor(T, a), a, b)], P, system), POWERS)]
         assert given == split == reference_powers(T, a, b, P, system, POWERS)
         reached += len(given) == POWERS
     assert reached >= 20
@@ -392,7 +393,8 @@ def test_given_products_read_the_deltas_of_r():
         (at(phi, "x"), at(pi, "y")
          * TensorExpr.from_kernel(Kernel.derivative_delta(1, (1,)), "x", "y")),
     ]
-    powers = list(sigma_terms(products, "x", "y", Kernel.delta(1), SYSTEM))
+    powers = list(sigma_terms([(products, "x", "y")], Kernel.delta(1),
+                              SYSTEM))
     assert [power.terms for power in powers] == [{}]
 
 
@@ -414,7 +416,7 @@ def test_real_input_runs_on_int_numerators_over_a_common_denominator():
     assert len(_factor(REAL_T, "x")) == 2
     for a, b in (("x", "y"), ("y", "x")):
         check_powers(REAL_T, a, b, P, 4)
-    powers = list(islice(sigma_terms(_factor(REAL_T, "x"), "x", "y", P,
+    powers = list(islice(sigma_terms([(_factor(REAL_T, "x"), "x", "y")], P,
                                      SYSTEM), 4))
     assert all(not c._b for power in powers for c in power.terms.values())
     assert any(c._d > 1 for power in powers for c in power.terms.values())
@@ -447,11 +449,11 @@ def test_kernel_of_another_dimension_is_rejected():
 # -- the first power of many calls, accumulated in one pass --------------------
 
 def first_terms(calls, P, system):
-    """The reference for ``sigma_first``: the sum of each call's first
-    ``sigma_terms`` term, each formed on its own."""
+    """The reference for the first power of many calls: the sum of each
+    call's first ``sigma_terms`` term, each formed on its own."""
     total = TensorExpr.zero(P.dim)
     for products, a, b in calls:
-        total = total + next(sigma_terms(products, a, b, P, system),
+        total = total + next(sigma_terms([(products, a, b)], P, system),
                              TensorExpr.zero(P.dim))
     return total
 
@@ -494,7 +496,7 @@ def _seeded_calls():
 def test_first_power_of_many_calls_matches_their_sum():
     nonzero = 0
     for calls, P, system, real in _seeded_calls():
-        result = sigma_first(calls, P, system)
+        result = _first_power(calls, P, system)
         assert result == first_terms(calls, P, system)
         assert result.dim == P.dim
         if real:
@@ -502,7 +504,7 @@ def test_first_power_of_many_calls_matches_their_sum():
         nonzero += not result.is_zero()
         # each call on its own, too
         for call in calls:
-            assert sigma_first([call], P, system) \
+            assert _first_power([call], P, system) \
                 == first_terms([call], P, system)
     assert nonzero >= 15
 
@@ -520,19 +522,37 @@ def test_first_power_keeps_the_cancellation_on_a_delta_of_r():
     ], "x", "y")
     other = ([(at(phi, "z"), at(pi, "y"))], "z", "y")
     P = Kernel.delta(1)
-    assert sigma_first([meets], P, SYSTEM).is_zero()
-    assert sigma_first([meets, other], P, SYSTEM) \
-        == sigma_first([other], P, SYSTEM) \
+    assert _first_power([meets], P, SYSTEM).is_zero()
+    assert _first_power([meets, other], P, SYSTEM) \
+        == _first_power([other], P, SYSTEM) \
         == first_terms([other], P, SYSTEM)
-    assert not sigma_first([other], P, SYSTEM).is_zero()
+    assert not _first_power([other], P, SYSTEM).is_zero()
 
 
 def test_first_power_rejects_a_coinciding_label_pair():
     with pytest.raises(ValueError):
-        sigma_first([([(at(PHI, "x"), at(PI, "y"))], "x", "x")],
-                    Kernel.delta(1), SYSTEM)
+        _first_power([([(at(PHI, "x"), at(PI, "y"))], "x", "x")],
+                     Kernel.delta(1), SYSTEM)
     with pytest.raises(ValueError):
-        sigma_first([([], "x", "x")], Kernel.delta(1), SYSTEM)
+        _first_power([([], "x", "x")], Kernel.delta(1), SYSTEM)
+
+
+def test_calls_on_reverse_pairs_run_until_no_lineage_is_left():
+    # the operator on (y, x) is s times the one on (x, y), so f@x (x) g@y
+    # on (x, y) and g@y (x) f@x on (y, x) cancel at powers 1 and 3 but not
+    # at 2: the generator over both must not stop at an empty power
+    f, g = PHI ** 2 * PI, PI ** 2 * PHI
+    P = Kernel.delta(1)
+    calls = [([(at(f, "x"), at(g, "y"))], "x", "y"),
+             ([(at(g, "y"), at(f, "x"))], "y", "x")]
+    alone = [list(sigma_terms([call], P, SYSTEM)) for call in calls]
+    assert [len(powers) for powers in alone] == [3, 3]
+    both = list(sigma_terms(calls, P, SYSTEM))
+    assert both == [X + Y for X, Y in zip(*alone)]
+    assert [len(T.terms) for T in both] == [0, 2, 0]
+    # calls on one ordered pair still stop at their first empty power
+    minus = ([(at(f.scale(-1), "x"), at(g, "y"))], "x", "y")
+    assert list(sigma_terms([calls[0], minus], P, SYSTEM)) == []
 
 
 def _old_bracket_tensor(h, c, T, P, system):
@@ -585,8 +605,8 @@ def _jacobi_kernels(dim: int, gaussian: bool) -> list:
 @pytest.mark.parametrize("gaussian", [False, True])
 def test_keys_merge_across_first_labels(dim, gaussian):
     # the six calls of a Jacobi triple have first labels z, y and x; one
-    # sigma_first over any run of them must merge equal output keys of
-    # calls on different first labels, as the separate sums do
+    # generator over any run of them must merge equal output keys of calls
+    # on different first labels, as the separate sums do
     rng = random.Random(f"merge:{dim}:{gaussian}")
     system = real_system(dim)
     for P in _jacobi_kernels(dim, gaussian):
@@ -602,10 +622,11 @@ def test_keys_merge_across_first_labels(dim, gaussian):
                                                      "x", "x"]
         separate = TensorExpr.zero(dim)
         for n, call in enumerate(calls, 1):
-            separate = separate + sigma_first([call], P, system)
-            assert _json(sigma_first(calls[:n], P, system)) == _json(separate)
+            separate = separate + _first_power([call], P, system)
+            assert _json(_first_power(calls[:n], P, system)) \
+                == _json(separate)
         assert separate.is_zero()  # the Jacobi identity
-        assert not sigma_first(calls[:4], P, system).is_zero()
+        assert not _first_power(calls[:4], P, system).is_zero()
 
 
 def test_tables_belong_to_one_generator():
@@ -619,11 +640,11 @@ def test_tables_belong_to_one_generator():
                 for _ in range(2))
         inputs.append(([(at(f, a), at(g, b))], a, b,
                        _jacobi_kernels(1, gaussian)[0]))
-    alone = [[_json(T) for T in islice(sigma_terms(products, a, b, P, system),
-                                       POWERS + 2)]
+    alone = [[_json(T) for T in islice(sigma_terms([(products, a, b)], P,
+                                                   system), POWERS + 2)]
              for products, a, b, P in inputs]
     assert all(len(powers) >= POWERS for powers in alone)
-    gens = [sigma_terms(products, a, b, P, system)
+    gens = [sigma_terms([(products, a, b)], P, system)
             for products, a, b, P in inputs]
     alternated = [[], []]
     for _ in range(POWERS + 2):
@@ -653,8 +674,8 @@ def test_shared_factor_is_derived_once_per_sort(c, monkeypatch):
         passes.clear()
         with monkeypatch.context() as patched:
             patched.setattr(sigma, "_derive", counting)
-            result = sigma_first(_tensor_calls(h, c, T, P, SYSTEM), P,
-                                 SYSTEM)
+            result = _first_power(_tensor_calls(h, c, T, P, SYSTEM), P,
+                                  SYSTEM)
         assert result == expected
         at_c = [p for p in passes if p[0] == c]
         assert len(at_c) == len(set(at_c)) == 2
@@ -693,7 +714,7 @@ def test_star_degree_shape_matches_the_reference():
     for f, g, P in _star_degree_inputs():
         L, R = at(f, "x"), at(g, "y")
         powers = [power.terms for power in islice(
-            sigma_terms([(L, R)], "x", "y", P, SYSTEM), 8)]
+            sigma_terms([([(L, R)], "x", "y")], P, SYSTEM), 8)]
         assert powers == reference_powers(L * R, "x", "y", P, SYSTEM, 8)
         assert len(powers) == 3
         for terms in powers:
@@ -727,13 +748,13 @@ def test_one_label_factor_and_two_label_factor_match_the_reference(
                 * TensorExpr.from_kernel(K, b, "z")
             calls.clear()
             powers = [power.terms for power in islice(
-                sigma_terms([(L, R)], a, b, P, SYSTEM), POWERS)]
+                sigma_terms([([(L, R)], a, b)], P, SYSTEM), POWERS)]
             assert powers == reference_powers(L * R, a, b, P, SYSTEM, POWERS)
             assert len(powers) == POWERS
             assert set(calls) == {b}
             # a product of two one-label factors takes no bisection
             calls.clear()
             assert [power.terms for power in islice(
-                sigma_terms([(L, at(G, b))], a, b, P, SYSTEM), POWERS)] \
+                sigma_terms([([(L, at(G, b))], a, b)], P, SYSTEM), POWERS)] \
                 == reference_powers(L * at(G, b), a, b, P, SYSTEM, POWERS)
             assert calls == []
