@@ -376,9 +376,7 @@ def sigma_terms(calls: list, P: Kernel, system: FieldSystem):
     def derive(F: dict, label: str, sort: str, side: int) -> dict:
         # a factor that several calls share, as the H of one {h@c, T} is,
         # is derived once per (label, sort, side) and power (``walks`` holds
-        # each source meanwhile, so no id is reused); one call shares none
-        if len(setups) == 1:
-            return _derive(F, label, sort, side, dim, real)
+        # each source meanwhile, so no id is reused)
         at = (id(F), label, sort, side)
         out = derived.get(at)
         if out is None:
