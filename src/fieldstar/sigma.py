@@ -23,8 +23,11 @@ the sum of their powers.  Callers that know the split pass it: the star
 f@a * g@b hands f@a (x) g@b to ``exp_sigma``, as one call; the brackets,
 {f@a, g@b} on that pair and {h@c, T} on h@c (x) T once per label of T,
 read the first power of all their calls.  ``_factor`` splits a general
-sum into products; only the exponential of a series coefficient, as the
-grouped star forms it, needs it.  A factor's work terms track the
+sum into products, for ``exp_sigma``'s series input.  The grouped star
+does not split: ``_exp_chain`` takes the products of its two series'
+coefficients, L in the group of one label, and each power goes on to the
+next pair as the factor pairs ``_product`` forms beside its output, on
+int numerators.  A factor's work terms track the
 index gamma it adds to the pending atom.  The atom is d_lo^gamma
 delta(lo - hi) for the label pair in order, so derivatives from the hi
 side, and kernel indices when a > b, fold in the parity sign (-1)^|index|.
@@ -61,7 +64,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from itertools import groupby
+from itertools import groupby, islice
 from math import comb, factorial, lcm
 
 from .jets import (RULE_CACHE_SIZE, FieldSystem, _acc, _partial_mon, mi_add,
@@ -224,7 +227,7 @@ class _Keys:
 
 
 def _product(out: dict, X: dict, Y: dict, kernel: list, f: int, a: str,
-             pair, atoms: dict, keys: _Keys, real: bool):
+             pair, atoms: dict, keys: _Keys, real: bool, hand=None):
     """Accumulate f * X (x) Y (x) kernel into ``out``, on int (``real``)
     or Gaussian-integer numerators; ``kernel`` lists each (gamma,
     coefficient) with the parity folded in, and f is an int.  ``out`` is
@@ -232,7 +235,9 @@ def _product(out: dict, X: dict, Y: dict, kernel: list, f: int, a: str,
     the delta part.  The delta part, its id cached in ``atoms`` per
     (deltas, alpha, beta + gamma), holds the inserted atom (lo, hi, gamma)
     for ``pair`` = (lo, hi); for None it is (deltas, gamma), the atom
-    pending."""
+    pending.  A list ``hand`` gets the product as factor pairs of work
+    terms per pending index alpha of X: X's terms of that index, cleared,
+    and f * Y (x) kernel (x) the inserted atom."""
     if real:
         kernel = [(g, None if kc * f == 1 else kc * f) for g, kc in kernel]
     else:
@@ -242,6 +247,7 @@ def _product(out: dict, X: dict, Y: dict, kernel: list, f: int, a: str,
     for (block, _deltas, alpha), cx in X.items():
         xid = (keys.intern(block),) if block else ()
         by_alpha.setdefault(alpha, []).append((xid, cx))
+    rows = None if hand is None else {alpha: {} for alpha in by_alpha}
     for (rest, deltas, beta), cy in Y.items():
         labels, ids = keys.rest(rest)
         cut = bisect_left(labels, a)
@@ -262,6 +268,12 @@ def _product(out: dict, X: dict, Y: dict, kernel: list, f: int, a: str,
                     did = atoms[(deltas, alpha, bg)] = keys.intern(
                         (deltas, g) if pair is None
                         else tuple(sorted(deltas + ((*pair, g),))))
+                if rows is not None:
+                    key = (rest, keys.values[did], mi_zero(len(alpha)))
+                    if real:
+                        _acc(rows[alpha], key, cr)
+                    else:
+                        _pair_acc(rows[alpha], key, *cr)
                 tail = post + (did,)
                 if real:
                     for xid, cx in entries:
@@ -271,6 +283,10 @@ def _product(out: dict, X: dict, Y: dict, kernel: list, f: int, a: str,
                 for xid, (xa, xb) in entries:
                     _pair_acc(out, pre + xid + tail,
                               xa * ra - xb * rb, xa * rb + xb * ra)
+    for alpha, R in (rows or {}).items():
+        zero = mi_zero(len(alpha))
+        hand.append(({(keys.values[xid[0]] if xid else (), (), zero): cx
+                      for xid, cx in by_alpha[alpha]}, R))
 
 
 def _check_dims(products: list, P: Kernel, system: FieldSystem) -> int:
@@ -283,42 +299,28 @@ def _check_dims(products: list, P: Kernel, system: FieldSystem) -> int:
 
 
 def _setup(calls: list, P: Kernel, system: FieldSystem):
-    """(real, D, setups) for operator calls, each (products, a, b): one
+    """(real, D, sources) for operator calls, each (products, a, b): one
     real/complex decision for all calls (real when neither P nor any factor
     has an imaginary part; the work then runs on int numerators, otherwise
-    on Gaussian-integer ones), D the lcm of the calls' denominators, and
-    per call with products a tuple (a, b, pair, side_a, side_b, kernel,
-    factors): the label pair in order, the side (0 for lo) of a and of b,
-    the kernel's (gamma, numerator) list with the parity folded in, and the
-    products as work terms (L, R), L scaled to bring L (x) R (x) kernel
-    over D.  A product that several calls share, as the calls of one
-    {h@c, T} do, becomes work terms once."""
+    on Gaussian-integer ones), D the lcm of the products' denominators
+    times the kernel's, and per product a source ([(L, R)] as work terms,
+    d, a, b), L (x) R over d.  A product that several calls share, as the
+    calls of one {h@c, T} do, becomes work terms once."""
     for products, a, b in calls:
         if a == b:
             raise ValueError(f"operator label pair coincides: {a!r}")
         if products:
             _check_dims(products, P, system)
-    calls = [call for call in calls if call[0]]
     shared = {(id(L), id(R)): (L, R)
               for products, _a, _b in calls for L, R in products}
     real = not any(c._b for F in [F for LR in shared.values() for F in LR]
                    + [P] for c in F.terms.values())
-    kd = _denominator(P)
-    shared = {key: (L, _denominator(L), R, _denominator(R))
+    shared = {key: ([(_works(L, real, ld := _denominator(L)),
+                      _works(R, real, rd := _denominator(R)))], ld * rd)
               for key, (L, R) in shared.items()}
-    D = lcm(*[kd * ld * rd for _L, ld, _R, rd in shared.values()])
-    works = {key: (_works(L, real, ld, D // (kd * ld * rd)), _works(R, real, rd))
-             for key, (L, ld, R, rd) in shared.items()}  # each L over D
-    setups = []
-    for products, a, b in calls:
-        pair = tuple(sorted((a, b)))
-        side_a = 0 if a == pair[0] else 1
-        kernel = list(_numerators(
-            ((g, c if side_a == 0 or mi_order(g) % 2 == 0 else -c)
-             for g, c in P.terms.items()), real, kd).items())
-        setups.append((a, b, pair, side_a, 1 - side_a, kernel,
-                       [works[id(L), id(R)] for L, R in products]))
-    return real, D, setups
+    D = _denominator(P) * lcm(*[d for _pairs, d in shared.values()])
+    return real, D, [(*shared[id(L), id(R)], a, b)
+                     for products, a, b in calls for L, R in products]
 
 
 def _finish(out: dict, real: bool, d: int, keys: _Keys) -> dict:
@@ -353,25 +355,44 @@ def sigma_terms(calls: list, P: Kernel, system: FieldSystem):
     one ordered pair the generator stops at the first power that vanishes
     identically, as all higher powers then do.  (A power that vanishes only
     once its inserted atom joins an equal delta atom of T is yielded,
-    empty.)  The operator on (b, a) is s times the one on (a, b), so calls
-    on several ordered pairs can cancel at one power and not at the next:
-    they run until no lineage is left, and yield the vanishing powers,
-    empty.  Every factor, P and the system share one dimension, or
-    DimensionMismatch is raised.
+    empty.)  Power k on (b, a) with kernel P^t is s^k times power k on
+    (a, b) with P, and with P itself -s^(k+1) times, so calls on several
+    ordered pairs can cancel at one power and not at the next: they run
+    until no lineage is left, and yield the vanishing powers, empty.  Every
+    factor, P and the system share one dimension, or DimensionMismatch is
+    raised.
     """
-    real, D, setups = _setup(calls, P, system)
-    dim, sign = P.dim, bracket_sign(P)
-    p, q = system.primary, system.conjugate
+    real, D, sources = _setup(calls, P, system)
     keys = _Keys()  # the generator's own ids, shared by all calls and powers
+    for _k, d, out, _pairs in _walk(sources, real, D, P, system, keys):
+        yield TensorExpr(P.dim, _finish(out, real, d, keys))
+
+
+def _walk(sources: list, real: bool, D: int, P: Kernel, system: FieldSystem,
+          keys: _Keys, orient: int = 1, handover: bool = False):
+    """The powers of the operator on (a, b) per source (factor pairs of
+    work terms, d, a, b), each L (x) R over d, with D a multiple of each d
+    times the kernel's denominator: per k, (k, D * k!, out, pairs), the
+    sum of the k-th powers times orient^k as ``keys``-id numerators over
+    D * k! and, if ``handover``, as factor pairs (see ``_product``)."""
+    dim, sign, kd = P.dim, bracket_sign(P), _denominator(P)
+    p, q = system.primary, system.conjugate
     # per product of a call: the call with its table of inserted atom ids,
     # the current (X, Y) of lineage 0 of the next power, or None once it
     # vanished, and the live lineages (j, X, Y), where j counts the B
     # factors: X = d_{p,a}^i d_{q,a}^j L and Y = d_{q,b}^i d_{p,b}^j R
     walks = []
-    for a, b, pair, side_a, side_b, kernel, factors in setups:
-        call = (a, b, pair, side_a, side_b, kernel, {})
+    for factors, d, a, b in sources:
+        pair = tuple(sorted((a, b)))
+        side_a = 0 if a == pair[0] else 1
+        # the kernel's (gamma, numerator) list, the parity folded in and
+        # scaled to bring L (x) R (x) kernel over D
+        kernel = list(_numerators(
+            ((g, c if side_a == 0 or mi_order(g) % 2 == 0 else -c)
+             for g, c in P.terms.items()), real, kd, D // (kd * d)).items())
+        call = (a, b, pair, side_a, 1 - side_a, kernel, {})
         walks += [(call, (L, R), [(0, L, R)]) for L, R in factors]
-    ordered = {(a, b) for a, b, *_rest in setups}
+    ordered = {(a, b) for _factors, _d, a, b in sources}
 
     def derive(F: dict, label: str, sort: str, side: int) -> dict:
         # a factor that several calls share, as the H of one {h@c, T} is,
@@ -383,20 +404,20 @@ def sigma_terms(calls: list, P: Kernel, system: FieldSystem):
             out = derived[at] = _derive(F, label, sort, side, dim, real)
         return out
 
-    def power(pending: bool) -> dict:
+    def power(pending: bool, pairs=None) -> dict:
         out: dict = {}
         for (a, _b, pair, _sa, _sb, kernel, atoms), _start, lines in walks:
             for j, X, Y in lines:
-                _product(out, X, Y, kernel, comb(k, j) * sign ** j, a,
-                         None if pending else pair, {} if pending else atoms,
-                         keys, real)
+                _product(out, X, Y, kernel, comb(k, j) * sign ** j
+                         * orient ** k, a, None if pending else pair,
+                         {} if pending else atoms, keys, real, pairs)
         return out
 
     def meets() -> bool:
         # the inserted atom can only meet a delta atom of T on its labels,
         # and T's deltas are all in the R factors
-        pair = setups[0][2]
-        return any(d[:2] == pair for *_call, factors in setups
+        pair = walks[0][0][2]
+        return any(d[:2] == pair for factors, *_rest in sources
                    for _L, R in factors for _mon, deltas, _g in R
                    for d in deltas)
 
@@ -424,9 +445,51 @@ def sigma_terms(calls: list, P: Kernel, system: FieldSystem):
         walks = live
         if not walks:
             return
-        out = power(False)
+        pairs = [] if handover else None
+        out = power(False, pairs)
         # on one ordered pair, the next power can be nonzero only if this
         # one is before the inserted atom joins the deltas
         if not out and len(ordered) == 1 and not (meets() and power(True)):
             return
-        yield TensorExpr(dim, _finish(out, real, D * factorial(k), keys))
+        yield k, D * factorial(k), out, pairs
+
+
+def _exp_chain(products: dict, a: str, labels: list, P: Kernel,
+               system: FieldSystem, order: int, orient: int,
+               coeffs: dict) -> bool:
+    """Add to ``coeffs`` the powers through ``order`` of the exponentials
+    on (a, b), b in ``labels`` in turn, power k times orient^k, of the
+    series whose coefficient at n sums the products L (x) R, L at a, of
+    ``products[n]``; True if a power beyond ``order`` is yielded.  Powers
+    pass on as factor pairs of work terms, with no GRat in between."""
+    real, _D, flat = _setup([(pairs, a, labels[0])
+                             for pairs in products.values()], P, system)
+    flat = iter([source[:2] for source in flat])  # (pairs, d)
+    stage = {n: list(islice(flat, len(pairs)))
+             for n, pairs in products.items()}
+    keys, parts, more = _Keys(), {}, False
+    for b in labels:
+        nxt = {n: list(sources) for n, sources in stage.items()}
+        for n, sources in stage.items():
+            D = _denominator(P) * lcm(*[d for _pairs, d in sources])
+            for k, dk, out, handed in _walk(
+                    [(*source, a, b) for source in sources], real, D, P,
+                    system, keys, orient, b != labels[-1]):
+                if n + k > order:
+                    more = True
+                    break
+                parts.setdefault(n + k, []).append((out, dk))
+                if handed is not None:
+                    nxt.setdefault(n + k, []).append((handed, dk))
+        stage = nxt
+    for m, outs in parts.items():  # the powers at m over one denominator
+        D, total = lcm(*[d for _out, d in outs]), {}
+        for out, d in outs:
+            f = D // d
+            for key, c in out.items():
+                if real:
+                    _acc(total, key, c * f)
+                else:
+                    _pair_acc(total, key, c[0] * f, c[1] * f)
+        _acc(coeffs, m, TensorExpr(P.dim, _finish(total, real, D, keys)))
+    return more

@@ -28,7 +28,7 @@ from .poisson import (
     bracket_functionals,
 )
 from .rationals import GRat, I
-from .sigma import _check_dims, _factor, sigma_terms
+from .sigma import _check_dims, _exp_chain, _factor, sigma_terms
 from .tensor import TensorExpr
 
 
@@ -143,16 +143,38 @@ star_density = star_fn
 def star_grouped(A: HbarSeries, labels_a, B: HbarSeries, labels_b, P: Kernel,
                  system: FieldSystem, order: int | None = None) -> HbarSeries:
     """Star of two groups: every cross pair contributes one exp factor,
-    applied in canonical (sorted) pair order."""
+    applied in canonical (sorted) pair order.  When a group has one label
+    c, which its series keeps to, the products of the coefficients go to
+    ``sigma._exp_chain`` as they are, L at c; with c in B, the pair (x, c)
+    runs as (c, x) with P^t, power k times s^k."""
     la, lb = set(labels_a), set(labels_b)
     if la & lb:
         raise LabelCollision(f"groups share labels {sorted(la & lb)}")
-    S = series_mul(A, B)
-    K = S.order if order is None else order
-    for x in sorted(la):
-        for y in sorted(lb):
-            S = exp_sigma(S, x, y, P, system, K)
-    return S
+    K = min(A.order, B.order) if order is None else order
+    swap = len(la) != 1
+    (one, c), (other, rest) = ((B, lb), (A, la)) if swap \
+        else ((A, la), (B, lb))
+    if len(c) != 1 or not rest \
+            or any(not T.labels() <= c for T in one.terms.values()) \
+            or any(c & T.labels() for T in other.terms.values()):
+        S = series_mul(A, B)
+        for x in sorted(la):
+            for y in sorted(lb):
+                S = exp_sigma(S, x, y, P, system, K)
+        return S
+    exact, products, coeffs = A.exact and B.exact, {}, {}
+    for j, L in one.terms.items():
+        for l, R in other.terms.items():
+            if j + l <= min(A.order, B.order) or exact:  # as series_mul
+                products.setdefault(j + l, []).append((L, R))
+                _acc(coeffs, j + l, L * R)
+    for n in [n for n in products if n > K]:  # cut, as exp_sigma does
+        del products[n]
+        exact = exact and not coeffs.pop(n, None)
+    more = _exp_chain(products, *c, sorted(rest),
+                      P.transpose() if swap else P, system, K,
+                      bracket_sign(P) if swap else 1, coeffs)
+    return HbarSeries(A.dim, coeffs, K, exact and not more)
 
 
 def commutator_semiclassical(f: FieldExpr, g: FieldExpr, P: Kernel,

@@ -538,9 +538,10 @@ def test_first_power_rejects_a_coinciding_label_pair():
 
 
 def test_calls_on_reverse_pairs_run_until_no_lineage_is_left():
-    # the operator on (y, x) is s times the one on (x, y), so f@x (x) g@y
-    # on (x, y) and g@y (x) f@x on (y, x) cancel at powers 1 and 3 but not
-    # at 2: the generator over both must not stop at an empty power
+    # for the symmetric delta, power k on (y, x) is (-1)^k times power k
+    # on (x, y), so f@x (x) g@y on (x, y) and g@y (x) f@x on (y, x) cancel
+    # at powers 1 and 3 but not at 2: the generator over both must not stop
+    # at an empty power
     f, g = PHI ** 2 * PI, PI ** 2 * PHI
     P = Kernel.delta(1)
     calls = [([(at(f, "x"), at(g, "y"))], "x", "y"),
@@ -758,3 +759,32 @@ def test_one_label_factor_and_two_label_factor_match_the_reference(
                 sigma_terms([([(L, at(G, b))], a, b)], P, SYSTEM), POWERS)] \
                 == reference_powers(L * at(G, b), a, b, P, SYSTEM, POWERS)
             assert calls == []
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("complex_pair", [False, True])
+def test_reversed_pair_is_the_forward_pair_times_an_orientation_sign(
+        dim, complex_pair):
+    # with s = bracket_sign(P), power k on (y, x) with P^t is s^k times
+    # power k on (x, y) with P, and with P itself -s^(k+1) times: not s
+    # times at every k
+    rng = random.Random(2323 + dim + 10 * complex_pair)
+    system = complex_system(dim) if complex_pair else real_system(dim)
+    longest = 0
+    for P in default_kernels(dim):  # one symmetric, one antisymmetric
+        s = bracket_sign(P)
+        for _ in range(2):
+            f, g = (at(random_expr(system, rng, max_degree=3,
+                                   max_jet_order=1, complex_ok=complex_pair),
+                       label) for label in "xy")
+            forward = list(islice(
+                sigma_terms([([(f, g)], "x", "y")], P, system), 5))
+            longest = max(longest, len(forward))
+            for Q, sign in ((P.transpose(), lambda k: s ** k),
+                            (P, lambda k: -s ** (k + 1))):
+                reverse = list(islice(
+                    sigma_terms([([(g, f)], "y", "x")], Q, system), 5))
+                assert len(reverse) == len(forward)
+                for k, (T, U) in enumerate(zip(forward, reverse), 1):
+                    assert U == T.scale(sign(k))
+    assert longest >= 2  # an odd and an even power

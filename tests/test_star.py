@@ -29,7 +29,7 @@ from fieldstar.star import (
     to_series,
 )
 from fieldstar.tensor import TensorExpr
-from fieldstar.verify import default_kernels
+from fieldstar.verify import default_kernels, verify_assoc
 
 
 def u(index=(0,), dim=None):
@@ -169,6 +169,68 @@ def test_star_fn_does_not_split_its_product(monkeypatch):
     monkeypatch.setattr(fieldstar.star, "_factor", refuse)
     series = star_fn(u() * xi(), xi() ** 2, Kernel.delta(1), SYS1)
     assert series.exact and sorted(series.coeffs) == [0, 1]
+
+
+def _public_route(A, labels_a, B, labels_b, P, system, order):
+    """The grouped star through the public steps: the product of the two
+    series, then exp_sigma on each cross pair in sorted order."""
+    S = series_mul(A, B)
+    for x in sorted(labels_a):
+        for y in sorted(labels_b):
+            S = exp_sigma(S, x, y, P, system,
+                          S.order if order is None else order)
+    return S
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("complex_pair", [False, True])
+def test_star_grouped_equals_the_public_route(dim, complex_pair):
+    rng = random.Random(2323 + dim + 10 * complex_pair)
+    system = complex_system(dim) if complex_pair else real_system(dim)
+    exactness = set()
+    for P in default_kernels(dim):
+        f, g, h = (random_density(system, rng, max_degree=2, max_jet_order=1,
+                                  terms=2, complex_ok=complex_pair)
+                   for _ in range(3))
+        for K, order in ((3, None), (3, 1), (4, 2)):
+            left = (star_fn(f, g, P, system, "x", "y", K), ["x", "y"],
+                    to_series(h, "z", K), ["z"])
+            right = (to_series(f, "x", K), ["x"],
+                     star_fn(g, h, P, system, "y", "z", K), ["y", "z"])
+            for A, la, B, lb in (left, right):
+                grouped = star_grouped(A, la, B, lb, P, system, order)
+                public = _public_route(A, la, B, lb, P, system, order)
+                assert grouped.terms == public.terms
+                assert (grouped.order, grouped.exact) == (public.order,
+                                                          public.exact)
+                exactness.add(grouped.exact)
+    assert exactness == {False, True}
+
+
+def test_assoc_residuals_neither_multiply_out_nor_split(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("a grouped star multiplied out or split again")
+
+    monkeypatch.setattr(fieldstar.star, "series_mul", refuse)
+    monkeypatch.setattr(fieldstar.star, "_factor", refuse)
+    rng = random.Random(2324)
+    for system in (SYS1, complex_system(1)):
+        for P in default_kernels(1):
+            f, g, h = (random_density(system, rng, max_degree=2,
+                                      max_jet_order=1, terms=2)
+                       for _ in range(3))
+            for level in (1, 2, 3, 4, 5):
+                residuals = assoc_residuals(f, g, h, P, system, level, 3)
+                assert all(r.is_zero() for r in residuals)
+
+
+@pytest.mark.parametrize("system", [real_system(3), complex_system(1)],
+                         ids=["real-dim3", "complex-dim1"])
+def test_associativity_beyond_dim_1_over_q(system):
+    rng = random.Random(2325)
+    for P in default_kernels(system.dim):
+        report = verify_assoc(system, P, 4, rng)
+        assert report.ok, report.line()
 
 
 def test_star_of_another_dimension_rejected():

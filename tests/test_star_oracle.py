@@ -21,7 +21,10 @@ is t_ab for a pair in label order and -t_ba for one in reverse order,
 which is the parity sign (-1)^|g|; the sign (-1)^|beta| of a derivative
 from b is then u_ba^beta.  The outer bracket applies the operator on
 (z, l) once for each label l of the inner one, whose t_xy atoms are
-constants for it.  Nothing here calls the engine's sign or parity rules.
+constants for it.  The grouped stars (f * g) * h and f * (g * h) take the
+same vectors: each cross pair (a, b) of the two groups applies its own
+exponential, whose power k carries one atom P(u_ab) and D on (a, b) k
+times, over k!.  Nothing here calls the engine's sign or parity rules.
 """
 
 import random
@@ -36,7 +39,7 @@ from fieldstar.jets import FieldExpr, complex_system, real_system
 from fieldstar.kernels import Kernel
 from fieldstar.poisson import bracket_fn, bracket_tensor
 from fieldstar.rationals import GRat
-from fieldstar.star import star_fn
+from fieldstar.star import star_fn, star_grouped, to_series
 
 ORDER = 3  # hbar^0..3; inputs of degree <= 2 end at hbar^2
 KINDS = ("even", "i*even", "odd")
@@ -154,19 +157,22 @@ def _engine(T, t: dict):
 def _operator(expr, a: str, b: str, p: str, q: str, s: int, dim: int,
               u: dict):
     """D on the pair (a, b) applied once, over the jets of order <= 2 that
-    D^k can meet."""
-    jets = expr.free_symbols
+    D^k can meet, to an expression or to a sympy Poly whose generators
+    include every jet and t symbol (which keeps products of three factors
+    cheap)."""
+    poly = isinstance(expr, sympy.Poly)
+    jets = set(expr.gens) if poly else expr.free_symbols
     indices = _indices(dim, 2)
-    out = sympy.Integer(0)
+    out = expr * 0
     for sort_a, sort_b, c in ((p, q, 1), (q, p, s)):
         for alpha in indices:
             if (x := _symbol(sort_a, alpha, a)) not in jets:
                 continue
-            dx = c * _t_power(u[a, b], alpha) * sympy.diff(expr, x)
+            dx = expr.diff(x) * (c * _t_power(u[a, b], alpha))
             for beta in indices:
                 if (y := _symbol(sort_b, beta, b)) in jets:
-                    out += _t_power(u[b, a], beta) * sympy.diff(dx, y)
-    return sympy.expand(out)
+                    out += dx.diff(y) * _t_power(u[b, a], beta)
+    return out if poly else sympy.expand(out)
 
 
 @pytest.mark.parametrize("trial", TRIALS, ids=[
@@ -216,3 +222,58 @@ def test_nested_bracket_matches_the_sympy_model(trial):
     nested = bracket_tensor(_field(h_spec, dim), "z", T, P, system)
     assert not nested.is_zero()
     assert sympy.expand(_engine(nested, t) - outer) == 0
+
+
+GROUPED_RNG = random.Random(1954)
+GROUPED = [_draw(GROUPED_RNG, i, 3) for i in range(4)]
+GROUPED_ORDER = 2
+
+
+@pytest.mark.parametrize("trial", GROUPED, ids=[
+    f"{i}-dim{trial[1]}-{trial[2].primary}-{trial[0]}"
+    for i, trial in enumerate(GROUPED)])
+def test_grouped_stars_match_the_sympy_model(trial):
+    _kind, dim, system, kernel, s, f_spec, g_spec, h_spec = trial
+    t, u = _vectors(dim, "xyz")
+    P = _kernel(kernel, dim)
+    p, q = system.primary, system.conjugate
+    f, g, h = (_field(spec, dim) for spec in (f_spec, g_spec, h_spec))
+    fx, gy, hz = (_model(spec, label)
+                  for spec, label in zip((f_spec, g_spec, h_spec), "xyz"))
+    gens = sorted((fx * gy * hz).free_symbols, key=str) \
+        + [ti for pair in sorted(t) for ti in t[pair]]
+
+    def poly(expr):
+        return sympy.Poly(expr, *gens, domain="QQ_I")
+
+    def exp(series: dict, a: str, b: str) -> dict:
+        # the exponential on the pair (a, b) of a series {n: coefficient}
+        atom = poly(_kernel_model(kernel, u[a, b]))
+        out: dict = {}
+        for n, power in series.items():
+            for k in range(GROUPED_ORDER - n + 1):
+                if k:
+                    power = _operator(power, a, b, p, q, s, dim, u)
+                    term = atom * power * sympy.Rational(1, factorial(k))
+                else:
+                    term = power
+                out[n + k] = out[n + k] + term if n + k in out else term
+        return out
+
+    fg = exp({0: poly(fx * gy)}, "x", "y")
+    left = exp(exp({n: c * poly(hz) for n, c in fg.items()}, "x", "z"),
+               "y", "z")
+    gh = exp({0: poly(gy * hz)}, "y", "z")
+    right = exp(exp({n: poly(fx) * c for n, c in gh.items()}, "x", "y"),
+                "x", "z")
+    K = GROUPED_ORDER
+    engine_left = star_grouped(star_fn(f, g, P, system, "x", "y", K),
+                               ["x", "y"], to_series(h, "z", K), ["z"],
+                               P, system)
+    engine_right = star_grouped(to_series(f, "x", K), ["x"],
+                                star_fn(g, h, P, system, "y", "z", K),
+                                ["y", "z"], P, system)
+    for engine, model in ((engine_left, left), (engine_right, right)):
+        assert not engine.coefficient(1).is_zero()
+        for n in range(K + 1):
+            assert poly(_engine(engine.coefficient(n), t)) == model[n]
