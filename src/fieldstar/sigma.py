@@ -64,7 +64,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from itertools import groupby, islice
+from itertools import groupby
 from math import comb, factorial, lcm
 
 from .jets import (RULE_CACHE_SIZE, FieldSystem, _acc, _partial_mon, mi_add,
@@ -303,8 +303,8 @@ def _setup(calls: list, P: Kernel, system: FieldSystem):
     real/complex decision for all calls (real when neither P nor any factor
     has an imaginary part; the work then runs on int numerators, otherwise
     on Gaussian-integer ones), D the lcm of the products' denominators
-    times the kernel's, and per product a source ([(L, R)] as work terms,
-    d, a, b), L (x) R over d.  A product that several calls share, as the
+    times the kernel's, and per call the sources of its products, each
+    ([(L, R)] as work terms, d, a, b), L (x) R over d.  A product that several calls share, as the
     calls of one {h@c, T} do, becomes work terms once."""
     for products, a, b in calls:
         if a == b:
@@ -319,8 +319,8 @@ def _setup(calls: list, P: Kernel, system: FieldSystem):
                       _works(R, real, rd := _denominator(R)))], ld * rd)
               for key, (L, R) in shared.items()}
     D = _denominator(P) * lcm(*[d for _pairs, d in shared.values()])
-    return real, D, [(*shared[id(L), id(R)], a, b)
-                     for products, a, b in calls for L, R in products]
+    return real, D, [[(*shared[id(L), id(R)], a, b) for L, R in products]
+                     for products, a, b in calls]
 
 
 def _finish(out: dict, real: bool, d: int, keys: _Keys) -> dict:
@@ -364,17 +364,19 @@ def sigma_terms(calls: list, P: Kernel, system: FieldSystem):
     """
     real, D, sources = _setup(calls, P, system)
     keys = _Keys()  # the generator's own ids, shared by all calls and powers
-    for _k, d, out, _pairs in _walk(sources, real, D, P, system, keys):
+    for _k, d, out, _pairs in _walk(sum(sources, []), real, D, P, system,
+                                    keys):
         yield TensorExpr(P.dim, _finish(out, real, d, keys))
 
 
 def _walk(sources: list, real: bool, D: int, P: Kernel, system: FieldSystem,
-          keys: _Keys, orient: int = 1, handover: bool = False):
+          keys: _Keys, orient: int = 1, handover: int = 0):
     """The powers of the operator on (a, b) per source (factor pairs of
     work terms, d, a, b), each L (x) R over d, with D a multiple of each d
     times the kernel's denominator: per k, (k, D * k!, out, pairs), the
     sum of the k-th powers times orient^k as ``keys``-id numerators over
-    D * k! and, if ``handover``, as factor pairs (see ``_product``)."""
+    D * k! and, for k <= ``handover``, as factor pairs (see
+    ``_product``), else None."""
     dim, sign, kd = P.dim, bracket_sign(P), _denominator(P)
     p, q = system.primary, system.conjugate
     # per product of a call: the call with its table of inserted atom ids,
@@ -445,7 +447,7 @@ def _walk(sources: list, real: bool, D: int, P: Kernel, system: FieldSystem,
         walks = live
         if not walks:
             return
-        pairs = [] if handover else None
+        pairs = [] if k <= handover else None
         out = power(False, pairs)
         # on one ordered pair, the next power can be nonzero only if this
         # one is before the inserted atom joins the deltas
@@ -462,11 +464,10 @@ def _exp_chain(products: dict, a: str, labels: list, P: Kernel,
     series whose coefficient at n sums the products L (x) R, L at a, of
     ``products[n]``; True if a power beyond ``order`` is yielded.  Powers
     pass on as factor pairs of work terms, with no GRat in between."""
-    real, _D, flat = _setup([(pairs, a, labels[0])
-                             for pairs in products.values()], P, system)
-    flat = iter([source[:2] for source in flat])  # (pairs, d)
-    stage = {n: list(islice(flat, len(pairs)))
-             for n, pairs in products.items()}
+    real, _D, calls = _setup([(pairs, a, labels[0])
+                              for pairs in products.values()], P, system)
+    stage = {n: [source[:2] for source in call]  # (pairs, d)
+             for n, call in zip(products, calls)}
     keys, parts, more = _Keys(), {}, False
     for b in labels:
         nxt = {n: list(sources) for n, sources in stage.items()}
@@ -474,7 +475,8 @@ def _exp_chain(products: dict, a: str, labels: list, P: Kernel,
             D = _denominator(P) * lcm(*[d for _pairs, d in sources])
             for k, dk, out, handed in _walk(
                     [(*source, a, b) for source in sources], real, D, P,
-                    system, keys, orient, b != labels[-1]):
+                    system, keys, orient,
+                    order - n if b != labels[-1] else 0):
                 if n + k > order:
                     more = True
                     break

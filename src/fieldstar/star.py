@@ -143,8 +143,9 @@ star_density = star_fn
 def star_grouped(A: HbarSeries, labels_a, B: HbarSeries, labels_b, P: Kernel,
                  system: FieldSystem, order: int | None = None) -> HbarSeries:
     """Star of two groups: every cross pair contributes one exp factor,
-    applied in canonical (sorted) pair order.  When a group has one label
-    c, which its series keeps to, the products of the coefficients go to
+    applied in canonical (sorted) pair order.  A group has one label c,
+    which its series keeps to and the other series avoids, or ValueError
+    is raised.  The products of the coefficients go to
     ``sigma._exp_chain`` as they are, L at c; with c in B, the pair (x, c)
     runs as (c, x) with P^t, power k times s^k."""
     la, lb = set(labels_a), set(labels_b)
@@ -157,11 +158,8 @@ def star_grouped(A: HbarSeries, labels_a, B: HbarSeries, labels_b, P: Kernel,
     if len(c) != 1 or not rest \
             or any(not T.labels() <= c for T in one.terms.values()) \
             or any(c & T.labels() for T in other.terms.values()):
-        S = series_mul(A, B)
-        for x in sorted(la):
-            for y in sorted(lb):
-                S = exp_sigma(S, x, y, P, system, K)
-        return S
+        raise ValueError("star_grouped needs a group of one label that its "
+                         "series keeps to and the other series avoids")
     exact, products, coeffs = A.exact and B.exact, {}, {}
     for j, L in one.terms.items():
         for l, R in other.terms.items():

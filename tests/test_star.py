@@ -207,6 +207,22 @@ def test_star_grouped_equals_the_public_route(dim, complex_pair):
     assert exactness == {False, True}
 
 
+def test_star_grouped_needs_a_group_of_one_label():
+    P = Kernel.delta(1)
+    fg = star_fn(u(), xi(), P, SYS1, "x", "y", 2)
+    hk = star_fn(xi(), u(), P, SYS1, "z", "w", 2)
+    f = to_series(u(), "x", 2)
+    cases = [
+        (fg, ["x", "y"], hk, ["z", "w"]),  # no group of one label
+        (fg, ["x"], to_series(xi(), "z", 2), ["z"]),  # A strays from x
+        (f, ["x"], star_fn(xi(), u(), P, SYS1, "x", "z", 2), ["y", "z"]),
+        (f, ["x"], to_series(xi(), "z", 2), []),  # nothing to pair with
+    ]
+    for A, la, B, lb in cases:
+        with pytest.raises(ValueError):
+            star_grouped(A, la, B, lb, P, SYS1)
+
+
 def test_assoc_residuals_neither_multiply_out_nor_split(monkeypatch):
     def refuse(*_args):
         raise AssertionError("a grouped star multiplied out or split again")
