@@ -8,9 +8,9 @@ are the variational (Euler) operators.
 
 from __future__ import annotations
 
-from .jets import FieldExpr, TermDict, _acc, mi_add, mi_unit, mi_zero
+from .jets import FieldExpr, TermDict, _acc, mi_add, mi_zero
 from .rationals import ONE
-from .tensor import TensorExpr, _delta_leibniz
+from .tensor import TensorExpr, _apply_by_parts
 
 
 class ELOperator(TermDict):
@@ -65,42 +65,24 @@ class ELOperator(TermDict):
         return ELOperator(self.dim, self.label, terms)
 
 
-def _spatial_on_kernel(T: TensorExpr, label: str, index) -> TensorExpr:
-    """Apply d_label^index to the kernel part of every term.
-
-    Terms whose kernel does not carry the label receive the derivative as a
-    total derivative on the label's field content instead (the substitution
-    semantics for intermediate groupings without a kernel factor).
-    """
-    kernel = {key: c for key, c in T.terms.items()
-              if any(label in (a, b) for a, b, _g in key[1])}
-    field = {key: c for key, c in T.terms.items() if key not in kernel}
-    # kernel-carrying terms: differentiate only delta atoms
-    for direction, k in enumerate(index, start=1):
-        e = mi_unit(T.dim, direction)
-        for _ in range(k):
-            work, kernel = kernel, {}
-            for (mon, deltas), c in work.items():
-                _delta_leibniz(kernel, mon, deltas, c, label, e)
-    result = TensorExpr(T.dim, kernel)
-    if field:
-        result = result + TensorExpr(T.dim, field).total_derivative_multi_at(label, index)
-    return result
-
-
 def apply_el(op: ELOperator, T: TensorExpr) -> TensorExpr:
     """Action on a tensor expression: mixed jet partials on the label's
-    field content, the summed spatial derivative on its kernel factors."""
-    result = TensorExpr.zero(T.dim)
+    field content, then the summed spatial derivative d_label^index on the
+    kernel part of every term.  A term whose kernel does not carry the label
+    takes it as a total derivative on the label's field content instead (the
+    substitution semantics for intermediate groupings without a kernel
+    factor)."""
+    terms: dict = {}
     for mon, c in op.terms.items():
         piece = T.scale(c)
         total = mi_zero(T.dim)
         for sort, index in mon:
             piece = piece.jet_partial_at(op.label, sort, index)
             total = mi_add(total, index)
-        piece = _spatial_on_kernel(piece, op.label, total)
-        result = result + piece
-    return result
+        for (m, deltas), cm in piece.terms.items():
+            _apply_by_parts(terms, m, deltas, cm, op.label, total, fields=not any(
+                op.label in atom[:2] for atom in deltas))
+    return TensorExpr(T.dim, terms)
 
 
 def apply_dual(op: ELOperator, f: FieldExpr) -> FieldExpr:

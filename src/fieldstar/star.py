@@ -29,7 +29,7 @@ from .poisson import (
 )
 from .rationals import GRat, I
 from .sigma import _check_dims, _exp_chain, _factor, sigma_terms
-from .tensor import TensorExpr
+from .tensor import TensorExpr, _apply_by_parts
 
 
 class HbarSeries(TermDict):
@@ -344,47 +344,20 @@ def closed_form_residuals(F: Functional, G: Functional, g: FieldExpr,
 # ---------------------------------------------------------------------------
 # associativity residuals at the five levels
 
-def _split_integrate(T: TensorExpr, label: str) -> tuple[TensorExpr, TensorExpr]:
-    """Integrate the delta-localized part over a label; return the
-    non-integrable remainder separately (the formal functional factor)."""
-    localized: dict = {}
-    formal: dict = {}
-    for key, c in T.terms.items():
-        _mon, deltas = key
-        carriers = [atom for atom in deltas if label in atom[:2]]
-        if not carriers:
-            formal[key] = c
-            continue
-        # substitution against the first carrier must not collapse another
-        # delta atom onto coinciding labels (a coincidence divergence);
-        # such terms stay formal and cancel between groupings
-        a, b, _ = carriers[0]
-        partner = b if a == label else a
-        if sum(1 for a2, b2, _g in deltas if {a2, b2} == {label, partner}) > 1:
-            formal[key] = c
-        else:
-            localized[key] = c
-    return (TensorExpr(T.dim, localized).integrate_out(label),
-            TensorExpr(T.dim, formal))
-
-
 def _integrate_series(S: HbarSeries, labels: list) -> HbarSeries:
-    """The series with each label in turn integrated out wherever a delta
-    atom allows it; each coefficient sums its integrated and formal parts."""
+    """The series with each label in turn integrated out of every term that
+    a delta atom localizes; the others (formal functional factors, and
+    coincidence divergences, which cancel between groupings) stay."""
     coeffs: dict = {}
     for k, Tk in S.terms.items():
-        pieces = [Tk]
+        terms = Tk.terms
         for label in labels:
-            nxt = []
-            for T in pieces:
-                if label in T.labels():
-                    loc, form = _split_integrate(T, label)
-                    nxt.extend([loc, form])
-                else:
-                    nxt.append(T)
-            pieces = nxt
-        for T in pieces:
-            _acc(coeffs, k, T)
+            out: dict = {}
+            for key, c in terms.items():
+                if not _apply_by_parts(out, *key, c, label):
+                    _acc(out, key, c)
+            terms = out
+        coeffs[k] = TensorExpr(S.dim, terms)
     return S._like(coeffs)
 
 

@@ -10,9 +10,11 @@ order.  Delta products are multisets (sorted tuples).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from functools import lru_cache
 from operator import itemgetter
 
 from .jets import (
+    RULE_CACHE_SIZE,
     FieldExpr,
     TermDict,
     _acc,
@@ -28,7 +30,7 @@ from .rationals import GRat
 
 
 class NonIntegrableTerm(ValueError):
-    """A label was integrated out of a term with no delta atom carrying it."""
+    """A label was integrated out of a term no delta atom localizes at it."""
 
 
 def delta_atom(a: str, b: str, gamma) -> tuple[tuple, int]:
@@ -59,6 +61,82 @@ def _delta_leibniz(out: dict, mon: tuple, deltas: tuple, c: GRat,
         mult = deltas.count(deltas[pos])
         new = deltas[:pos] + ((a, b, mi_add(gamma, e)),) + deltas[pos + 1:]
         _acc(out, (mon, tuple(sorted(new))), _times(c, mult if label == a else -mult))
+
+
+def _relabel_deltas(deltas: tuple, old: str, new: str) -> tuple[tuple, int]:
+    """The delta product with label ``old`` renamed ``new``, re-canonicalized,
+    and the product of the orientation signs."""
+    moved, sign = [], 1
+    for a, b, gamma in deltas:
+        atom, s = delta_atom(new if a == old else a, new if b == old else b, gamma)
+        moved.append(atom)
+        sign *= s
+    return tuple(sorted(moved)), sign
+
+
+@lru_cache(maxsize=RULE_CACHE_SIZE)
+def _by_parts(block: tuple, carried: tuple, label: str, gamma) -> tuple | None:
+    """D^gamma at ``label`` of a bare block times the delta atoms carrying
+    the label, Leibniz over both: (label, ((located block, deltas, int
+    multiplicity), ...)).  With ``gamma`` None, integrate the label out by
+    parts: d_label^g moves off the first carrier, which pairs the label with
+    a partner, onto the rest as (-1)^|g| D^g, and the partner is substituted
+    for the label: (partner, rows), or None when another carrier pairs the
+    label with the partner too (a coincidence divergence)."""
+    partner, sign = label, 1
+    if gamma is None:
+        (a, b, gamma), carried = carried[0], carried[1:]
+        partner = b if a == label else a
+        if any(partner in atom[:2] for atom in carried):
+            return None
+        # the atom is sign * d_label^g delta(label-partner): with parts'
+        # (-1)^|g| that leaves -1 when |g| is odd and the label comes first
+        sign = -1 if a == label and mi_order(gamma) % 2 else 1
+    state = {(block, carried): sign}
+    for direction, k in enumerate(gamma, start=1):
+        e = mi_unit(len(gamma), direction)
+        for _ in range(k):
+            work, state = state, {}
+            for (blk, dl), m in work.items():
+                for new, mult in _derivative_mon(blk, e):
+                    _acc(state, (new, dl), m * mult)
+                _delta_leibniz(state, blk, dl, m, label, e)
+    rows = []
+    for (blk, dl), m in state.items():
+        dl, s = _relabel_deltas(dl, label, partner)  # the identity on label
+        rows.append((_locate(partner, blk), dl, m * s))
+    return partner, tuple(rows)
+
+
+def _apply_by_parts(out: dict, mon: tuple, deltas: tuple, c: GRat,
+                    label: str, gamma=None, fields: bool = True) -> bool:
+    """Accumulate ``_by_parts`` of one term into ``out``: its new block
+    replaces the label's block and joins the partner's, its new deltas join
+    the atoms not carrying the label; without ``fields`` the label's block
+    is left alone.  False, adding nothing, when the label cannot be
+    integrated out of the term."""
+    carried = tuple([atom for atom in deltas if label in atom[:2]])
+    if not carried and gamma is None:
+        return False
+    # located monomials sort by label first, so the atoms at one label form
+    # one block, and head + merged block + tail is canonical
+    lo = bisect_left(mon, label, key=_label)
+    hi = bisect_right(mon, label, lo, key=_label) if fields else lo
+    rule = _by_parts(tuple([atom for _lab, atom in mon[lo:hi]]),
+                     carried, label, gamma)
+    if rule is None:
+        return False
+    partner, rows = rule
+    rest = mon[:lo] + mon[hi:]
+    lo = bisect_left(rest, partner, key=_label)
+    hi = bisect_right(rest, partner, lo, key=_label)
+    head, near, tail = rest[:lo], rest[lo:hi], rest[hi:]
+    others = tuple([atom for atom in deltas if label not in atom[:2]])
+    for new, dl, mult in rows:
+        _acc(out, (head + (tuple(sorted(near + new)) if near else new) + tail,
+                   tuple(sorted(others + dl)) if others and dl else others + dl),
+             _times(c, mult))
+    return True
 
 
 class TensorExpr(TermDict):
@@ -142,45 +220,34 @@ class TensorExpr(TermDict):
 
     # -- calculus -----------------------------------------------------------
 
-    def _at_label(self, label: str, rule, e=None) -> "TensorExpr":
-        """Apply a bare-monomial rule of ``jets`` to the atoms at ``label``
-        in every term; given a unit index ``e``, also differentiate the
-        delta atoms that carry the label along it."""
-        terms: dict = {}
-        for (mon, deltas), c in self.terms.items():
-            # located monomials sort by label first, so the atoms at the
-            # label form one block, and pre + new block + post is canonical
-            lo = bisect_left(mon, label, key=_label)
-            hi = bisect_right(mon, label, lo, key=_label)
-            if lo < hi:
-                pre, post = mon[:lo], mon[hi:]
-                for new, mult in rule(tuple([atom for _lab, atom in mon[lo:hi]])):
-                    _acc(terms, (pre + _locate(label, new) + post, deltas),
-                         _times(c, mult))
-            if e is not None and deltas:
-                _delta_leibniz(terms, mon, deltas, c, label, e)
-        return TensorExpr(self.dim, terms)
-
     def total_derivative_at(self, label: str, direction: int) -> "TensorExpr":
-        """Total spatial derivative in ``direction`` at one point label.
-
-        Leibniz over both the field atoms attached to the label and the
-        delta atoms whose pair contains it.
-        """
-        e = mi_unit(self.dim, direction)
-        return self._at_label(label, lambda mon: _derivative_mon(mon, e), e)
+        """Total spatial derivative in ``direction`` at one point label."""
+        return self.total_derivative_multi_at(label, mi_unit(self.dim, direction))
 
     def total_derivative_multi_at(self, label: str, index) -> "TensorExpr":
-        result = self
-        for direction, k in enumerate(index, start=1):
-            for _ in range(k):
-                result = result.total_derivative_at(label, direction)
-        return result
+        """Total spatial derivative by a multi-index at one point label:
+        Leibniz over the field atoms at the label and the delta atoms whose
+        pair contains it."""
+        index = tuple(index)
+        terms: dict = {}
+        for (mon, deltas), c in self.terms.items():
+            _apply_by_parts(terms, mon, deltas, c, label, index)
+        return TensorExpr(self.dim, terms)
 
     def jet_partial_at(self, label: str, sort: str, index) -> "TensorExpr":
         """Partial derivative by one jet variable at one label."""
         index = tuple(index)
-        return self._at_label(label, lambda mon: _partial_mon(mon, sort, index))
+        terms: dict = {}
+        for (mon, deltas), c in self.terms.items():
+            lo = bisect_left(mon, label, key=_label)
+            hi = bisect_right(mon, label, lo, key=_label)
+            if lo < hi:
+                pre, post = mon[:lo], mon[hi:]
+                block = tuple([atom for _lab, atom in mon[lo:hi]])
+                for new, mult in _partial_mon(block, sort, index):
+                    _acc(terms, (pre + _locate(label, new) + post, deltas),
+                         _times(c, mult))
+        return TensorExpr(self.dim, terms)
 
     def relabel(self, old: str, new: str) -> "TensorExpr":
         """Rename a point label, re-canonicalizing delta atoms."""
@@ -188,15 +255,8 @@ class TensorExpr(TermDict):
         for (mon, deltas), c in self.terms.items():
             located = _canon_monomial(
                 ((new if lab == old else lab), atom) for lab, atom in mon)
-            sign = 1
-            new_deltas = []
-            for a, b, gamma in deltas:
-                a2 = new if a == old else a
-                b2 = new if b == old else b
-                atom, s = delta_atom(a2, b2, gamma)
-                sign *= s
-                new_deltas.append(atom)
-            _acc(terms, (located, tuple(sorted(new_deltas))), _times(c, sign))
+            moved, sign = _relabel_deltas(deltas, old, new)
+            _acc(terms, (located, moved), _times(c, sign))
         return TensorExpr(self.dim, terms)
 
     def integrate_out(self, label: str) -> "TensorExpr":
@@ -205,28 +265,12 @@ class TensorExpr(TermDict):
         For each term, all derivatives on one delta atom pairing ``label``
         with a partner are moved onto the remaining label-dependent content
         (sign (-1)^|gamma|, Leibniz distribution), after which the label is
-        substituted by the partner.  Terms without a delta atom in the label
-        are rejected: only delta-localized content is integrable.
+        substituted by the partner.  Only delta-localized content is
+        integrable: a term that no atom localizes raises NonIntegrableTerm.
         """
-        groups: dict = {}  # (gamma, partner) -> terms sharing the by-parts step
-        for (mon, deltas), c in self.terms.items():
-            for pos, (a, b, gamma) in enumerate(deltas):
-                if label in (a, b):
-                    break
-            else:
-                raise NonIntegrableTerm(
-                    f"term has no delta atom carrying label {label!r}")
-            # the chosen atom is sign * d_label^gamma delta(label-partner), and
-            # integration by parts gives (-1)^|gamma| D^gamma on the rest: the
-            # two signs leave -1 when |gamma| is odd and label is the first slot
-            odd = mi_order(gamma) % 2 == 1
-            _acc(groups.setdefault((gamma, b if a == label else a), {}),
-                 (mon, deltas[:pos] + deltas[pos + 1:]),
-                 -c if odd and a == label else c)
         terms: dict = {}
-        for (gamma, partner), group in groups.items():
-            piece = TensorExpr(self.dim, group).total_derivative_multi_at(label, gamma)
-            for key, c in piece.relabel(label, partner).terms.items():
-                _acc(terms, key, c)
+        for (mon, deltas), c in self.terms.items():
+            if not _apply_by_parts(terms, mon, deltas, c, label):
+                raise NonIntegrableTerm(
+                    f"no delta atom localizes a term at label {label!r}")
         return TensorExpr(self.dim, terms)
-

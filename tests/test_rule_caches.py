@@ -1,8 +1,8 @@
 """The process-wide caches of the jet calculus never change a result.
 
-``jets.mi_add``, ``jets._partial_mon``, ``jets._derivative_mon`` and
-``sigma._block_partials`` are ``lru_cache``s shared by every call in the
-process.  Stars, Jacobi residuals and associativity residuals must come out
+``jets.mi_add``, ``jets._partial_mon``, ``jets._derivative_mon``,
+``tensor._by_parts`` and ``sigma._block_partials`` are ``lru_cache``s shared
+by every call in the process.  Stars, Jacobi residuals and associativity residuals must come out
 byte for byte the same whether the caches are warm or were just cleared,
 every cached value must be a tuple (a shared value that a caller could
 mutate would leak into later calls), and a cache must stay within its
@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from fieldstar import jets, sigma
+from fieldstar import jets, sigma, tensor
 from fieldstar.jets import (RULE_CACHE_SIZE, complex_system, func_atom, jet_atom,
                             real_system)
 from fieldstar.poisson import jacobi_residual
@@ -23,7 +23,7 @@ from fieldstar.star import assoc_residuals, star_fn
 from fieldstar.verify import default_kernels
 
 CACHED = (jets.mi_add, jets._partial_mon, jets._derivative_mon,
-          sigma._block_partials)
+          tensor._by_parts, sigma._block_partials)
 
 
 def _clear_all():
@@ -73,12 +73,20 @@ def test_every_cached_rule_returns_a_tuple():
               jets._derivative_mon(mon, (1,)),
               sigma._block_partials(block, "x", "phi", 1, 1),
               sigma._block_partials(block, "x", "pi", 0, 1)]
+    # a total derivative, and an integration by parts against (x, y, (1,))
+    by_parts = [tensor._by_parts(mon, (("x", "z", (1,)),), "x", (2,)),
+                tensor._by_parts(mon, (("x", "y", (1,)), ("x", "z", (0,))),
+                                 "x", None)]
     for value in values:
         assert type(value) is tuple
     for value in values[1:]:
         assert all(type(part) is tuple for part in value)
     assert values[0] == (1, 2)
     assert values[3] == () and values[6] == ()
+    for (label, rows), want in zip(by_parts, ("x", "y")):
+        assert label == want and rows and type(rows) is tuple
+        assert all(type(row) is tuple and type(row[0]) is tuple
+                   and type(row[1]) is tuple for row in rows)
 
 
 def test_caches_stay_within_their_bound():
@@ -91,6 +99,7 @@ def test_caches_stay_within_their_bound():
         jets._partial_mon(mon, "phi", (i,))
         jets._derivative_mon(mon, (1,))
         sigma._block_partials((("x", mon[0]),), "x", "phi", 0, 1)
+        tensor._by_parts(mon, (), "x", (1,))
     for rule in CACHED:
         assert rule.cache_info().currsize <= RULE_CACHE_SIZE
     _clear_all()

@@ -240,6 +240,22 @@ def test_assoc_residuals_neither_multiply_out_nor_split(monkeypatch):
                 assert all(r.is_zero() for r in residuals)
 
 
+def test_integration_keeps_a_coincident_term_formal():
+    # the first term's second delta would join x and y again once x is
+    # substituted by y (a coincidence divergence): it stays formal, while
+    # the second term integrates to -(D phi)(y)
+    phi_x = (("x", ("j", "phi", (0,))),)
+    coincident = (phi_x, (("x", "y", (0,)), ("x", "y", (1,))))
+    integrable = (phi_x, (("x", "y", (1,)),))
+    S = HbarSeries(1, {1: TensorExpr(1, {coincident: GRat(3),
+                                         integrable: GRat(1)})}, 2, True)
+    result = fieldstar.star._integrate_series(S, ["x"])
+    expected = TensorExpr(1, {coincident: GRat(3)}) \
+        + TensorExpr.from_field(-u().total_derivative(1), "y")
+    assert result.terms == {1: expected}
+    assert (result.order, result.exact) == (2, True)
+
+
 @pytest.mark.parametrize("system", [real_system(3), complex_system(1)],
                          ids=["real-dim3", "complex-dim1"])
 def test_associativity_beyond_dim_1_over_q(system):

@@ -1,10 +1,12 @@
+import random
+from fractions import Fraction
 from functools import reduce
 from operator import mul
 
 import pytest
 from hypothesis import given, strategies as st
 
-from fieldstar.jets import FieldExpr
+from fieldstar.jets import FieldExpr, func_atom, jet_atom
 from fieldstar.kernels import Kernel
 from fieldstar.rationals import GRat, I
 from fieldstar.tensor import NonIntegrableTerm, TensorExpr, delta_atom
@@ -135,3 +137,140 @@ def test_linear_combinations_cancel_exactly():
     T = TensorExpr.from_field(u(), "x").scale(I)
     assert (T - T).is_zero()
     assert (T + T) == T.scale(GRat(2))
+
+
+# ---------------------------------------------------------------------------
+# integration by parts against a reference that differentiates term by term
+
+def _ref_unit_derivative(terms: dict, label: str, e: tuple) -> dict:
+    """D_e at ``label``: Leibniz over the located atoms at the label (a
+    function atom prolongs to U^(k+1)(s) * s_e) and over the delta atoms
+    carrying it (d/da raises gamma, d/db also flips the sign)."""
+    out: dict = {}
+
+    def add(mon, deltas, c):
+        key = (tuple(sorted(mon)), tuple(sorted(deltas)))
+        out[key] = out.get(key, GRat(0)) + c
+
+    for (mon, deltas), c in terms.items():
+        for pos, (lab, atom) in enumerate(mon):
+            if lab != label or atom[0] == "c":
+                continue
+            rest = mon[:pos] + mon[pos + 1:]
+            if atom[0] == "j":
+                idx = tuple(i + j for i, j in zip(atom[2], e))
+                add(rest + ((lab, jet_atom(atom[1], idx)),), deltas, c)
+            else:
+                _f, name, order, sort, vanishes = atom
+                add(rest + ((lab, func_atom(name, sort, order + 1, vanishes)),
+                            (lab, jet_atom(sort, e))), deltas, c)
+        for pos, (a, b, gamma) in enumerate(deltas):
+            if label not in (a, b):
+                continue
+            raised = (a, b, tuple(i + j for i, j in zip(gamma, e)))
+            add(mon, deltas[:pos] + (raised,) + deltas[pos + 1:],
+                c if label == a else -c)
+    return {key: c for key, c in out.items() if c}
+
+
+def _ref_derivative(terms: dict, label: str, gamma: tuple) -> dict:
+    for direction, k in enumerate(gamma):
+        e = tuple(int(i == direction) for i in range(len(gamma)))
+        for _ in range(k):
+            terms = _ref_unit_derivative(terms, label, e)
+    return terms
+
+
+def _ref_integrate(terms: dict, label: str) -> dict:
+    """Per term: take the first delta atom carrying the label off, apply
+    (-1)^|gamma| D^gamma (with the orientation sign of the atom), then
+    substitute the partner for the label by hand."""
+    out: dict = {}
+    for (mon, deltas), c in terms.items():
+        pos = next(i for i, (a, b, _g) in enumerate(deltas) if label in (a, b))
+        a, b, gamma = deltas[pos]
+        partner = b if a == label else a
+        if label == a and sum(gamma) % 2:
+            c = -c
+        moved = _ref_derivative({(mon, deltas[:pos] + deltas[pos + 1:]): c},
+                                label, gamma)
+        for (mon2, deltas2), c2 in moved.items():
+            located = tuple(sorted((partner if lab == label else lab, atom)
+                                   for lab, atom in mon2))
+            new = []
+            for a2, b2, g2 in deltas2:
+                a2, b2 = (partner if a2 == label else a2,
+                          partner if b2 == label else b2)
+                if a2 == b2:
+                    raise ValueError("coinciding labels")
+                if a2 > b2:
+                    a2, b2 = b2, a2
+                    if sum(g2) % 2:
+                        c2 = -c2
+                new.append((a2, b2, g2))
+            key = (located, tuple(sorted(new)))
+            out[key] = out.get(key, GRat(0)) + c2
+    return {key: c for key, c in out.items() if c}
+
+
+def _random_index(rng, dim, top):
+    return tuple(rng.randint(0, top) for _ in range(dim))
+
+
+def _random_by_parts_terms(rng, dim: int, label: str) -> dict:
+    """1-3 terms, each with 1-3 delta atoms carrying ``label``, none of which
+    pairs it again with the first one's partner, plus atoms and deltas
+    elsewhere; coefficients in Q or Q[i]."""
+    others = ["a", "w", "y", "z"]  # "a", "w" sort before "x", "y", "z" after
+    atoms = [jet_atom("phi", (0,) * dim), jet_atom("pi", (0,) * dim),
+             func_atom("U", "phi"), func_atom("U", "pi", 1), ("c", "m")]
+    terms: dict = {}
+    count = rng.randint(1, 3)
+    while len(terms) < count:
+        carriers = []
+        for _ in range(rng.randint(1, 3)):
+            z = rng.choice(others)
+            gamma = _random_index(rng, dim, 3 if dim == 1 else 1)
+            carriers.append((min(label, z), max(label, z), gamma))
+        deltas = sorted(carriers)
+        a, b, _g = deltas[0]
+        partner = b if a == label else a
+        if any(partner in d[:2] for d in deltas[1:]):
+            continue
+        if rng.random() < 0.5:
+            p, q = rng.sample(others, 2)
+            deltas = sorted(deltas + [(min(p, q), max(p, q),
+                                       _random_index(rng, dim, 1))])
+        mon = []
+        for lab in [label, label, partner, rng.choice(others)]:
+            if rng.random() < 0.7:
+                atom = rng.choice(atoms + [jet_atom(
+                    "phi", _random_index(rng, dim, 1))])
+                mon.append((lab, atom))
+        c = GRat(Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4)),
+                 rng.choice([0, 0, Fraction(rng.randint(1, 3), 2)]))
+        terms[(tuple(sorted(mon)), tuple(deltas))] = c
+    return terms
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_integration_by_parts_matches_a_term_by_term_reference(dim):
+    rng = random.Random(f"by-parts:{dim}")
+    slots = set()
+    for _ in range(60):
+        terms = _random_by_parts_terms(rng, dim, "x")
+        T = TensorExpr(dim, dict(terms))
+        for (_mon, deltas) in terms:
+            first = next(d for d in deltas if "x" in d[:2])
+            slots.add(first[0] == "x")
+        assert T.integrate_out("x").terms == _ref_integrate(terms, "x")
+        gamma = _random_index(rng, dim, 3 if dim == 1 else 1)
+        assert T.total_derivative_multi_at("x", gamma).terms \
+            == _ref_derivative(terms, "x", gamma)
+    assert slots == {True, False}  # the label in the first and second slot
+
+
+def test_integrate_out_refuses_a_second_delta_on_the_same_pair():
+    T = TensorExpr(1, {((), (("x", "y", (0,)), ("x", "y", (1,)))): GRat(1)})
+    with pytest.raises(ValueError):
+        T.integrate_out("x")
