@@ -180,17 +180,13 @@ def commutator_semiclassical(f: FieldExpr, g: FieldExpr, P: Kernel,
     """(f*g - g*f) minus the first-order bracket term, through order 3;
     O(hbar^2) contract.
 
-    The comparison kernel is P + P^t for a symmetric P and P - P^t for an
-    antisymmetric one (both equal 2P in pure parity); the swap places g at
-    label y and f at label x in both products.
+    The comparison kernel is 2P: P + P^t for a symmetric P and P - P^t for
+    an antisymmetric one in pure parity (a mixed P raises); the swap places
+    g at label y and f at label x in both products.
     """
     fg = star_fn(f, g, P, system, "x", "y", 3)
     gf = star_fn(g, f, P, system, "y", "x", 3)
-    if bracket_sign(P) < 0:
-        Q = P + P.transpose()
-    else:
-        Q = P - P.transpose()
-    br = bracket_fn(f, g, Q, system, "x", "y")
+    br = bracket_fn(f, g, P.scale(2), system, "x", "y")
     return fg - gf - HbarSeries(f.dim, {1: br}, 3, True)
 
 
@@ -347,7 +343,7 @@ def closed_form_residuals(F: Functional, G: Functional, g: FieldExpr,
 def _integrate_series(S: HbarSeries, labels: list) -> HbarSeries:
     """The series with each label in turn integrated out of every term that
     a delta atom localizes; the others (formal functional factors, and
-    coincidence divergences, which cancel between groupings) stay."""
+    coincidence divergences, which cancel in a residual first) stay."""
     coeffs: dict = {}
     for k, Tk in S.terms.items():
         terms = Tk.terms
@@ -367,23 +363,20 @@ def assoc_residuals(f: FieldExpr, g: FieldExpr, h: FieldExpr, P: Kernel,
 
     Levels: 1 functions, 2 densities, 3 functional*density*density,
     4 functional*functional*density, 5 three functionals.  Higher levels
-    integrate the function-level groupings over the functional labels.
-    Returns a list of TensorExprs, all of which must be zero.
+    integrate the level-1 residual over the functional labels (by parts,
+    linear per term).  Returns TensorExprs, all of which must be zero.
     """
+    if level not in (1, 2, 3, 4, 5):
+        raise ValueError(f"unknown associativity level {level}")
     x, y, z = "x", "y", "z"
     left = star_grouped(star_fn(f, g, P, system, x, y, order), [x, y],
                         to_series(h, z, order), [z], P, system, order)
     right = star_grouped(to_series(f, x, order), [x],
                          star_fn(g, h, P, system, y, z, order), [y, z],
                          P, system, order)
-    if level in (1, 2):
-        residual = left - right
-    elif level in (3, 4, 5):
-        labels = [x] if level == 3 else [y, x]
-        residual = (_integrate_series(left, labels)
-                    - _integrate_series(right, labels))
-    else:
-        raise ValueError(f"unknown associativity level {level}")
+    residual = left - right
+    if level > 2:
+        residual = _integrate_series(residual, [x] if level == 3 else [y, x])
     return [residual.coefficient(k) for k in sorted(residual.terms)] \
         or [TensorExpr.zero(f.dim)]
 

@@ -2,11 +2,12 @@
 
 ``jets.mi_add``, ``jets._partial_mon``, ``jets._derivative_mon``,
 ``tensor._by_parts`` and ``sigma._block_partials`` are ``lru_cache``s shared
-by every call in the process.  Stars, Jacobi residuals and associativity residuals must come out
-byte for byte the same whether the caches are warm or were just cleared,
-every cached value must be a tuple (a shared value that a caller could
-mutate would leak into later calls), and a cache must stay within its
-bound however many distinct arguments it sees.
+by every call in the process.  Stars, Jacobi residuals, associativity
+residuals and the tail of a functional-density star, which integrates by
+parts, must come out byte for byte the same whether the caches are warm
+or were just cleared, every cached value must be a tuple (a shared value
+that a caller could mutate would leak into later calls), and a cache must
+stay within its bound however many distinct arguments it sees.
 """
 
 import random
@@ -16,10 +17,10 @@ import pytest
 from fieldstar import jets, sigma, tensor
 from fieldstar.jets import (RULE_CACHE_SIZE, complex_system, func_atom, jet_atom,
                             real_system)
-from fieldstar.poisson import jacobi_residual
+from fieldstar.poisson import Functional, jacobi_residual
 from fieldstar.randexpr import random_density, random_expr
 from fieldstar.render import dumps_canonical, to_json
-from fieldstar.star import assoc_residuals, star_fn
+from fieldstar.star import assoc_residuals, star_fn, star_functional_density
 from fieldstar.verify import default_kernels
 
 CACHED = (jets.mi_add, jets._partial_mon, jets._derivative_mon,
@@ -32,8 +33,9 @@ def _clear_all():
 
 
 def _outputs(dim: int, system) -> str:
-    """Canonical JSON of a star, a Jacobi residual and the level-4
-    associativity residuals under both default kernels."""
+    """Canonical JSON of a star, a Jacobi residual, the level-4
+    associativity residuals and the tail of a functional-density star under
+    both default kernels."""
     rng = random.Random(f"rule-caches:{dim}:{system.primary}")
     out = []
     for P in default_kernels(dim):
@@ -45,6 +47,10 @@ def _outputs(dim: int, system) -> str:
                                   terms=2) for _ in range(3))
         out += [dumps_canonical(to_json(r))
                 for r in assoc_residuals(f, g, h, P, system, 4)]
+        tail = star_functional_density(Functional(f, system), g, P, system,
+                                       order=4).tail
+        out += [f"{k}: {dumps_canonical(to_json(v))}"
+                for k, v in sorted(tail.items())]
     return "\n".join(out)
 
 

@@ -113,6 +113,44 @@ def test_associativity_all_five_levels():
                 assert residual.is_zero()
 
 
+def test_a_fault_in_a_grouping_shows_at_every_level(monkeypatch):
+    # the right grouping f*(g*h) gains phi{x}*phi{y}*d1 delta{x,y} at hbar^1
+    fault = TensorExpr(1, {((("x", ("j", "phi", (0,))),
+                             ("y", ("j", "phi", (0,)))),
+                            (("x", "y", (1,)),)): GRat(1)})
+    grouped = fieldstar.star.star_grouped
+
+    def faulty(A, labels_a, B, labels_b, P, system, order=None):
+        S = grouped(A, labels_a, B, labels_b, P, system, order)
+        if list(labels_a) == ["x"]:
+            S = S + HbarSeries(S.dim, {1: fault}, S.order, S.exact)
+        return S
+
+    monkeypatch.setattr(fieldstar.star, "star_grouped", faulty)
+    rng = random.Random(2325)
+    P = default_kernels(1)[0]
+    f, g, h = (random_density(SYS1, rng, max_degree=2, max_jet_order=1,
+                              terms=2) for _ in range(3))
+    missing = HbarSeries(1, {1: -fault})
+    for level in (1, 2):
+        assert assoc_residuals(f, g, h, P, SYS1, level, 3) == [-fault]
+    for level, labels in ((3, ["x"]), (4, ["y", "x"]), (5, ["y", "x"])):
+        integrated = fieldstar.star._integrate_series(missing, labels)
+        assert integrated.coefficient(1)
+        assert assoc_residuals(f, g, h, P, SYS1, level, 3) \
+            == [integrated.coefficient(1)]
+
+
+def test_assoc_residuals_check_the_level_first(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("a star was formed for an unknown level")
+
+    monkeypatch.setattr(fieldstar.star, "star_fn", refuse)
+    for level in (0, 6):
+        with pytest.raises(ValueError):
+            assoc_residuals(u(), xi(), u(), Kernel.delta(1), SYS1, level)
+
+
 def test_exp_factor_application_order_is_immaterial():
     rng = random.Random(14)
     P = default_kernels(1)[0]

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from fieldstar.jets import FieldExpr, func_atom, jet_atom
 from fieldstar.kernels import Kernel
 from fieldstar.rationals import GRat, I
+from fieldstar.star import HbarSeries, _integrate_series
 from fieldstar.tensor import NonIntegrableTerm, TensorExpr, delta_atom
 
 
@@ -274,3 +275,48 @@ def test_integrate_out_refuses_a_second_delta_on_the_same_pair():
     T = TensorExpr(1, {((), (("x", "y", (0,)), ("x", "y", (1,)))): GRat(1)})
     with pytest.raises(ValueError):
         T.integrate_out("x")
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("gaussian", [False, True], ids=["Q", "Q[i]"])
+@pytest.mark.parametrize("labels", [["x"], ["y", "x"]], ids=["x", "y,x"])
+def test_integration_of_a_series_is_linear(dim, gaussian, labels):
+    # associativity levels 3-5 integrate the difference of the groupings
+    # once, which equals the difference of the integrated groupings
+    rng = random.Random(f"linear:{dim}:{gaussian}:{labels}")
+    phi_x = (("x", jet_atom("phi", (0,) * dim)),)
+    e1 = (1,) + (0,) * (dim - 1)
+    # a second delta joins x and y again once one is substituted for the
+    # other (a coincidence), and no delta carries x or y: both stay formal
+    coincident = (phi_x, (("x", "y", (0,) * dim), ("x", "y", e1)))
+    no_carrier = (phi_x, (("w", "z", e1),))
+    integrable = (phi_x, (("x", "z", e1),))
+    A = HbarSeries(dim, {1: TensorExpr(dim, {
+        coincident: GRat(3), no_carrier: GRat(1), integrable: GRat(2)})})
+    B = HbarSeries(dim, {1: TensorExpr(dim, {
+        coincident: GRat(1), no_carrier: GRat(Fraction(1, 2))})})
+    residual = _integrate_series(A - B, labels).coefficient(1).terms
+    assert residual[coincident] == GRat(2)
+    assert residual[no_carrier] == GRat(Fraction(1, 2))
+    assert integrable not in residual
+    pairs = [(A, B)]
+
+    def random_series():
+        coeffs = {}
+        for k in range(rng.randint(1, 3)):
+            terms = _random_by_parts_terms(rng, dim, "x")
+            coeffs[k] = TensorExpr(dim, {key: c if gaussian else GRat(c.re)
+                                         for key, c in terms.items()})
+        return HbarSeries(dim, coeffs)
+
+    for _ in range(40):
+        A, B = random_series(), random_series()
+        # B shares some of A's terms, and the equal ones cancel in A - B
+        for k, T in A.terms.items():
+            shared = {key: c if rng.random() < 0.5 else c * GRat(2)
+                      for key, c in T.terms.items() if rng.random() < 0.5}
+            B = B + HbarSeries(dim, {k: TensorExpr(dim, shared)})
+        pairs.append((A, B))
+    for A, B in pairs:
+        assert _integrate_series(A, labels) - _integrate_series(B, labels) \
+            == _integrate_series(A - B, labels)
