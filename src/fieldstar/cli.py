@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import random
 import sys
 
@@ -150,12 +151,14 @@ MAX_MODES = 10_000
 
 
 def cmd_peierls_eval(args) -> int:
-    if args.modes < 0:
-        print("error: --modes must be >= 0", file=sys.stderr)
-        return 2
-    if args.modes > MAX_MODES:
-        print(f"error: --modes must be <= {MAX_MODES}", file=sys.stderr)
-        return 2
+    for bad, message in (
+            (args.modes < 0, "--modes must be >= 0"),
+            (args.modes > MAX_MODES, f"--modes must be <= {MAX_MODES}"),
+            (not math.isfinite(args.mass), "--mass must be finite"),
+            (not math.isfinite(args.time), "--time must be finite")):
+        if bad:
+            print(f"error: {message}", file=sys.stderr)
+            return 2
     from .peierls import green_eval
 
     field = green_eval(args.mass, args.time, args.modes)

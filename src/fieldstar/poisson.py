@@ -148,13 +148,6 @@ def bracket_functional_density(F: Functional, g: FieldExpr, P: Kernel,
     return result
 
 
-def bracket_density_functional(h: FieldExpr, F: Functional, P: Kernel,
-                               system: FieldSystem) -> FieldExpr:
-    """{h, F}_P: integrate the function-level bracket over F's label."""
-    T = bracket_fn(h, F.density, P, system, "y", "x")
-    return T.integrate_out("x").to_field_expr("y")
-
-
 def bracket_functionals(F: Functional, G: Functional, P: Kernel,
                         system: FieldSystem,
                         cross_check: bool = False) -> Functional:

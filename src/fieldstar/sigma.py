@@ -24,10 +24,11 @@ f@a * g@b hands f@a (x) g@b to ``exp_sigma``, as one call; the brackets,
 {f@a, g@b} on that pair and {h@c, T} on h@c (x) T once per label of T,
 read the first power of all their calls.  ``_factor`` splits a general
 sum into products, for ``exp_sigma``'s series input.  The grouped star
-does not split: ``_exp_chain`` takes the products of its two series'
-coefficients, L in the group of one label, and each power goes on to the
-next pair as the factor pairs ``_product`` forms beside its output, on
-int numerators.  A factor's work terms track the
+does not split: ``_exp_chain`` forms the products of its two series'
+coefficients as power 0, L in the group of one label, and each power goes
+on to the next pair as factor pairs of int numerators; ``_combine`` sums
+signed chains on one ``_Keys`` (an associativity residual's groupings)
+and finishes only the keys that survive.  A factor's work terms track the
 index gamma it adds to the pending atom.  The atom is d_lo^gamma
 delta(lo - hi) for the label pair in order, so derivatives from the hi
 side, and kernel indices when a > b, fold in the parity sign (-1)^|index|.
@@ -52,12 +53,12 @@ accumulates under flat int keys, (block ids in label order..., delta-part
 id).  ``_finish`` turns them back into (located monomial, deltas): it
 joins each distinct block prefix once per call, and makes one GRat per
 distinct numerator, shared by every key that has it.  A ``_Keys`` holds
-the ids of one generator, for all its calls and powers, and nothing
-outlives it.  Each part is interned once, not per contribution: X's
-a-block per X term, Y's rest per distinct rest, the delta part per
-``atoms`` miss.  Ids of whole blocks keep a key canonical across calls on
-different first labels, as the outer brackets of a Jacobi sum are, which
-must cancel against each other.
+the ids of one generator, for all its calls and powers, or of chains that
+share it; nothing outlives it.  Each part is interned once, not per
+contribution: X's a-block per X term, Y's rest per distinct rest, the
+delta part per ``atoms`` miss.  Ids of whole blocks keep a key canonical
+across calls on different first labels, as the outer brackets of a Jacobi
+sum and an associativity residual's groupings are, which must cancel.
 """
 
 from __future__ import annotations
@@ -197,8 +198,8 @@ def _factor(T: TensorExpr, a: str) -> list:
 
 
 class _Keys:
-    """The ids of one ``sigma_terms`` generator: each located label block and
-    each delta part gets an int id (see the module docstring)."""
+    """The ids of one ``sigma_terms`` generator or of chains that share it:
+    each located label block and each delta part gets an int id."""
 
     __slots__ = ("ids", "values", "rests")
 
@@ -457,18 +458,28 @@ def _walk(sources: list, real: bool, D: int, P: Kernel, system: FieldSystem,
 
 
 def _exp_chain(products: dict, a: str, labels: list, P: Kernel,
-               system: FieldSystem, order: int, orient: int,
-               coeffs: dict) -> bool:
-    """Add to ``coeffs`` the powers through ``order`` of the exponentials
-    on (a, b), b in ``labels`` in turn, power k times orient^k, of the
-    series whose coefficient at n sums the products L (x) R, L at a, of
-    ``products[n]``; True if a power beyond ``order`` is yielded.  Powers
-    pass on as factor pairs of work terms, with no GRat in between."""
+               system: FieldSystem, order: int, orient: int, keys: _Keys):
+    """The exponentials on (a, b), b in ``labels`` in turn, power k times
+    orient^k, of the series whose coefficient at n sums the products
+    L (x) R, L at a, of ``products[n]``: (real, powers, more); ``powers``
+    maps each order m <= ``order`` to parts (``keys``-id numerators, d),
+    power 0 among them, and more is True if a power or uncancelled product
+    lies beyond ``order``.  Powers pass on as factor pairs, with no GRat."""
     real, _D, calls = _setup([(pairs, a, labels[0])
                               for pairs in products.values()], P, system)
-    stage = {n: [source[:2] for source in call]  # (pairs, d)
-             for n, call in zip(products, calls)}
-    keys, parts, more = _Keys(), {}, False
+    zero, stage, powers, more = mi_zero(P.dim), {}, {}, False
+    for n, call in zip(products, calls):
+        parts = []
+        for [(L, R)], d, _a, _b in call:
+            out = {}  # power 0: identity kernel, atoms mapping deltas to ids
+            _product(out, L, R, [(zero, 1 if real else (1, 0))], 1, a, None,
+                     {(deltas, zero, zero): keys.intern(deltas)
+                      for _rest, deltas, _beta in R}, keys, real)
+            parts.append((out, d))
+        if n > order:  # cut, as exp_sigma does
+            more = more or bool(_combine([(1, real, {n: parts})], keys, P.dim))
+        else:
+            stage[n], powers[n] = [source[:2] for source in call], parts
     for b in labels:
         nxt = {n: list(sources) for n, sources in stage.items()}
         for n, sources in stage.items():
@@ -480,18 +491,31 @@ def _exp_chain(products: dict, a: str, labels: list, P: Kernel,
                 if n + k > order:
                     more = True
                     break
-                parts.setdefault(n + k, []).append((out, dk))
+                powers.setdefault(n + k, []).append((out, dk))
                 if handed is not None:
                     nxt.setdefault(n + k, []).append((handed, dk))
         stage = nxt
-    for m, outs in parts.items():  # the powers at m over one denominator
-        D, total = lcm(*[d for _out, d in outs]), {}
-        for out, d in outs:
-            f = D // d
+    return real, powers, more
+
+
+def _combine(sides: list, keys: _Keys, dim: int) -> dict:
+    """{m: TensorExpr}: per order, the parts of ``sides``, each (sign, real,
+    powers from ``_exp_chain``), summed over their lcm denominator, int
+    numerators lifted to pairs unless every side is real; only surviving
+    keys reach ``_finish``."""
+    real, result = all(r for _sign, r, _powers in sides), {}
+    for m in sorted({m for *_sr, powers in sides for m in powers}):
+        parts = [(sign, r, out, d) for sign, r, powers in sides
+                 for out, d in powers.get(m, ())]
+        D, total = lcm(*[d for *_sro, d in parts]), {}
+        for sign, r, out, d in parts:
+            f = sign * (D // d)
             for key, c in out.items():
                 if real:
                     _acc(total, key, c * f)
                 else:
-                    _pair_acc(total, key, c[0] * f, c[1] * f)
-        _acc(coeffs, m, TensorExpr(P.dim, _finish(total, real, D, keys)))
-    return more
+                    _pair_acc(total, key, *((c * f, 0) if r
+                                            else (c[0] * f, c[1] * f)))
+        if total:
+            result[m] = TensorExpr(dim, _finish(total, real, D, keys))
+    return result

@@ -28,7 +28,8 @@ from .poisson import (
     bracket_functionals,
 )
 from .rationals import GRat, I
-from .sigma import _check_dims, _exp_chain, _factor, sigma_terms
+from .sigma import (_check_dims, _combine, _exp_chain, _factor, _Keys,
+                    sigma_terms)
 from .tensor import TensorExpr, _apply_by_parts
 
 
@@ -76,17 +77,6 @@ class HbarSeries(TermDict):
 
 def to_series(f: FieldExpr, label: str, order: int = 6) -> HbarSeries:
     return HbarSeries(f.dim, {0: TensorExpr.from_field(f, label)}, order, True)
-
-
-def series_mul(A: HbarSeries, B: HbarSeries) -> HbarSeries:
-    order = min(A.order, B.order)
-    exact = A.exact and B.exact
-    coeffs: dict = {}
-    for j, Tj in A.terms.items():
-        for k, Tk in B.terms.items():
-            if j + k <= order or exact:
-                _acc(coeffs, j + k, Tj * Tk)
-    return HbarSeries(A.dim, coeffs, order, exact)
 
 
 def exp_sigma(S: HbarSeries | list, a: str, b: str, P: Kernel,
@@ -140,14 +130,10 @@ def star_fn(f: FieldExpr, g: FieldExpr, P: Kernel, system: FieldSystem,
 star_density = star_fn
 
 
-def star_grouped(A: HbarSeries, labels_a, B: HbarSeries, labels_b, P: Kernel,
-                 system: FieldSystem, order: int | None = None) -> HbarSeries:
-    """Star of two groups: every cross pair contributes one exp factor,
-    applied in canonical (sorted) pair order.  A group has one label c,
-    which its series keeps to and the other series avoids, or ValueError
-    is raised.  The products of the coefficients go to
-    ``sigma._exp_chain`` as they are, L at c; with c in B, the pair (x, c)
-    runs as (c, x) with P^t, power k times s^k."""
+def _grouped(A: HbarSeries, labels_a, B: HbarSeries, labels_b, P: Kernel,
+             system: FieldSystem, order: int | None, keys: _Keys) -> tuple:
+    """The checks and coefficient products of ``star_grouped``, run through
+    ``sigma._exp_chain`` under ``keys``: (real, powers, K, exact)."""
     la, lb = set(labels_a), set(labels_b)
     if la & lb:
         raise LabelCollision(f"groups share labels {sorted(la & lb)}")
@@ -160,19 +146,29 @@ def star_grouped(A: HbarSeries, labels_a, B: HbarSeries, labels_b, P: Kernel,
             or any(c & T.labels() for T in other.terms.values()):
         raise ValueError("star_grouped needs a group of one label that its "
                          "series keeps to and the other series avoids")
-    exact, products, coeffs = A.exact and B.exact, {}, {}
+    exact, products = A.exact and B.exact, {}
     for j, L in one.terms.items():
         for l, R in other.terms.items():
-            if j + l <= min(A.order, B.order) or exact:  # as series_mul
+            if j + l <= min(A.order, B.order) or exact:  # a series product
                 products.setdefault(j + l, []).append((L, R))
-                _acc(coeffs, j + l, L * R)
-    for n in [n for n in products if n > K]:  # cut, as exp_sigma does
-        del products[n]
-        exact = exact and not coeffs.pop(n, None)
-    more = _exp_chain(products, *c, sorted(rest),
-                      P.transpose() if swap else P, system, K,
-                      bracket_sign(P) if swap else 1, coeffs)
-    return HbarSeries(A.dim, coeffs, K, exact and not more)
+    real, powers, more = _exp_chain(products, *c, sorted(rest),
+                                    P.transpose() if swap else P, system, K,
+                                    bracket_sign(P) if swap else 1, keys)
+    return real, powers, K, exact and not more
+
+
+def star_grouped(A: HbarSeries, labels_a, B: HbarSeries, labels_b, P: Kernel,
+                 system: FieldSystem, order: int | None = None) -> HbarSeries:
+    """Star of two groups: every cross pair contributes one exp factor,
+    applied in canonical (sorted) pair order.  A group has one label c,
+    which its series keeps to and the other series avoids, or ValueError
+    is raised.  The products of the coefficients go to
+    ``sigma._exp_chain`` as they are, L at c, power 0 included; with c in
+    B, the pair (x, c) runs as (c, x) with P^t, power k times s^k."""
+    keys = _Keys()
+    *side, K, exact = _grouped(A, labels_a, B, labels_b, P, system, order,
+                               keys)
+    return HbarSeries(A.dim, _combine([(1, *side)], keys, A.dim), K, exact)
 
 
 def commutator_semiclassical(f: FieldExpr, g: FieldExpr, P: Kernel,
@@ -362,19 +358,22 @@ def assoc_residuals(f: FieldExpr, g: FieldExpr, h: FieldExpr, P: Kernel,
     """Residual coefficients of (f*g)*h - f*(g*h) at one of five levels.
 
     Levels: 1 functions, 2 densities, 3 functional*density*density,
-    4 functional*functional*density, 5 three functionals.  Higher levels
-    integrate the level-1 residual over the functional labels (by parts,
-    linear per term).  Returns TensorExprs, all of which must be zero.
+    4 functional*functional*density, 5 three functionals.  Both groupings'
+    numerators sum on one key table; higher levels integrate that residual
+    over the functional labels (by parts, linear per term).  Returns
+    TensorExprs, all of which must be zero.
     """
     if level not in (1, 2, 3, 4, 5):
         raise ValueError(f"unknown associativity level {level}")
     x, y, z = "x", "y", "z"
-    left = star_grouped(star_fn(f, g, P, system, x, y, order), [x, y],
-                        to_series(h, z, order), [z], P, system, order)
-    right = star_grouped(to_series(f, x, order), [x],
-                         star_fn(g, h, P, system, y, z, order), [y, z],
-                         P, system, order)
-    residual = left - right
+    keys = _Keys()  # one table: a term of both groupings has one key
+    left = _grouped(star_fn(f, g, P, system, x, y, order), [x, y],
+                    to_series(h, z, order), [z], P, system, order, keys)
+    right = _grouped(to_series(f, x, order), [x],
+                     star_fn(g, h, P, system, y, z, order), [y, z], P,
+                     system, order, keys)
+    residual = HbarSeries(f.dim, _combine(
+        [(1, *left[:2]), (-1, *right[:2])], keys, f.dim), order)
     if level > 2:
         residual = _integrate_series(residual, [x] if level == 3 else [y, x])
     return [residual.coefficient(k) for k in sorted(residual.terms)] \

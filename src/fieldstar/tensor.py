@@ -220,10 +220,6 @@ class TensorExpr(TermDict):
 
     # -- calculus -----------------------------------------------------------
 
-    def total_derivative_at(self, label: str, direction: int) -> "TensorExpr":
-        """Total spatial derivative in ``direction`` at one point label."""
-        return self.total_derivative_multi_at(label, mi_unit(self.dim, direction))
-
     def total_derivative_multi_at(self, label: str, index) -> "TensorExpr":
         """Total spatial derivative by a multi-index at one point label:
         Leibniz over the field atoms at the label and the delta atoms whose

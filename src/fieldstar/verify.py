@@ -2,8 +2,8 @@
 
 Each randomized suite yields, per check, None or a failure's detail; one
 loop (`_report`) counts them into a VerifyReport that keeps the first detail
-for diagnostics.  All symbolic suites demand exact zero; only the spectral
-suites use tolerances.
+for diagnostics; a check is one residual.  All symbolic suites demand exact
+zero; only the spectral suites use tolerances.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .kernels import Kernel
 from .poisson import Functional, jacobi_residual
 from .randexpr import multi_indices, random_coeff, random_density, random_expr
 from .rationals import GRat, I
+from .render import render_field_expr, render_kernel, render_tensor_expr
 from .star import assoc_residuals, closed_form_residuals, commutator_semiclassical
 
 # the truncation order of the associativity and closed-form suites, and the
@@ -34,7 +35,7 @@ MODE_TOL = 1e-10
 @dataclass
 class VerifyReport:
     name: str
-    trials: int
+    checks: int
     failures: int
     detail: str = ""
 
@@ -45,7 +46,7 @@ class VerifyReport:
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"
         extra = f" ({self.detail})" if self.detail and not self.ok else ""
-        return f"{status} {self.name}: {self.trials - self.failures}/{self.trials} trials{extra}"
+        return f"{status} {self.name}: {self.checks - self.failures}/{self.checks} checks{extra}"
 
 
 def default_kernels(dim: int) -> list[Kernel]:
@@ -57,11 +58,12 @@ def default_kernels(dim: int) -> list[Kernel]:
     return [sym, anti]
 
 
-def _report(name: str, checks) -> VerifyReport:
+def _report(name: str, checks, P: Kernel | None = None) -> VerifyReport:
     """Run a suite's checks, a generator that yields per check None (pass)
-    or a detail string (fail); the first failure's detail is kept."""
+    or a detail string (fail), keeping the first detail; P names the kernel."""
     outcomes = list(checks)
     failed = [detail for detail in outcomes if detail is not None]
+    name = name if P is None else f"{name} [{render_kernel(P)}]"
     return VerifyReport(name, len(outcomes), len(failed), failed[0] if failed else "")
 
 
@@ -69,8 +71,6 @@ def _first_nonzero(residuals, prefix: str) -> str | None:
     """None if every residual is zero, else the first rendered term of the
     first nonzero one, after ``prefix``; a complex coefficient's " + "
     inside parentheses does not end the term."""
-    from .render import render_field_expr, render_tensor_expr
-
     bad = next((r for r in residuals if not r.is_zero()), None)
     if bad is None:
         return None
@@ -86,7 +86,7 @@ def verify_jacobi(system: FieldSystem, P: Kernel, trials: int,
                        for _ in range(3))
             yield _first_nonzero([jacobi_residual(f, g, h, P, system)],
                                  "first nonzero term: ")
-    return _report("jacobi", checks())
+    return _report("jacobi", checks(), P)
 
 
 def verify_duality(system: FieldSystem, trials: int,
@@ -128,7 +128,7 @@ def verify_assoc(system: FieldSystem, P: Kernel, trials: int,
                 residuals = assoc_residuals(f, g, h, P, system, level, ORDER)
                 yield _first_nonzero(residuals,
                                      f"level {level}, first nonzero term: ")
-    return _report("assoc", checks())
+    return _report("assoc", checks(), P)
 
 
 def verify_semiclassical(system: FieldSystem, P: Kernel, trials: int,
@@ -140,7 +140,7 @@ def verify_semiclassical(system: FieldSystem, P: Kernel, trials: int,
             residual = commutator_semiclassical(f, g, P, system)
             yield (_first_nonzero([residual.coefficient(0)], "hbar^0 term: ")
                    or _first_nonzero([residual.coefficient(1)], "hbar^1 term: "))
-    return _report("semiclassical", checks())
+    return _report("semiclassical", checks(), P)
 
 
 def verify_closed_forms(system: FieldSystem, P: Kernel, trials: int,
@@ -155,7 +155,7 @@ def verify_closed_forms(system: FieldSystem, P: Kernel, trials: int,
             forms = closed_form_residuals(F, G, g, P, system, ORDER)
             for name, residuals in forms.items():
                 yield _first_nonzero(residuals, f"{name}, first nonzero term: ")
-    return _report("closed-forms", checks())
+    return _report("closed-forms", checks(), P)
 
 
 def verify_complex_equiv(dim: int, trials: int, rng: random.Random) -> VerifyReport:

@@ -118,7 +118,7 @@ def test_criterion_05_closed_forms():
     system = real_system(1)
     for P in default_kernels(1):
         report = verify_closed_forms(system, P, 13, rng)  # 13*4 >= 25 each
-        ok &= report.ok and report.trials >= 50
+        ok &= report.ok and report.checks >= 50
     _report(5, "closed-form agreement", ok)
 
 
@@ -186,7 +186,7 @@ def test_criterion_09_complex_pairing_suites():
         ok &= verify_assoc(system, P, 25, rng).ok
         ok &= verify_semiclassical(system, P, 50, rng).ok
         report = verify_closed_forms(system, P, 13, rng)
-        ok &= report.ok and report.trials >= 50
+        ok &= report.ok and report.checks >= 50
     _report(9, "complex-pairing suites", ok)
 
 

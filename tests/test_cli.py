@@ -220,6 +220,23 @@ def test_out_of_range_trials_or_modes_exits_two(argv, capsys):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("flag", ["--mass", "--time"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_peierls_eval_refuses_a_value_that_is_not_finite(monkeypatch, capsys,
+                                                        flag, value):
+    import fieldstar.peierls
+
+    def refuse(*_args):
+        raise AssertionError("green_eval ran on a value that is not finite")
+
+    monkeypatch.setattr(fieldstar.peierls, "green_eval", refuse)
+    # "--time=-inf": argparse reads a separate "-inf" as an option
+    assert main(["peierls", "eval", f"{flag}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} must be finite\n"
+
+
 def test_config_with_two_field_pairs_is_rejected(tmp_path, capsys):
     config = {"dim": 1, "fields": [
         {"name": "phi", "kind": "real", "pair": "pi"},
@@ -265,10 +282,23 @@ def test_config_field_errors_keep_their_text(fields, message):
 def test_verify_runs_the_declared_kernel(tmp_path, capsys):
     path = _write(tmp_path, "anti.json", {"dim": 1, "kernel": "d1 delta"})
     assert main(["verify", "jacobi", "--config", path, "--trials", "2"]) == 0
-    assert capsys.readouterr().out == "PASS jacobi: 2/2 trials\n"
-    # without a declared kernel, the two defaults
+    assert capsys.readouterr().out == "PASS jacobi [d1 delta]: 2/2 checks\n"
+    # without a declared kernel, the two defaults, each named
     assert main(["verify", "jacobi", "--dim", "1", "--trials", "2"]) == 0
-    assert capsys.readouterr().out == "PASS jacobi: 2/2 trials\n" * 2
+    assert capsys.readouterr().out == (
+        "PASS jacobi [delta + (1 + i)*d1^2 delta]: 2/2 checks\n"
+        "PASS jacobi [(1 + i)*d1 delta]: 2/2 checks\n")
+
+
+def test_verify_counts_the_checks_that_ran(capsys):
+    # --trials 10 gives closed-forms 10 // 4 = 2 inputs of four checks and
+    # assoc 10 // 5 = 2 inputs at each of five levels, per kernel
+    assert main(["verify", "closed-forms", "--dim", "1", "--trials", "10",
+                 "--kernel", "delta"]) == 0
+    assert capsys.readouterr().out == "PASS closed-forms [delta]: 8/8 checks\n"
+    assert main(["verify", "assoc", "--dim", "1", "--trials", "10",
+                 "--kernel", "d1 delta"]) == 0
+    assert capsys.readouterr().out == "PASS assoc [d1 delta]: 10/10 checks\n"
 
 
 def test_verify_refuses_a_declared_mixed_kernel(tmp_path, capsys):

@@ -16,7 +16,6 @@ from fieldstar.poisson import (
     Functional,
     LabelCollision,
     bracket_fn,
-    bracket_density_functional,
     bracket_tensor,
     bracket_functional_density,
     bracket_functionals,
@@ -216,7 +215,9 @@ def test_antisymmetry_of_functional_bracket():
 def test_density_functional_bracket_mirrors_functional_density():
     P = Kernel.delta(1)
     F = Functional(u() * xi(), SYS1)
-    lhs = bracket_density_functional(xi(), F, P, SYS1)
+    # {h, F}: the function-level bracket integrated over F's label
+    lhs = bracket_fn(xi(), F.density, P, SYS1, "y", "x") \
+        .integrate_out("x").to_field_expr("y")
     # {h, F} = -{F, h}
     rhs = -bracket_functional_density(F, xi(), P, SYS1)
     assert lhs == rhs

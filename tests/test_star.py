@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+import fieldstar.sigma
 import fieldstar.star
 from fieldstar.jets import (
     DimensionMismatch,
     FieldExpr,
+    _acc,
     complex_system,
     mi_unit,
     real_system,
@@ -21,7 +23,6 @@ from fieldstar.star import (
     commutator_semiclassical,
     equation_of_motion,
     exp_sigma,
-    series_mul,
     star_fn,
     star_functional_density,
     star_functionals,
@@ -113,20 +114,53 @@ def test_associativity_all_five_levels():
                 assert residual.is_zero()
 
 
+def series_mul(A: HbarSeries, B: HbarSeries) -> HbarSeries:
+    """The product of two series, each coefficient product kept up to the
+    lower order unless both are exact: the reference that grouped stars
+    are compared with."""
+    order = min(A.order, B.order)
+    exact = A.exact and B.exact
+    coeffs: dict = {}
+    for j, Tj in A.terms.items():
+        for k, Tk in B.terms.items():
+            if j + k <= order or exact:
+                _acc(coeffs, j + k, Tj * Tk)
+    return HbarSeries(A.dim, coeffs, order, exact)
+
+
+def _track_star_fn(monkeypatch) -> list:
+    """A list that is not empty while a star_fn call made by star runs."""
+    star, running = fieldstar.star.star_fn, []
+
+    def tracked(*args):
+        running.append(None)
+        try:
+            return star(*args)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(fieldstar.star, "star_fn", tracked)
+    return running
+
+
 def test_a_fault_in_a_grouping_shows_at_every_level(monkeypatch):
-    # the right grouping f*(g*h) gains phi{x}*phi{y}*d1 delta{x,y} at hbar^1
-    fault = TensorExpr(1, {((("x", ("j", "phi", (0,))),
-                             ("y", ("j", "phi", (0,)))),
-                            (("x", "y", (1,)),)): GRat(1)})
-    grouped = fieldstar.star.star_grouped
+    # the right grouping f*(g*h), whose chain runs from label x, gains
+    # phi{x}*phi{y}*d1 delta{x,y} at hbar^1 as one more part of its powers
+    mon = (("x", ("j", "phi", (0,))), ("y", ("j", "phi", (0,))))
+    deltas = (("x", "y", (1,)),)
+    fault = TensorExpr(1, {(mon, deltas): GRat(1)})
+    chain = fieldstar.star._exp_chain
 
-    def faulty(A, labels_a, B, labels_b, P, system, order=None):
-        S = grouped(A, labels_a, B, labels_b, P, system, order)
-        if list(labels_a) == ["x"]:
-            S = S + HbarSeries(S.dim, {1: fault}, S.order, S.exact)
-        return S
+    def faulty(products, a, labels, P, system, order, orient, keys):
+        real, powers, more = chain(products, a, labels, P, system, order,
+                                   orient, keys)
+        if a == "x":
+            key = (keys.intern(mon[:1]), keys.intern(mon[1:]),
+                   keys.intern(deltas))
+            powers.setdefault(1, []).append(({key: 1 if real else (1, 0)}, 1))
+        return real, powers, more
 
-    monkeypatch.setattr(fieldstar.star, "star_grouped", faulty)
+    monkeypatch.setattr(fieldstar.star, "_exp_chain", faulty)
     rng = random.Random(2325)
     P = default_kernels(1)[0]
     f, g, h = (random_density(SYS1, rng, max_degree=2, max_jet_order=1,
@@ -139,6 +173,56 @@ def test_a_fault_in_a_grouping_shows_at_every_level(monkeypatch):
         assert integrated.coefficient(1)
         assert assoc_residuals(f, g, h, P, SYS1, level, 3) \
             == [integrated.coefficient(1)]
+
+
+def test_assoc_residuals_sum_an_int_and_a_gaussian_grouping(monkeypatch):
+    # f*g = -phi*pi[1]*pi*phi is real while g*h is not, so the left
+    # grouping runs on int numerators and the right one on Gaussian pairs,
+    # which the residual's one sum must bring together
+    f = (u() * xi((1,))).scale(I)
+    g = (xi() * u()).scale(I)
+    h = u() ** 2 + xi((1,))
+    chain = fieldstar.star._exp_chain
+    reals = []
+
+    def recording(*args):
+        real, powers, more = chain(*args)
+        reals.append(real)
+        return real, powers, more
+
+    monkeypatch.setattr(fieldstar.star, "_exp_chain", recording)
+    for P in (Kernel.delta(1), Kernel.derivative_delta(1, (1,))):
+        for level in (1, 2, 3, 4, 5):
+            residuals = assoc_residuals(f, g, h, P, SYS1, level)
+            assert all(r.is_zero() for r in residuals)
+    assert reals == [True, False] * 10
+
+
+def test_an_associative_input_finishes_and_subtracts_nothing(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("the residual subtracted two series")
+
+    finish, running = fieldstar.sigma._finish, _track_star_fn(monkeypatch)
+    finished = {True: 0, False: 0}  # keys, by whether star_fn is running
+
+    def counting_finish(out, *args):
+        finished[bool(running)] += len(out)
+        return finish(out, *args)
+
+    monkeypatch.setattr(HbarSeries, "__sub__", refuse)
+    monkeypatch.setattr(fieldstar.sigma, "_finish", counting_finish)
+    rng = random.Random(2326)
+    for system in (SYS1, complex_system(1)):
+        for P in default_kernels(1):
+            f, g, h = (random_density(system, rng, max_degree=2,
+                                      max_jet_order=1, terms=2)
+                       for _ in range(3))
+            for level in (1, 2, 3, 4, 5):
+                residuals = assoc_residuals(f, g, h, P, system, level, 3)
+                assert all(r.is_zero() for r in residuals)
+    # the two star_fn calls finish their own series; the sum of the
+    # groupings cancels before any key reaches _finish
+    assert finished[True] > 0 and finished[False] == 0
 
 
 def test_assoc_residuals_check_the_level_first(monkeypatch):
@@ -262,11 +346,20 @@ def test_star_grouped_needs_a_group_of_one_label():
 
 
 def test_assoc_residuals_neither_multiply_out_nor_split(monkeypatch):
+    # the groupings' chains form the coefficient products as power 0, so
+    # the only TensorExpr products are the two star_fn calls' own
     def refuse(*_args):
-        raise AssertionError("a grouped star multiplied out or split again")
+        raise AssertionError("a grouped star split its coefficients again")
 
-    monkeypatch.setattr(fieldstar.star, "series_mul", refuse)
+    mul, running, outside = TensorExpr.__mul__, _track_star_fn(monkeypatch), []
+
+    def counting_mul(self, other):
+        if not running:
+            outside.append(None)
+        return mul(self, other)
+
     monkeypatch.setattr(fieldstar.star, "_factor", refuse)
+    monkeypatch.setattr(TensorExpr, "__mul__", counting_mul)
     rng = random.Random(2324)
     for system in (SYS1, complex_system(1)):
         for P in default_kernels(1):
@@ -276,6 +369,7 @@ def test_assoc_residuals_neither_multiply_out_nor_split(monkeypatch):
             for level in (1, 2, 3, 4, 5):
                 residuals = assoc_residuals(f, g, h, P, system, level, 3)
                 assert all(r.is_zero() for r in residuals)
+    assert not outside
 
 
 def test_integration_keeps_a_coincident_term_formal():

@@ -78,11 +78,11 @@ def test_to_field_expr_requires_single_label():
         bad.to_field_expr("x")
 
 
-def test_total_derivative_at_differentiates_kernel_with_sign():
+def test_total_derivative_multi_at_differentiates_kernel_with_sign():
     P = Kernel.delta(1)
     T = TensorExpr.from_kernel(P, "x", "y")
-    dx = T.total_derivative_at("x", 1)
-    dy = T.total_derivative_at("y", 1)
+    dx = T.total_derivative_multi_at("x", (1,))
+    dy = T.total_derivative_multi_at("y", (1,))
     assert dx == -dy
     assert not dx.is_zero()
 

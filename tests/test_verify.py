@@ -39,19 +39,23 @@ CLOSED_FORMS = ("functional-density bracket", "functional-functional bracket",
 INPUTS_SHA256 = "a4643cf6d8f9902fd26da9745b39f052cea349dc0808b5718fa0926ea35675b8"
 INPUTS_COUNT = 1424
 
+SYM1, ANTI1 = "delta + (1 + i)*d1^2 delta", "(1 + i)*d1 delta"
+SYM3, ANTI3 = "delta + (1 + i)*d1^2 delta", "i*d3 delta + d1 delta"
 REPORT_LINES = (
-    ["PASS jacobi: 50/50 trials"] * 4
-    + ["PASS assoc: 125/125 trials"] * 2
-    + ["PASS duality: 50/50 trials"]
-    + ["PASS closed-forms: 52/52 trials"] * 2
-    + ["PASS semiclassical: 50/50 trials"] * 2
-    + ["PASS jacobi: 50/50 trials"] * 2
-    + ["PASS jacobi: 25/25 trials"] * 2
-    + ["PASS duality: 50/50 trials"]
-    + ["PASS assoc: 125/125 trials", "PASS semiclassical: 50/50 trials",
-       "PASS closed-forms: 52/52 trials"] * 2
-    + ["PASS complex-equiv: 23/23 trials"] * 2
-    + ["PASS variational-oracle: 20/20 trials"]
+    [f"PASS jacobi [{P}]: 50/50 checks" for P in (SYM1, ANTI1, SYM3, ANTI3)]
+    + [f"PASS assoc [{P}]: 125/125 checks" for P in (SYM1, ANTI1)]
+    + ["PASS duality: 50/50 checks"]
+    + [f"PASS closed-forms [{P}]: 52/52 checks" for P in (SYM1, ANTI1)]
+    + [f"PASS semiclassical [{P}]: 50/50 checks" for P in (SYM1, ANTI1)]
+    + [f"PASS jacobi [{P}]: 50/50 checks" for P in (SYM1, ANTI1)]
+    + [f"PASS jacobi [{P}]: 25/25 checks" for P in (SYM3, ANTI3)]
+    + ["PASS duality: 50/50 checks"]
+    + [line for P in (SYM1, ANTI1)
+       for line in (f"PASS assoc [{P}]: 125/125 checks",
+                    f"PASS semiclassical [{P}]: 50/50 checks",
+                    f"PASS closed-forms [{P}]: 52/52 checks")]
+    + ["PASS complex-equiv: 23/23 checks"] * 2
+    + ["PASS variational-oracle: 20/20 checks"]
 )
 
 
@@ -208,24 +212,24 @@ FAILING = {
     "jacobi": (
         lambda: V.verify_jacobi(real_system(1), SYM1, 10, random.Random(0)),
         [(V, "jacobi_residual", {3: TWO_TERMS, 5: ONE_TERM}, ZERO)],
-        2, "FAIL jacobi: 8/10 trials (first nonzero term: delta{x,y})"),
+        2, "FAIL jacobi [delta + (1 + i)*d1^2 delta]: 8/10 checks (first nonzero term: delta{x,y})"),
     "duality": (
         lambda: V.verify_duality(real_system(1), 4, random.Random(0)),
         [(V, "duality_residual", {}, ZERO),
          (V, "el_power_duality_residual",
           {1: FieldExpr.jet("phi", (0,)) + FieldExpr.jet("pi", (0,))}, ZERO)],
-        1, "FAIL duality: 3/4 trials (first nonzero term: phi)"),
+        1, "FAIL duality: 3/4 checks (first nonzero term: phi)"),
     "assoc": (
         lambda: V.verify_assoc(real_system(1), SYM1, 2, random.Random(0)),
         [(V, "assoc_residuals", {4: [ZERO, TWO_TERMS], 7: [ONE_TERM]}, [])],
-        2, "FAIL assoc: 8/10 trials (level 2, first nonzero term: delta{x,y})"),
+        2, "FAIL assoc [delta + (1 + i)*d1^2 delta]: 8/10 checks (level 2, first nonzero term: delta{x,y})"),
     "semiclassical": (
         lambda: V.verify_semiclassical(real_system(1), SYM1, 5,
                                        random.Random(0)),
         [(V, "commutator_semiclassical",
           {2: _Series({1: TWO_TERMS}), 4: _Series({0: ONE_TERM})},
           _Series({}))],
-        2, "FAIL semiclassical: 3/5 trials (hbar^1 term: delta{x,y})"),
+        2, "FAIL semiclassical [delta + (1 + i)*d1^2 delta]: 3/5 checks (hbar^1 term: delta{x,y})"),
     "closed-forms": (
         lambda: V.verify_closed_forms(real_system(1), SYM1, 2,
                                       random.Random(0)),
@@ -233,7 +237,7 @@ FAILING = {
             1: _closed_forms({"functional-functional star": [ZERO, COMPLEX_FIRST]}),
             2: _closed_forms({"functional-functional bracket": [ONE_TERM]})},
           _closed_forms())],
-        2, "FAIL closed-forms: 6/8 trials (functional-functional star, "
+        2, "FAIL closed-forms [delta + (1 + i)*d1^2 delta]: 6/8 checks (functional-functional star, "
            "first nonzero term: (1 + 2*i)*phi)"),
     "complex-equiv": (
         lambda: V.verify_complex_equiv(1, 2, random.Random(0)),
@@ -241,17 +245,17 @@ FAILING = {
           {2: [ZERO, TWO_TERMS]}, []),
          (fieldstar.complexfields, "conjugation_residual", {3: ONE_TERM},
           ZERO)],
-        2, "FAIL complex-equiv: 5/7 trials (equivalence term: delta{x,y})"),
+        2, "FAIL complex-equiv: 5/7 checks (equivalence term: delta{x,y})"),
     "peierls": (
         lambda: V.verify_peierls(),
         [(fieldstar.peierls, "peierls_bracket_residual", {1: ONE_TERM}, ZERO),
          (fieldstar.peierls, "energy_drift", {2: 1.0}, 0.0)],
-        2, "FAIL peierls: 6/8 trials (symbolic bracket != -G(t-s))"),
+        2, "FAIL peierls: 6/8 checks (symbolic bracket != -G(t-s))"),
     "variational-oracle": (
         lambda: V.verify_variational_oracle(),
         [(fieldstar.numeric, "variational_oracle_error",
           {2: 2.5e-3, 4: 1.0}, 0.0)],
-        2, "FAIL variational-oracle: 18/20 trials (relative error 2.50e-03)"),
+        2, "FAIL variational-oracle: 18/20 checks (relative error 2.50e-03)"),
 }
 
 
