@@ -77,7 +77,7 @@ def cmd_star(args) -> int:
     if args.json:
         print(dumps_canonical(to_json(series)))
     else:
-        for k in sorted(series.coeffs):
+        for k in sorted(series.terms):
             print(f"hbar^{k}: {render_tensor_expr(series.coefficient(k))}")
         if not series.exact:
             print(f"(truncated at order {series.order})")
@@ -159,9 +159,15 @@ def cmd_peierls_eval(args) -> int:
         if bad:
             print(f"error: {message}", file=sys.stderr)
             return 2
+    import numpy as np
     from .peierls import green_eval
 
-    field = green_eval(args.mass, args.time, args.modes)
+    try:  # a huge finite mass or time overflows the modes
+        with np.errstate(over="raise", invalid="raise"):
+            field = green_eval(args.mass, args.time, args.modes)
+    except (OverflowError, FloatingPointError):
+        print("error: --mass or --time overflows the modes", file=sys.stderr)
+        return 2
     if args.json:
         data = {"kind": "spectral", "cutoff": args.modes,
                 "data": [[int(k), field.mode(int(k)).real]

@@ -262,7 +262,7 @@ def to_json(value) -> dict:
     if isinstance(value, TensorExpr):
         return tensor_expr_json(value)
     if isinstance(value, HbarSeries):
-        return series_json(value.coeffs, value.dim, value.order, value.exact)
+        return series_json(value.terms, value.dim, value.order, value.exact)
     raise TypeError(f"no canonical JSON form for {type(value).__name__}")
 
 

@@ -19,19 +19,18 @@ the rest, and A and B commute, so on a product L (x) R the k-th power is
 ``sigma_terms`` therefore takes T as a short list of such products (L, R)
 of TensorExprs, differentiates each factor on its own and multiplies.  It
 runs a list of calls, each such a list on its own label pair, and yields
-the sum of their powers.  Callers that know the split pass it: the star
+the sum of their powers.  Every caller holds its products: the star
 f@a * g@b hands f@a (x) g@b to ``exp_sigma``, as one call; the brackets,
 {f@a, g@b} on that pair and {h@c, T} on h@c (x) T once per label of T,
-read the first power of all their calls.  ``_factor`` splits a general
-sum into products, for ``exp_sigma``'s series input.  The grouped star
-does not split: ``_exp_chain`` forms the products of its two series'
-coefficients as power 0, L in the group of one label, and each power goes
-on to the next pair as factor pairs of int numerators; ``_combine`` sums
-signed chains on one ``_Keys`` (an associativity residual's groupings)
-and finishes only the keys that survive.  A factor's work terms track the
-index gamma it adds to the pending atom.  The atom is d_lo^gamma
-delta(lo - hi) for the label pair in order, so derivatives from the hi
-side, and kernel indices when a > b, fold in the parity sign (-1)^|index|.
+read the first power of all their calls; the grouped star's
+``_exp_chain`` forms the products of its two series' coefficients as
+power 0, L in the group of one label, and each power goes on to the next
+pair as factor pairs of int numerators; ``_combine`` sums signed chains
+on one ``_Keys`` (an associativity residual's groupings) and finishes
+only the keys that survive.  A factor's work terms track the index gamma
+it adds to the pending atom.  The atom is d_lo^gamma delta(lo - hi) for
+the label pair in order, so derivatives from the hi side, and kernel
+indices when a > b, fold in the parity sign (-1)^|index|.
 
 ``sigma_terms`` yields sigma^k T / k!, the k-th term of the exponential.
 Multiplicities, binomials and parity signs are ints, so every work
@@ -71,7 +70,7 @@ from math import comb, factorial, lcm
 from .jets import (RULE_CACHE_SIZE, FieldSystem, _acc, _partial_mon, mi_add,
                    mi_order, mi_zero)
 from .kernels import Kernel, bracket_sign
-from .rationals import ONE, _make
+from .rationals import _make
 from .tensor import TensorExpr, _label, _locate
 
 
@@ -162,39 +161,6 @@ def _derive(works: dict, label: str, sort: str, side: int, dim: int,
             else:
                 _pair_acc(out, key, c[0] * factor, c[1] * factor)
     return out
-
-
-def _factor(T: TensorExpr, a: str) -> list:
-    """T as a sum of products L (x) R; a list of (L, R) TensorExprs, where
-    L holds the atoms at ``a`` and R the rest, deltas included.
-
-    Terms with equal rest (atoms off ``a`` plus deltas) form a row
-    {a-block: c}.  Proportional rows over the same a-blocks, in the same
-    order, share one L: the first such row divided by its first
-    coefficient.  A product input therefore gives one pair.
-    """
-    rows: dict = {}
-    for (mon, deltas), c in T.terms.items():
-        lo = bisect_left(mon, a, key=_label)
-        hi = bisect_right(mon, a, lo, key=_label)
-        rows.setdefault((mon[:lo] + mon[hi:], deltas), {})[mon[lo:hi]] = c
-    pairs = []
-    shapes: dict = {}  # a-blocks of a row -> [(ratios to the first, R)]
-    for (rest, deltas), row in rows.items():
-        blocks = tuple(row)
-        values = list(row.values())
-        c = values[0]
-        for ratios, R in shapes.get(blocks, ()):
-            if all(v == r * c for v, r in zip(values[1:], ratios)):
-                break
-        else:
-            ratios = [v / c for v in values[1:]]
-            R = {}
-            shapes.setdefault(blocks, []).append((ratios, R))
-            pairs.append(({(block, ()): r for block, r
-                           in zip(blocks, [ONE] + ratios)}, R))
-        R[(rest, deltas)] = c
-    return [(TensorExpr(T.dim, L), TensorExpr(T.dim, R)) for L, R in pairs]
 
 
 class _Keys:
@@ -349,8 +315,7 @@ def sigma_terms(calls: list, P: Kernel, system: FieldSystem):
     """Generate the sum over ``calls`` of sigma^k T / k!, the terms of the
     operator's exponential, for k = 1, 2, ....  A call (products, a, b) is
     the operator on the label pair (a, b) and T, the sum of the TensorExpr
-    ``products`` L (x) R (as ``_factor`` makes them: L holds the atoms at
-    ``a``, R the rest).
+    ``products`` L (x) R (L holds the atoms at ``a``, R the rest).
 
     Each yielded TensorExpr has the inserted kernel atoms canonicalized.  On
     one ordered pair the generator stops at the first power that vanishes
@@ -365,20 +330,21 @@ def sigma_terms(calls: list, P: Kernel, system: FieldSystem):
     """
     real, D, sources = _setup(calls, P, system)
     keys = _Keys()  # the generator's own ids, shared by all calls and powers
-    for _k, d, out, _pairs in _walk(sum(sources, []), real, D, P, system,
-                                    keys):
+    for _k, d, out, _pairs in _walk(sum(sources, []), real, D, P,
+                                    bracket_sign(P), system, keys):
         yield TensorExpr(P.dim, _finish(out, real, d, keys))
 
 
-def _walk(sources: list, real: bool, D: int, P: Kernel, system: FieldSystem,
-          keys: _Keys, orient: int = 1, handover: int = 0):
+def _walk(sources: list, real: bool, D: int, P: Kernel, sign: int,
+          system: FieldSystem, keys: _Keys, orient: int = 1,
+          handover: int = 0):
     """The powers of the operator on (a, b) per source (factor pairs of
     work terms, d, a, b), each L (x) R over d, with D a multiple of each d
-    times the kernel's denominator: per k, (k, D * k!, out, pairs), the
-    sum of the k-th powers times orient^k as ``keys``-id numerators over
-    D * k! and, for k <= ``handover``, as factor pairs (see
-    ``_product``), else None."""
-    dim, sign, kd = P.dim, bracket_sign(P), _denominator(P)
+    times the kernel's denominator and ``sign`` P's ``bracket_sign``: per
+    k, (k, D * k!, out, pairs), the sum of the k-th powers times orient^k
+    as ``keys``-id numerators over D * k! and, for k <= ``handover``, as
+    factor pairs (see ``_product``), else None."""
+    dim, kd = P.dim, _denominator(P)
     p, q = system.primary, system.conjugate
     # per product of a call: the call with its table of inserted atom ids,
     # the current (X, Y) of lineage 0 of the next power, or None once it
@@ -395,7 +361,7 @@ def _walk(sources: list, real: bool, D: int, P: Kernel, system: FieldSystem,
              for g, c in P.terms.items()), real, kd, D // (kd * d)).items())
         call = (a, b, pair, side_a, 1 - side_a, kernel, {})
         walks += [(call, (L, R), [(0, L, R)]) for L, R in factors]
-    ordered = {(a, b) for _factors, _d, a, b in sources}
+    ordered = {(a, b) for *_fd, a, b in sources}
 
     def derive(F: dict, label: str, sort: str, side: int) -> dict:
         # a factor that several calls share, as the H of one {h@c, T} is,
@@ -480,13 +446,14 @@ def _exp_chain(products: dict, a: str, labels: list, P: Kernel,
             more = more or bool(_combine([(1, real, {n: parts})], keys, P.dim))
         else:
             stage[n], powers[n] = [source[:2] for source in call], parts
+    sign = bracket_sign(P)  # P's parity, once for all pairs and coefficients
     for b in labels:
         nxt = {n: list(sources) for n, sources in stage.items()}
         for n, sources in stage.items():
             D = _denominator(P) * lcm(*[d for _pairs, d in sources])
             for k, dk, out, handed in _walk(
                     [(*source, a, b) for source in sources], real, D, P,
-                    system, keys, orient,
+                    sign, system, keys, orient,
                     order - n if b != labels[-1] else 0):
                 if n + k > order:
                     more = True

@@ -14,6 +14,7 @@ the first-order commutator equals the bracket with kernel P + P^t
 
 from __future__ import annotations
 
+from itertools import islice
 from math import comb, factorial
 
 from .euler_lagrange import _joint_dual, _partials
@@ -28,8 +29,7 @@ from .poisson import (
     bracket_functionals,
 )
 from .rationals import GRat, I
-from .sigma import (_check_dims, _combine, _exp_chain, _factor, _Keys,
-                    sigma_terms)
+from .sigma import _check_dims, _combine, _exp_chain, _Keys, sigma_terms
 from .tensor import TensorExpr, _apply_by_parts
 
 
@@ -79,42 +79,24 @@ def to_series(f: FieldExpr, label: str, order: int = 6) -> HbarSeries:
     return HbarSeries(f.dim, {0: TensorExpr.from_field(f, label)}, order, True)
 
 
-def exp_sigma(S: HbarSeries | list, a: str, b: str, P: Kernel,
-              system: FieldSystem, order: int) -> HbarSeries:
-    """Apply the exponential of one operator instance to a series, through
-    ``order``.
-
-    ``S`` is an HbarSeries or a list of (L, R) TensorExpr pairs; the list
-    stands for the exact series whose only coefficient, at order 0, is the
-    sum of the products L (x) R, and goes to ``sigma_terms`` as the
-    products of one call on (a, b) (L holds the atoms at ``a``).
-    """
-    pairs = None
-    if not isinstance(S, HbarSeries):
-        pairs, start = S, {}
-        dim = _check_dims(pairs, P, system)
-        for L, R in pairs:
-            _acc(start, 0, L * R)
-        S = HbarSeries(dim, start, order, True)
+def exp_sigma(pairs: list, a: str, b: str, P: Kernel, system: FieldSystem,
+              order: int) -> HbarSeries:
+    """Apply the exponential of one operator instance on (a, b), through
+    ``order``, to the exact series whose only coefficient, at order 0,
+    sums the products L (x) R of the (L, R) TensorExpr ``pairs``, L
+    holding the atoms at ``a``; they go to ``sigma_terms`` as one call."""
+    dim = _check_dims(pairs, P, system)
     coeffs: dict = {}
-    exact = S.exact
-    for j, Tj in S.terms.items():
-        if j > order:
-            exact = False  # a nonzero coefficient is cut off
-            continue
-        _acc(coeffs, j, Tj)
-        gen = sigma_terms([(_factor(Tj, a) if pairs is None else pairs, a, b)],
-                          P, system)
-        for k in range(j + 1, order + 1):
-            Tk = next(gen, None)
-            if Tk is None:
-                break
-            _acc(coeffs, k, Tk)
-        else:
-            # terminated within the order budget only if nothing is left
-            if next(gen, None) is not None:
-                exact = False
-    return HbarSeries(S.dim, coeffs, order, exact)
+    for L, R in pairs:
+        _acc(coeffs, 0, L * R)
+    if order < 0 or not coeffs.get(0):
+        # a nonzero coefficient cut off leaves the series inexact
+        return HbarSeries(dim, {}, order, not coeffs.get(0))
+    gen = sigma_terms([(pairs, a, b)], P, system)
+    for k, Tk in enumerate(islice(gen, order), 1):
+        _acc(coeffs, k, Tk)
+    # terminated within the order budget only if nothing is left
+    return HbarSeries(dim, coeffs, order, next(gen, None) is None)
 
 
 def star_fn(f: FieldExpr, g: FieldExpr, P: Kernel, system: FieldSystem,

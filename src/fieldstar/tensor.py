@@ -220,16 +220,6 @@ class TensorExpr(TermDict):
 
     # -- calculus -----------------------------------------------------------
 
-    def total_derivative_multi_at(self, label: str, index) -> "TensorExpr":
-        """Total spatial derivative by a multi-index at one point label:
-        Leibniz over the field atoms at the label and the delta atoms whose
-        pair contains it."""
-        index = tuple(index)
-        terms: dict = {}
-        for (mon, deltas), c in self.terms.items():
-            _apply_by_parts(terms, mon, deltas, c, label, index)
-        return TensorExpr(self.dim, terms)
-
     def jet_partial_at(self, label: str, sort: str, index) -> "TensorExpr":
         """Partial derivative by one jet variable at one label."""
         index = tuple(index)

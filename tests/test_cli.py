@@ -237,6 +237,22 @@ def test_peierls_eval_refuses_a_value_that_is_not_finite(monkeypatch, capsys,
     assert captured.err == f"error: {flag} must be finite\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--mass", "1e200", "--modes", "1"],  # mass^2 overflows a float
+    ["--time", "1e308", "--modes", "2"],  # w*t overflows, sin(inf) is nan
+])
+def test_peierls_eval_refuses_finite_values_that_overflow(argv, capsys):
+    import warnings
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["peierls", "eval", *argv]) == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --mass or --time overflows the modes\n"
+
+
 def test_config_with_two_field_pairs_is_rejected(tmp_path, capsys):
     config = {"dim": 1, "fields": [
         {"name": "phi", "kind": "real", "pair": "pi"},

@@ -24,9 +24,10 @@ from fieldstar.poisson import (
 )
 from fieldstar.randexpr import random_density, random_expr
 from fieldstar.rationals import GRat, I
-from fieldstar.sigma import _factor, sigma_terms
+from fieldstar.sigma import sigma_terms
 from fieldstar.tensor import TensorExpr
 from fieldstar.verify import default_kernels
+from reference import _factor
 
 
 def u(index=(0,), dim=None):

@@ -2,8 +2,9 @@
 
 ``sigma_terms`` runs on T as a list of products L (x) R, differentiates
 each factor on its own and multiplies, and yields the k-th power over k!.
-A general T reaches it through ``_factor``; a caller that knows its product
-passes the pair, and both routes must agree.  The reference below is a
+A general T reaches it through the reference ``_factor`` of
+tests/reference.py; a caller that knows its product passes the pair, and
+both routes must agree.  The reference below is a
 per-monomial derivation of the whole product on GRats, so that every power
 can be compared term by term.  Powers are compared as values (term dicts);
 rendering does not depend on insertion order (tests/test_parser.py).
@@ -37,10 +38,11 @@ from fieldstar.poisson import (_first_power, _tensor_calls, bracket_fn,
 from fieldstar.randexpr import multi_indices, random_expr
 from fieldstar.rationals import GRat, I, ONE, ZERO
 from fieldstar.render import dumps_canonical, to_json
-from fieldstar.sigma import _factor, _setup, sigma_terms
+from fieldstar.sigma import _setup, sigma_terms
 from fieldstar.star import star_fn
 from fieldstar.tensor import TensorExpr, delta_atom
 from fieldstar.verify import default_kernels
+from reference import _factor
 
 POWERS = 3
 

@@ -8,7 +8,6 @@ import fieldstar.star
 from fieldstar.jets import (
     DimensionMismatch,
     FieldExpr,
-    _acc,
     complex_system,
     mi_unit,
     real_system,
@@ -31,6 +30,7 @@ from fieldstar.star import (
 )
 from fieldstar.tensor import TensorExpr
 from fieldstar.verify import default_kernels, verify_assoc
+from reference import exp_series, series_mul
 
 
 def u(index=(0,), dim=None):
@@ -57,7 +57,7 @@ def test_star_of_conjugate_pair_terminates_exactly():
 def test_star_truncation_keeps_only_orders_up_to_k():
     P = Kernel.delta(1)
     series = star_fn(u(), xi(), P, SYS1, order=0)
-    assert sorted(series.coeffs) == [0] and not series.exact
+    assert sorted(series.terms) == [0] and not series.exact
     # the nonzero u(x)*xi(y) at hbar^0 is cut off, so the series is not exact
     series = star_fn(u(), xi(), P, SYS1, order=-1)
     assert series.is_zero() and not series.exact
@@ -71,7 +71,7 @@ def test_truncated_grouped_star_is_not_exact():
     assert fg.exact and not fg.coefficient(2).is_zero()
     m = to_series(FieldExpr.const_symbol("m", 1), "z", 6)
     series = star_grouped(fg, ["x", "y"], m, ["z"], P, SYS1, order=1)
-    assert sorted(series.coeffs) == [0, 1]
+    assert sorted(series.terms) == [0, 1]
     assert series.coefficient(2).is_zero() and not series.exact
     # cut at the top order it keeps everything, and stays exact
     assert star_grouped(fg, ["x", "y"], m, ["z"], P, SYS1, order=2).exact
@@ -112,20 +112,6 @@ def test_associativity_all_five_levels():
         for level in (1, 2, 3, 4, 5):
             for residual in assoc_residuals(f, g, h, P, SYS1, level, order=3):
                 assert residual.is_zero()
-
-
-def series_mul(A: HbarSeries, B: HbarSeries) -> HbarSeries:
-    """The product of two series, each coefficient product kept up to the
-    lower order unless both are exact: the reference that grouped stars
-    are compared with."""
-    order = min(A.order, B.order)
-    exact = A.exact and B.exact
-    coeffs: dict = {}
-    for j, Tj in A.terms.items():
-        for k, Tk in B.terms.items():
-            if j + k <= order or exact:
-                _acc(coeffs, j + k, Tj * Tk)
-    return HbarSeries(A.dim, coeffs, order, exact)
 
 
 def _track_star_fn(monkeypatch) -> list:
@@ -245,17 +231,17 @@ def test_exp_factor_application_order_is_immaterial():
     for pairs in ((("x", "z"), ("y", "z")), (("y", "z"), ("x", "z"))):
         T = S
         for a, b in pairs:
-            T = exp_sigma(T, a, b, P, SYS1, 3)
+            T = exp_series(T, a, b, P, SYS1, 3)
         grouped.append(T)
     assert (grouped[0] - grouped[1]).is_zero()
 
 
 def _series_route(f, g, P, system, a, b, order):
     """The star through a series input: the product f@a (x) g@b as the
-    one coefficient, which exp_sigma splits into factor pairs again."""
+    one coefficient, which exp_series splits into factor pairs again."""
     T = TensorExpr.from_field(f, a) * TensorExpr.from_field(g, b)
-    return exp_sigma(HbarSeries(f.dim, {0: T}, order, True), a, b, P, system,
-                     order)
+    return exp_series(HbarSeries(f.dim, {0: T}, order, True), a, b, P, system,
+                      order)
 
 
 @pytest.mark.parametrize("dim", [1, 3])
@@ -284,23 +270,69 @@ def test_star_fn_equals_the_series_route(dim, complex_ok):
     assert exactness == {False, True}
 
 
-def test_star_fn_does_not_split_its_product(monkeypatch):
-    def refuse(*_args):
-        raise AssertionError("star_fn split its product into pairs again")
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("complex_ok", [False, True], ids=["Q", "Q[i]"])
+def test_exp_series_of_one_coefficient_equals_exp_sigma_on_its_pairs(
+        dim, complex_ok):
+    # the reference splits the sum of two products into pairs of its own;
+    # at order j it runs exp_sigma through order - j and shifts by j, so
+    # order -1 cuts the coefficient off and leaves the series inexact
+    system = real_system(dim)
+    rng = random.Random(47 + dim + 10 * complex_ok)
+    e1 = (1,) + (0,) * (dim - 1)
+    kernels = default_kernels(dim) if complex_ok else \
+        [Kernel.delta(dim), Kernel.derivative_delta(dim, e1)]
+    exactness = set()
+    for P in kernels:
+        for a, b in (("x", "y"), ("y", "x")):
+            f1, g1, f2, g2 = (random_expr(system, rng, max_degree=3,
+                                          max_jet_order=1,
+                                          complex_ok=complex_ok)
+                              for _ in range(4))
+            pairs = [(TensorExpr.from_field(f, a), TensorExpr.from_field(g, b))
+                     for f, g in ((f1, g1), (f2, g2))]
+            T = pairs[0][0] * pairs[0][1] + pairs[1][0] * pairs[1][1]
+            for order in (-1, 0, 1, 4):
+                for j in (0, 1):
+                    series = exp_series(HbarSeries(dim, {j: T}, order, True),
+                                        a, b, P, system, order)
+                    star = exp_sigma(pairs, a, b, P, system, order - j)
+                    assert series.terms == {j + k: Tk for k, Tk
+                                            in star.terms.items()}
+                    assert (series.order, series.exact) == (order,
+                                                            star.exact)
+                    exactness.add(star.exact)
+            assert not exp_sigma(pairs, a, b, P, system, -1).exact
+    assert exactness == {False, True}
 
-    monkeypatch.setattr(fieldstar.star, "_factor", refuse)
-    series = star_fn(u() * xi(), xi() ** 2, Kernel.delta(1), SYS1)
-    assert series.exact and sorted(series.coeffs) == [0, 1]
+
+def test_star_fn_does_not_split_its_product(monkeypatch):
+    # the engine has no splitter of a general sum into factor pairs, and
+    # star_fn multiplies its pair f@a (x) g@b once, for the order-0 term
+    assert not hasattr(fieldstar.sigma, "_factor")
+    assert not hasattr(fieldstar.star, "_factor")
+    mul, products = TensorExpr.__mul__, []
+
+    def counting_mul(self, other):
+        products.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(TensorExpr, "__mul__", counting_mul)
+    f, g = u() * xi(), xi() ** 2
+    series = star_fn(f, g, Kernel.delta(1), SYS1)
+    assert series.exact and sorted(series.terms) == [0, 1]
+    assert products == [(TensorExpr.from_field(f, "x"),
+                         TensorExpr.from_field(g, "y"))]
 
 
 def _public_route(A, labels_a, B, labels_b, P, system, order):
     """The grouped star through the public steps: the product of the two
-    series, then exp_sigma on each cross pair in sorted order."""
+    series, then the exponential on each cross pair in sorted order."""
     S = series_mul(A, B)
     for x in sorted(labels_a):
         for y in sorted(labels_b):
-            S = exp_sigma(S, x, y, P, system,
-                          S.order if order is None else order)
+            S = exp_series(S, x, y, P, system,
+                           S.order if order is None else order)
     return S
 
 
@@ -347,10 +379,10 @@ def test_star_grouped_needs_a_group_of_one_label():
 
 def test_assoc_residuals_neither_multiply_out_nor_split(monkeypatch):
     # the groupings' chains form the coefficient products as power 0, so
-    # the only TensorExpr products are the two star_fn calls' own
-    def refuse(*_args):
-        raise AssertionError("a grouped star split its coefficients again")
-
+    # the only TensorExpr products are the two star_fn calls' own, and the
+    # engine has no splitter of a general sum into factor pairs
+    assert not hasattr(fieldstar.sigma, "_factor")
+    assert not hasattr(fieldstar.star, "_factor")
     mul, running, outside = TensorExpr.__mul__, _track_star_fn(monkeypatch), []
 
     def counting_mul(self, other):
@@ -358,7 +390,6 @@ def test_assoc_residuals_neither_multiply_out_nor_split(monkeypatch):
             outside.append(None)
         return mul(self, other)
 
-    monkeypatch.setattr(fieldstar.star, "_factor", refuse)
     monkeypatch.setattr(TensorExpr, "__mul__", counting_mul)
     rng = random.Random(2324)
     for system in (SYS1, complex_system(1)):
@@ -370,6 +401,31 @@ def test_assoc_residuals_neither_multiply_out_nor_split(monkeypatch):
                 residuals = assoc_residuals(f, g, h, P, system, level, 3)
                 assert all(r.is_zero() for r in residuals)
     assert not outside
+
+
+def test_assoc_residuals_classify_the_kernel_once_per_operator_run(
+        monkeypatch):
+    # the parity sign is computed once per sigma_terms generator (one per
+    # star_fn) and once per chain (one per grouping), not once per walk,
+    # plus once for the orientation of the grouping whose pair is swapped
+    classify, calls = Kernel.classify, []
+
+    def counting_classify(self):
+        calls.append(self)
+        return classify(self)
+
+    monkeypatch.setattr(Kernel, "classify", counting_classify)
+    rng = random.Random(2327)
+    for system in (SYS1, complex_system(1)):
+        for P in default_kernels(1):
+            f, g, h = (random_density(system, rng, max_degree=2,
+                                      max_jet_order=1, terms=2)
+                       for _ in range(3))
+            for level in (1, 2, 3, 4, 5):
+                calls.clear()
+                residuals = assoc_residuals(f, g, h, P, system, level, 3)
+                assert all(r.is_zero() for r in residuals)
+                assert len(calls) == 5
 
 
 def test_integration_keeps_a_coincident_term_formal():
