@@ -51,17 +51,22 @@ time hashing keys: CPython does not cache tuple hashes, and a key
 accumulates under flat int keys, (block ids in label order..., delta-part
 id).  ``_finish`` turns them back into (located monomial, deltas): it
 joins each distinct block prefix once per call, and makes one GRat per
-distinct numerator, shared by every key that has it.  A ``_Keys`` holds
-the ids of one generator, for all its calls and powers, or of chains that
-share it; nothing outlives it.  Each part is interned once, not per
-contribution: X's a-block per X term, Y's rest per distinct rest, the
-delta part per ``atoms`` miss.  Ids of whole blocks keep a key canonical
-across calls on different first labels, as the outer brackets of a Jacobi
-sum and an associativity residual's groupings are, which must cancel.
+distinct numerator, shared by every key that has it.  Each thread has one
+``_Keys`` (``_keys``), which a generator or chain captures when it starts
+and keeps to its end, so the small calls of a verification suite stop
+interning the same blocks again; a capture that finds more than
+4 * ``RULE_CACHE_SIZE`` entries starts a fresh table.  Ids never reach an
+output: ``_finish`` builds its terms in ``out``'s order.  Each part is
+interned once, not per contribution: X's a-block per X term, Y's rest per
+distinct rest, the delta part per ``atoms`` miss.  Ids of whole blocks
+keep a key canonical across calls on different first labels, as the outer
+brackets of a Jacobi sum and an associativity residual's groupings are,
+which must cancel.
 """
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from itertools import groupby
@@ -164,15 +169,18 @@ def _derive(works: dict, label: str, sort: str, side: int, dim: int,
 
 
 class _Keys:
-    """The ids of one ``sigma_terms`` generator or of chains that share it:
-    each located label block and each delta part gets an int id."""
+    """The ids of one thread's generators and chains: each located label
+    block and each delta part gets an int id, and ``atoms`` maps a sorted
+    label pair to the ids of its inserted atoms, per (deltas, alpha, beta +
+    gamma)."""
 
-    __slots__ = ("ids", "values", "rests")
+    __slots__ = ("ids", "values", "rests", "atoms")
 
     def __init__(self):
         self.ids: dict = {}     # block or delta part -> id
         self.values: list = []  # id -> block or delta part
         self.rests: dict = {}   # rest -> (labels, ids) of its blocks
+        self.atoms: dict = {}   # label pair -> {(deltas, alpha, bg): id}
 
     def intern(self, value) -> int:
         i = self.ids.get(value)
@@ -191,6 +199,19 @@ class _Keys:
                 ids.append(self.intern(tuple(atoms)))
             split = self.rests[rest] = (labels, tuple(ids))
         return split
+
+
+_local = threading.local()
+
+
+def _keys() -> _Keys:
+    """The calling thread's table, replaced by a fresh one once it holds
+    more than 4 * ``RULE_CACHE_SIZE`` ids, rest splits and atom entries."""
+    keys = getattr(_local, "keys", None)
+    if keys is None or len(keys.ids) + len(keys.rests) + sum(
+            map(len, keys.atoms.values())) > 4 * RULE_CACHE_SIZE:
+        keys = _local.keys = _Keys()
+    return keys
 
 
 def _product(out: dict, X: dict, Y: dict, kernel: list, f: int, a: str,
@@ -329,7 +350,7 @@ def sigma_terms(calls: list, P: Kernel, system: FieldSystem):
     raised.
     """
     real, D, sources = _setup(calls, P, system)
-    keys = _Keys()  # the generator's own ids, shared by all calls and powers
+    keys = _keys()  # captured once, for all calls and powers
     for _k, d, out, _pairs in _walk(sum(sources, []), real, D, P,
                                     bracket_sign(P), system, keys):
         yield TensorExpr(P.dim, _finish(out, real, d, keys))
@@ -359,7 +380,8 @@ def _walk(sources: list, real: bool, D: int, P: Kernel, sign: int,
         kernel = list(_numerators(
             ((g, c if side_a == 0 or mi_order(g) % 2 == 0 else -c)
              for g, c in P.terms.items()), real, kd, D // (kd * d)).items())
-        call = (a, b, pair, side_a, 1 - side_a, kernel, {})
+        call = (a, b, pair, side_a, 1 - side_a, kernel,
+                keys.atoms.setdefault(pair, {}))
         walks += [(call, (L, R), [(0, L, R)]) for L, R in factors]
     ordered = {(a, b) for *_fd, a, b in sources}
 

@@ -29,7 +29,8 @@ from .poisson import (
     bracket_functionals,
 )
 from .rationals import GRat, I
-from .sigma import _check_dims, _combine, _exp_chain, _Keys, sigma_terms
+from .sigma import (_check_dims, _combine, _exp_chain, _Keys, _keys,
+                    sigma_terms)
 from .tensor import TensorExpr, _apply_by_parts
 
 
@@ -90,6 +91,7 @@ def exp_sigma(pairs: list, a: str, b: str, P: Kernel, system: FieldSystem,
     for L, R in pairs:
         _acc(coeffs, 0, L * R)
     if order < 0 or not coeffs.get(0):
+        bracket_sign(P)  # a mixed kernel is refused, as sigma_terms does
         # a nonzero coefficient cut off leaves the series inexact
         return HbarSeries(dim, {}, order, not coeffs.get(0))
     gen = sigma_terms([(pairs, a, b)], P, system)
@@ -147,7 +149,7 @@ def star_grouped(A: HbarSeries, labels_a, B: HbarSeries, labels_b, P: Kernel,
     is raised.  The products of the coefficients go to
     ``sigma._exp_chain`` as they are, L at c, power 0 included; with c in
     B, the pair (x, c) runs as (c, x) with P^t, power k times s^k."""
-    keys = _Keys()
+    keys = _keys()
     *side, K, exact = _grouped(A, labels_a, B, labels_b, P, system, order,
                                keys)
     return HbarSeries(A.dim, _combine([(1, *side)], keys, A.dim), K, exact)
@@ -348,7 +350,7 @@ def assoc_residuals(f: FieldExpr, g: FieldExpr, h: FieldExpr, P: Kernel,
     if level not in (1, 2, 3, 4, 5):
         raise ValueError(f"unknown associativity level {level}")
     x, y, z = "x", "y", "z"
-    keys = _Keys()  # one table: a term of both groupings has one key
+    keys = _keys()  # one capture: a term of both groupings has one key
     left = _grouped(star_fn(f, g, P, system, x, y, order), [x, y],
                     to_series(h, z, order), [z], P, system, order, keys)
     right = _grouped(to_series(f, x, order), [x],

@@ -328,6 +328,17 @@ def test_verify_refuses_a_declared_mixed_kernel(tmp_path, capsys):
     assert captured.err.startswith("error: mixed-parity kernel")
 
 
+@pytest.mark.parametrize("command", ["star", "bracket"])
+@pytest.mark.parametrize("operands", [["0", "phi"], ["pi", "phi"]])
+def test_a_mixed_kernel_is_refused_also_on_a_zero_operand(command, operands,
+                                                          capsys):
+    argv = [command, *operands, "--dim", "1", "--kernel", "delta + d1 delta"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: mixed-parity kernel")
+
+
 def test_config_field_paired_with_itself_is_rejected(tmp_path, capsys):
     config = dict(KG_CONFIG, fields=[{"name": "phi", "kind": "real",
                                       "pair": "phi"}])

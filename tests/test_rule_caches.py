@@ -2,25 +2,33 @@
 
 ``jets.mi_add``, ``jets._partial_mon``, ``jets._derivative_mon``,
 ``tensor._by_parts`` and ``sigma._block_partials`` are ``lru_cache``s shared
-by every call in the process.  Stars, Jacobi residuals, associativity
-residuals and the tail of a functional-density star, which integrates by
-parts, must come out byte for byte the same whether the caches are warm
-or were just cleared, every cached value must be a tuple (a shared value
-that a caller could mutate would leak into later calls), and a cache must
-stay within its bound however many distinct arguments it sees.
+by every call in the process, and the operator's key table
+(``sigma._keys``) by every call in one thread.  Stars, Jacobi residuals,
+associativity residuals and the tail of a functional-density star, which
+integrates by parts, must come out byte for byte the same whether the
+caches and the table are warm or were just cleared, every cached value
+must be a tuple (a shared value that a caller could mutate would leak into
+later calls), and a cache must stay within its bound however many distinct
+arguments it sees; the table is replaced once it passes its bound, and a
+generator that captured the old one yields what it yields alone.
 """
 
 import random
+import sys
+import threading
 
 import pytest
 
 from fieldstar import jets, sigma, tensor
-from fieldstar.jets import (RULE_CACHE_SIZE, complex_system, func_atom, jet_atom,
-                            real_system)
+from fieldstar.jets import (ONE, RULE_CACHE_SIZE, FieldExpr, complex_system,
+                            func_atom, jet_atom, real_system)
+from fieldstar.kernels import Kernel
 from fieldstar.poisson import Functional, jacobi_residual
 from fieldstar.randexpr import random_density, random_expr
 from fieldstar.render import dumps_canonical, to_json
+from fieldstar.sigma import sigma_terms
 from fieldstar.star import assoc_residuals, star_fn, star_functional_density
+from fieldstar.tensor import TensorExpr
 from fieldstar.verify import default_kernels
 
 CACHED = (jets.mi_add, jets._partial_mon, jets._derivative_mon,
@@ -30,6 +38,7 @@ CACHED = (jets.mi_add, jets._partial_mon, jets._derivative_mon,
 def _clear_all():
     for rule in CACHED:
         rule.cache_clear()
+    sigma._local.keys = sigma._Keys()  # this thread's next capture is cold
 
 
 def _outputs(dim: int, system) -> str:
@@ -109,3 +118,74 @@ def test_caches_stay_within_their_bound():
     for rule in CACHED:
         assert rule.cache_info().currsize <= RULE_CACHE_SIZE
     _clear_all()
+
+
+def _entries(keys) -> int:
+    return len(keys.ids) + len(keys.rests) + sum(map(len, keys.atoms.values()))
+
+
+def _generator(f: FieldExpr, g: FieldExpr, P: Kernel):
+    pair = (TensorExpr.from_field(f, "x"), TensorExpr.from_field(g, "y"))
+    return sigma_terms([([pair], "x", "y")], P, real_system(1))
+
+
+def _json(T) -> str:
+    return dumps_canonical(to_json(T))
+
+
+def test_a_table_past_its_bound_is_replaced_at_the_next_capture():
+    bound = 4 * RULE_CACHE_SIZE
+    phi, pi = FieldExpr.jet("phi", (0,)), FieldExpr.jet("pi", (0,))
+    f = phi * FieldExpr.jet("pi", (1,)) + phi * phi
+    g = pi * pi * FieldExpr.jet("phi", (1,)) + pi
+    P = default_kernels(1)[0]
+    alone = [_json(T) for T in _generator(f, g, P)]
+    assert len(alone) >= 2
+    early = _generator(f, g, P)
+    powers = [_json(next(early))]  # captured the table, kept to its end
+    table = sigma._keys()
+    # one generator whose first power interns n delta parts and n atom
+    # entries, one per jet index of its n-term operand
+    n = bound // 2 + 8
+    many = FieldExpr(1, {(jet_atom("phi", (i,)),): ONE for i in range(n)})
+    next(_generator(many, pi, Kernel.delta(1)))
+    assert _entries(table) > bound
+    fresh = sigma._keys()
+    assert fresh is not table and _entries(fresh) == 0
+    # a generator on the fresh table, advanced in alternation with the early
+    # one: each yields what it yields alone
+    late, later = _generator(f, g, P), []
+    for _ in alone:
+        powers += [_json(T) for T in [next(early, None)] if T is not None]
+        later.append(_json(next(late)))
+    assert next(early, None) is None and next(late, None) is None
+    assert powers == alone and later == alone
+    assert sigma._keys() is fresh and 0 < _entries(fresh) < bound
+
+
+def test_each_thread_captures_its_own_table():
+    # more threads than cores, switching often: each thread interns into a
+    # table of its own, and its outputs equal this thread's
+    system = real_system(1)
+    want = _outputs(1, system)
+    here = sigma._keys()
+    tables, outputs = {}, {}
+
+    def run(i):
+        tables[i] = sigma._keys()
+        outputs[i] = _outputs(1, system)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len({id(t) for t in [here, *tables.values()]}) == 4
+    assert sigma._keys() is here
+    assert list(outputs.values()) == [want] * 3

@@ -12,7 +12,7 @@ from fieldstar.jets import (
     mi_unit,
     real_system,
 )
-from fieldstar.kernels import Kernel
+from fieldstar.kernels import Kernel, MixedKernelError
 from fieldstar.poisson import Functional, bracket_fn
 from fieldstar.randexpr import random_density, random_expr
 from fieldstar.rationals import GRat, I
@@ -460,6 +460,22 @@ def test_star_of_another_dimension_rejected():
         star_fn(FieldExpr.zero(1), u(), Kernel.delta(1), real_system(3))
     with pytest.raises(DimensionMismatch):
         star_fn(u(), xi(), Kernel.delta(1), real_system(3))
+
+
+def test_star_with_a_zero_operand_refuses_a_mixed_kernel():
+    # the parity is checked before the empty series of a zero product is
+    # returned, as bracket_fn and a nonzero star_fn refuse the kernel
+    mixed = Kernel.delta(1) + Kernel.derivative_delta(1, (1,))
+    zero = FieldExpr.zero(1)
+    for f, g, order in ((zero, u(), 6), (u(), zero, 6), (zero, zero, 0),
+                        (u(), xi(), -1), (xi(), u(), 6)):
+        with pytest.raises(MixedKernelError):
+            star_fn(f, g, mixed, SYS1, order=order)
+    with pytest.raises(MixedKernelError):
+        bracket_fn(zero, u(), mixed, SYS1)
+    # a pure kernel still gives the empty, exact series
+    series = star_fn(zero, u(), Kernel.derivative_delta(1, (1,)), SYS1)
+    assert not series.terms and series.exact
 
 
 def test_functional_density_star_tail():
