@@ -38,37 +38,37 @@ coefficient is a numerator over one common denominator per generator, and
 each output key gets one GRat, over that denominator times k!.  When T and P
 are real (over Q) a numerator is a plain int; over Q[i] it is a Gaussian
 integer, an (re, im) pair of ints, which the loops multiply and add with
-int arithmetic.  The jet calculus under the loops (``_block_partials``,
-``jets.mi_add`` and ``jets._partial_mon``) is cached process-wide, in
-``lru_cache``s of ``jets.RULE_CACHE_SIZE`` entries: the rules are pure,
-their arguments are few small tuples, and their values are tuples, which
-callers cannot mutate.
+int arithmetic.  The jet calculus under the loops (``jets.mi_add`` and
+``jets._partial_mon``) is cached process-wide, in ``lru_cache``s of
+``jets.RULE_CACHE_SIZE`` entries: the rules are pure, their arguments are
+few small tuples, and their values are tuples, which callers cannot mutate.
 
-The loop that multiplies the derived factors (``_product``) makes one
-contribution per (X term, Y term, kernel index) and spends most of its
-time hashing keys: CPython does not cache tuple hashes, and a key
-(located monomial, delta tuple) nests a tuple per atom.  So it
-accumulates under flat int keys, (block ids in label order..., delta-part
-id).  ``_finish`` turns them back into (located monomial, deltas): it
-joins each distinct block prefix once per call, and makes one GRat per
-distinct numerator, shared by every key that has it.  Each thread has one
-``_Keys`` (``_keys``), which a generator or chain captures when it starts
-and keeps to its end, so the small calls of a verification suite stop
-interning the same blocks again; a capture that finds more than
-4 * ``RULE_CACHE_SIZE`` entries starts a fresh table.  Ids never reach an
-output: ``_finish`` builds its terms in ``out``'s order.  Each part is
-interned once, not per contribution: X's a-block per X term, Y's rest per
-distinct rest, the delta part per ``atoms`` miss.  Ids of whole blocks
-keep a key canonical across calls on different first labels, as the outer
-brackets of a Jacobi sum and an associativity residual's groupings are,
-which must cancel.
+The loops spend most of their time hashing keys: CPython does not cache
+tuple hashes, and a located monomial nests a tuple per atom.  So from
+``_works`` to ``_finish`` keys hold int ids of label blocks and delta
+parts: a work term's is (block ids in label order, delta-part id, gamma),
+and ``_product``, one contribution per (X term, Y term, kernel index),
+accumulates under (block ids in label order..., delta-part id).
+``_derive`` finds the block at its label among a key's few ids and splices
+in the ids of the block's rule.  ``_finish`` turns output keys back into
+(located monomial, deltas): it joins each distinct block prefix once per
+call, and makes one GRat per distinct numerator, shared by every key that
+has it.  Each thread has one ``_Keys`` (``_keys``), which a generator or
+chain captures when it starts and keeps to its end, so the small calls of
+a verification suite stop interning the same blocks and deriving the same
+rules again; a capture that finds more than 4 * ``RULE_CACHE_SIZE``
+entries starts a fresh table.  Ids never reach an output: ``_finish``
+builds its terms in ``out``'s order.  Each part is interned once, not per
+contribution: a factor's blocks and delta parts as it becomes work terms,
+a derived block per rule, an inserted atom's delta part per ``atoms``
+miss.  Ids of whole blocks keep a key canonical across calls on different
+first labels, as the outer brackets of a Jacobi sum and an associativity
+residual's groupings are, which must cancel.
 """
 
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left, bisect_right
-from functools import lru_cache
 from itertools import groupby
 from math import comb, factorial, lcm
 
@@ -93,12 +93,13 @@ def _numerators(items, real: bool, d: int, m: int = 1) -> dict:
     return {key: (c._a * (s := d // c._d * m), c._b * s) for key, c in items}
 
 
-def _works(T: TensorExpr, real: bool, d: int, m: int = 1) -> dict:
-    """T as operator work terms over d, with numerators times m (see
-    ``_numerators``), each with an empty pending index."""
+def _works(T: TensorExpr, real: bool, d: int, keys: _Keys) -> dict:
+    """T as operator work terms over d (see ``_numerators``), each keyed
+    by (its block ids in label order, its delta part's id, an empty
+    pending index) in ``keys``."""
     zero = mi_zero(T.dim)
-    return _numerators((((mon, deltas, zero), c)
-                        for (mon, deltas), c in T.terms.items()), real, d, m)
+    return _numerators((((keys.rest(mon), keys.intern(deltas), zero), c)
+                        for (mon, deltas), c in T.terms.items()), real, d)
 
 
 def _pair_acc(out: dict, key, a: int, b: int):
@@ -116,89 +117,62 @@ def _pair_acc(out: dict, key, a: int, b: int):
         del out[key]
 
 
-@lru_cache(maxsize=RULE_CACHE_SIZE)
-def _block_partials(block, label: str, sort: str, side: int, dim: int) -> tuple:
-    """Every (new block, index, int factor) that one derivation pass makes
-    from the atoms at one label; the factor holds the multiplicity and, on
-    the side that carries the parity, the sign (-1)^|index|."""
-    indices = set()
-    for _lab, atom in block:
-        if atom[0] == "j" and atom[1] == sort:
-            indices.add(atom[2])
-        elif atom[0] == "f" and atom[3] == sort:
-            indices.add(mi_zero(dim))
-    if not indices:
-        return ()
-    bare = tuple([atom for _lab, atom in block])
-    out = []
-    for index in sorted(indices):
-        sign = -1 if side == 1 and mi_order(index) % 2 == 1 else 1
-        for new, mult in _partial_mon(bare, sort, index):
-            out.append((_locate(label, new), index, sign * mult))
-    return tuple(out)
-
-
-def _derive(works: dict, label: str, sort: str, side: int, dim: int,
-            real: bool) -> dict:
-    """One paired (jet partial x spatial-on-pending-atom) derivation pass
-    on int (``real``) or Gaussian-integer numerators.
-
-    Located monomials sort by label first, so the atoms at ``label`` form
-    one block and the derivative of ``pre + block + post`` is
-    ``pre + new_block + post``, already canonical.  The block's partials
-    and each gamma + index come from the process-wide caches.
-    """
-    out: dict = {}
-    for (mon, deltas, gamma), c in works.items():
-        if mon and mon[0][0] == label == mon[-1][0]:
-            block, pre, post = mon, (), ()  # every atom is at ``label``
-        else:
-            lo = bisect_left(mon, label, key=_label)
-            hi = bisect_right(mon, label, lo, key=_label)
-            block, pre, post = mon[lo:hi], mon[:lo], mon[hi:]
-        parts = _block_partials(block, label, sort, side, dim)
-        if not parts:
-            continue
-        for new_block, index, factor in parts:
-            key = (pre + new_block + post, deltas, mi_add(gamma, index))
-            if real:
-                _acc(out, key, c * factor)
-            else:
-                _pair_acc(out, key, c[0] * factor, c[1] * factor)
-    return out
-
-
 class _Keys:
     """The ids of one thread's generators and chains: each located label
     block and each delta part gets an int id, and ``atoms`` maps a sorted
-    label pair to the ids of its inserted atoms, per (deltas, alpha, beta +
-    gamma)."""
+    label pair to the ids of its inserted atoms, per (delta id, alpha,
+    beta + gamma); ``rules`` holds the blocks' derivation rules."""
 
-    __slots__ = ("ids", "values", "rests", "atoms")
+    __slots__ = ("ids", "values", "labels", "rests", "rules", "atoms")
 
     def __init__(self):
         self.ids: dict = {}     # block or delta part -> id
         self.values: list = []  # id -> block or delta part
-        self.rests: dict = {}   # rest -> (labels, ids) of its blocks
-        self.atoms: dict = {}   # label pair -> {(deltas, alpha, bg): id}
+        self.labels: list = []  # id -> its block's label, None for deltas
+        self.rests: dict = {}   # located monomial -> ids of its blocks
+        self.rules: dict = {}   # (block id, sort, side, dim) -> rule
+        self.atoms: dict = {}   # label pair -> {(did, alpha, bg): id}
 
-    def intern(self, value) -> int:
+    def intern(self, value, label=None) -> int:
         i = self.ids.get(value)
         if i is None:
             i = self.ids[value] = len(self.values)
             self.values.append(value)
+            self.labels.append(label)
         return i
 
     def rest(self, rest) -> tuple:
-        """(labels, ids) of the blocks of a located monomial."""
-        split = self.rests.get(rest)
-        if split is None:
-            labels, ids = [], []
-            for label, atoms in groupby(rest, key=_label):
-                labels.append(label)
-                ids.append(self.intern(tuple(atoms)))
-            split = self.rests[rest] = (labels, tuple(ids))
-        return split
+        """The ids of the blocks of a located monomial, in label order."""
+        ids = self.rests.get(rest)
+        if ids is None:
+            ids = self.rests[rest] = tuple([
+                self.intern(tuple(atoms), label)
+                for label, atoms in groupby(rest, key=_label)])
+        return ids
+
+    def rule(self, bid: int, sort: str, side: int, dim: int) -> tuple:
+        """Every (new ids, index, int factor) that one derivation pass makes
+        from block ``bid``: the new block's id, or none when the partial
+        empties the block; the factor holds the multiplicity and, on the
+        side that carries the parity, the sign (-1)^|index|.  A block of
+        function atoms has one id in every dimension, so ``dim`` is in the
+        key."""
+        at = (bid, sort, side, dim)
+        rule = self.rules.get(at)
+        if rule is None:
+            label, indices = self.labels[bid], set()
+            bare = tuple([atom for _lab, atom in self.values[bid]])
+            for atom in bare:
+                if atom[0] == "j" and atom[1] == sort:
+                    indices.add(atom[2])
+                elif atom[0] == "f" and atom[3] == sort:
+                    indices.add(mi_zero(dim))
+            rule = self.rules[at] = tuple([
+                ((self.intern(_locate(label, new), label),) if new else (),
+                 index, -mult if side == 1 and mi_order(index) % 2 else mult)
+                for index in sorted(indices)
+                for new, mult in _partial_mon(bare, sort, index)])
+        return rule
 
 
 _local = threading.local()
@@ -206,12 +180,40 @@ _local = threading.local()
 
 def _keys() -> _Keys:
     """The calling thread's table, replaced by a fresh one once it holds
-    more than 4 * ``RULE_CACHE_SIZE`` ids, rest splits and atom entries."""
+    more than 4 * ``RULE_CACHE_SIZE`` ids, rests, rules and atom entries."""
     keys = getattr(_local, "keys", None)
-    if keys is None or len(keys.ids) + len(keys.rests) + sum(
-            map(len, keys.atoms.values())) > 4 * RULE_CACHE_SIZE:
+    if keys is None or len(keys.ids) + len(keys.rests) + len(keys.rules) \
+            + sum(map(len, keys.atoms.values())) > 4 * RULE_CACHE_SIZE:
         keys = _local.keys = _Keys()
     return keys
+
+
+def _derive(works: dict, label: str, sort: str, side: int, dim: int,
+            real: bool, keys: _Keys) -> dict:
+    """One paired (jet partial x spatial-on-pending-atom) derivation pass
+    on int (``real``) or Gaussian-integer numerators.
+
+    A key's block ids run in label order, so the derivative of the block
+    at ``label`` splices the ids of ``keys.rule`` in its place, and the key
+    stays canonical; each gamma + index comes from the process-wide cache.
+    """
+    labels, out = keys.labels, {}
+    for (ids, did, gamma), c in works.items():
+        i = 0
+        for bid in ids:
+            if labels[bid] == label:
+                break
+            i += 1
+        else:
+            continue
+        pre, post = ids[:i], ids[i + 1:]
+        for new, index, factor in keys.rule(bid, sort, side, dim):
+            key = (pre + new + post, did, mi_add(gamma, index))
+            if real:
+                _acc(out, key, c * factor)
+            else:
+                _pair_acc(out, key, c[0] * factor, c[1] * factor)
+    return out
 
 
 def _product(out: dict, X: dict, Y: dict, kernel: list, f: int, a: str,
@@ -220,8 +222,8 @@ def _product(out: dict, X: dict, Y: dict, kernel: list, f: int, a: str,
     or Gaussian-integer numerators; ``kernel`` lists each (gamma,
     coefficient) with the parity folded in, and f is an int.  ``out`` is
     keyed by ``keys`` ids: the blocks of X's a-block and of Y's rest, then
-    the delta part.  The delta part, its id cached in ``atoms`` per
-    (deltas, alpha, beta + gamma), holds the inserted atom (lo, hi, gamma)
+    the delta part.  The delta part, its id cached in ``atoms`` per (Y's
+    delta id, alpha, beta + gamma), holds the inserted atom (lo, hi, gamma)
     for ``pair`` = (lo, hi); for None it is (deltas, gamma), the atom
     pending.  A list ``hand`` gets the product as factor pairs of work
     terms per pending index alpha of X: X's terms of that index, cleared,
@@ -232,13 +234,14 @@ def _product(out: dict, X: dict, Y: dict, kernel: list, f: int, a: str,
         kernel = [(g, None if kb == 0 and ka * f == 1
                    else (ka * f, kb * f)) for g, (ka, kb) in kernel]
     by_alpha: dict = {}
-    for (block, _deltas, alpha), cx in X.items():
-        xid = (keys.intern(block),) if block else ()
+    for (xid, _did, alpha), cx in X.items():
         by_alpha.setdefault(alpha, []).append((xid, cx))
     rows = None if hand is None else {alpha: {} for alpha in by_alpha}
-    for (rest, deltas, beta), cy in Y.items():
-        labels, ids = keys.rest(rest)
-        cut = bisect_left(labels, a)
+    labels = keys.labels
+    for (ids, ydid, beta), cy in Y.items():
+        cut = 0
+        while cut < len(ids) and labels[ids[cut]] < a:
+            cut += 1
         pre, post = ids[:cut], ids[cut:]
         for gamma, kc in kernel:
             bg = mi_add(beta, gamma)
@@ -250,14 +253,14 @@ def _product(out: dict, X: dict, Y: dict, kernel: list, f: int, a: str,
                 cr = (cy[0] * kc[0] - cy[1] * kc[1],
                       cy[0] * kc[1] + cy[1] * kc[0])
             for alpha, entries in by_alpha.items():
-                did = atoms.get((deltas, alpha, bg))
+                did = atoms.get((ydid, alpha, bg))
                 if did is None:
-                    g = mi_add(alpha, bg)
-                    did = atoms[(deltas, alpha, bg)] = keys.intern(
+                    g, deltas = mi_add(alpha, bg), keys.values[ydid]
+                    did = atoms[(ydid, alpha, bg)] = keys.intern(
                         (deltas, g) if pair is None
                         else tuple(sorted(deltas + ((*pair, g),))))
                 if rows is not None:
-                    key = (rest, keys.values[did], mi_zero(len(alpha)))
+                    key = (ids, did, mi_zero(len(alpha)))
                     if real:
                         _acc(rows[alpha], key, cr)
                     else:
@@ -272,9 +275,9 @@ def _product(out: dict, X: dict, Y: dict, kernel: list, f: int, a: str,
                     _pair_acc(out, pre + xid + tail,
                               xa * ra - xb * rb, xa * rb + xb * ra)
     for alpha, R in (rows or {}).items():
-        zero = mi_zero(len(alpha))
-        hand.append(({(keys.values[xid[0]] if xid else (), (), zero): cx
-                      for xid, cx in by_alpha[alpha]}, R))
+        zero, empty = mi_zero(len(alpha)), keys.intern(())
+        hand.append(({(xid, empty, zero): cx for xid, cx in by_alpha[alpha]},
+                     R))
 
 
 def _check_dims(products: list, P: Kernel, system: FieldSystem) -> int:
@@ -286,14 +289,15 @@ def _check_dims(products: list, P: Kernel, system: FieldSystem) -> int:
     return L0.dim
 
 
-def _setup(calls: list, P: Kernel, system: FieldSystem):
+def _setup(calls: list, P: Kernel, system: FieldSystem, keys: _Keys):
     """(real, D, sources) for operator calls, each (products, a, b): one
     real/complex decision for all calls (real when neither P nor any factor
     has an imaginary part; the work then runs on int numerators, otherwise
     on Gaussian-integer ones), D the lcm of the products' denominators
     times the kernel's, and per call the sources of its products, each
-    ([(L, R)] as work terms, d, a, b), L (x) R over d.  A product that several calls share, as the
-    calls of one {h@c, T} do, becomes work terms once."""
+    ([(L, R)] as ``keys`` work terms, d, a, b), L (x) R over d.  A product
+    that several calls share, as the calls of one {h@c, T} do, becomes work
+    terms once."""
     for products, a, b in calls:
         if a == b:
             raise ValueError(f"operator label pair coincides: {a!r}")
@@ -303,8 +307,8 @@ def _setup(calls: list, P: Kernel, system: FieldSystem):
               for products, _a, _b in calls for L, R in products}
     real = not any(c._b for F in [F for LR in shared.values() for F in LR]
                    + [P] for c in F.terms.values())
-    shared = {key: ([(_works(L, real, ld := _denominator(L)),
-                      _works(R, real, rd := _denominator(R)))], ld * rd)
+    shared = {key: ([(_works(L, real, ld := _denominator(L), keys),
+                      _works(R, real, rd := _denominator(R), keys))], ld * rd)
               for key, (L, R) in shared.items()}
     D = _denominator(P) * lcm(*[d for _pairs, d in shared.values()])
     return real, D, [[(*shared[id(L), id(R)], a, b) for L, R in products]
@@ -349,8 +353,8 @@ def sigma_terms(calls: list, P: Kernel, system: FieldSystem):
     factor, P and the system share one dimension, or DimensionMismatch is
     raised.
     """
-    real, D, sources = _setup(calls, P, system)
     keys = _keys()  # captured once, for all calls and powers
+    real, D, sources = _setup(calls, P, system, keys)
     for _k, d, out, _pairs in _walk(sum(sources, []), real, D, P,
                                     bracket_sign(P), system, keys):
         yield TensorExpr(P.dim, _finish(out, real, d, keys))
@@ -392,7 +396,8 @@ def _walk(sources: list, real: bool, D: int, P: Kernel, sign: int,
         at = (id(F), label, sort, side)
         out = derived.get(at)
         if out is None:
-            out = derived[at] = _derive(F, label, sort, side, dim, real)
+            out = derived[at] = _derive(F, label, sort, side, dim, real,
+                                        keys)
         return out
 
     def power(pending: bool, pairs=None) -> dict:
@@ -409,8 +414,8 @@ def _walk(sources: list, real: bool, D: int, P: Kernel, sign: int,
         # and T's deltas are all in the R factors
         pair = walks[0][0][2]
         return any(d[:2] == pair for factors, *_rest in sources
-                   for _L, R in factors for _mon, deltas, _g in R
-                   for d in deltas)
+                   for _L, R in factors for _ids, did, _g in R
+                   for d in keys.values[did])
 
     k = 0
     while walks:
@@ -454,15 +459,16 @@ def _exp_chain(products: dict, a: str, labels: list, P: Kernel,
     power 0 among them, and more is True if a power or uncancelled product
     lies beyond ``order``.  Powers pass on as factor pairs, with no GRat."""
     real, _D, calls = _setup([(pairs, a, labels[0])
-                              for pairs in products.values()], P, system)
+                              for pairs in products.values()], P, system,
+                             keys)
     zero, stage, powers, more = mi_zero(P.dim), {}, {}, False
     for n, call in zip(products, calls):
         parts = []
         for [(L, R)], d, _a, _b in call:
-            out = {}  # power 0: identity kernel, atoms mapping deltas to ids
+            out = {}  # power 0: identity kernel, R's delta ids as they are
             _product(out, L, R, [(zero, 1 if real else (1, 0))], 1, a, None,
-                     {(deltas, zero, zero): keys.intern(deltas)
-                      for _rest, deltas, _beta in R}, keys, real)
+                     {(did, zero, zero): did for _ids, did, _beta in R},
+                     keys, real)
             parts.append((out, d))
         if n > order:  # cut, as exp_sigma does
             more = more or bool(_combine([(1, real, {n: parts})], keys, P.dim))

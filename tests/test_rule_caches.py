@@ -1,9 +1,9 @@
 """The process-wide caches of the jet calculus never change a result.
 
-``jets.mi_add``, ``jets._partial_mon``, ``jets._derivative_mon``,
-``tensor._by_parts`` and ``sigma._block_partials`` are ``lru_cache``s shared
-by every call in the process, and the operator's key table
-(``sigma._keys``) by every call in one thread.  Stars, Jacobi residuals,
+``jets.mi_add``, ``jets._partial_mon``, ``jets._derivative_mon`` and
+``tensor._by_parts`` are ``lru_cache``s shared by every call in the
+process, and the operator's key table (``sigma._keys``), with the blocks'
+derivation rules, by every call in one thread.  Stars, Jacobi residuals,
 associativity residuals and the tail of a functional-density star, which
 integrates by parts, must come out byte for byte the same whether the
 caches and the table are warm or were just cleared, every cached value
@@ -23,7 +23,7 @@ from fieldstar import jets, sigma, tensor
 from fieldstar.jets import (ONE, RULE_CACHE_SIZE, FieldExpr, complex_system,
                             func_atom, jet_atom, real_system)
 from fieldstar.kernels import Kernel
-from fieldstar.poisson import Functional, jacobi_residual
+from fieldstar.poisson import Functional, bracket_fn, jacobi_residual
 from fieldstar.randexpr import random_density, random_expr
 from fieldstar.render import dumps_canonical, to_json
 from fieldstar.sigma import sigma_terms
@@ -32,7 +32,7 @@ from fieldstar.tensor import TensorExpr
 from fieldstar.verify import default_kernels
 
 CACHED = (jets.mi_add, jets._partial_mon, jets._derivative_mon,
-          tensor._by_parts, sigma._block_partials)
+          tensor._by_parts)
 
 
 def _clear_all():
@@ -80,14 +80,15 @@ def test_every_cached_rule_returns_a_tuple():
     phi0, phi1 = jet_atom("phi", (0,)), jet_atom("phi", (1,))
     U = func_atom("U", "phi")
     mon = (U, phi0, phi1, phi1)
-    block = tuple(("x", atom) for atom in mon)
+    keys = sigma._Keys()
+    bid = keys.rest(tuple(("x", atom) for atom in mon))[0]
     values = [jets.mi_add((1, 0), (0, 2)),
               jets._partial_mon(mon, "phi", (0,)),
               jets._partial_mon(mon, "phi", (1,)),
               jets._partial_mon(mon, "pi", (0,)),
               jets._derivative_mon(mon, (1,)),
-              sigma._block_partials(block, "x", "phi", 1, 1),
-              sigma._block_partials(block, "x", "pi", 0, 1)]
+              keys.rule(bid, "phi", 1, 1),
+              keys.rule(bid, "pi", 0, 1)]
     # a total derivative, and an integration by parts against (x, y, (1,))
     by_parts = [tensor._by_parts(mon, (("x", "z", (1,)),), "x", (2,)),
                 tensor._by_parts(mon, (("x", "y", (1,)), ("x", "z", (0,))),
@@ -96,6 +97,9 @@ def test_every_cached_rule_returns_a_tuple():
         assert type(value) is tuple
     for value in values[1:]:
         assert all(type(part) is tuple for part in value)
+    for ids, _index, _factor in values[5]:
+        assert type(ids) is tuple and len(ids) == 1
+    assert keys.rule(bid, "phi", 1, 1) is values[5]  # kept in the table
     assert values[0] == (1, 2)
     assert values[3] == () and values[6] == ()
     for (label, rows), want in zip(by_parts, ("x", "y")):
@@ -113,7 +117,6 @@ def test_caches_stay_within_their_bound():
         jets.mi_add((i,), (1,))
         jets._partial_mon(mon, "phi", (i,))
         jets._derivative_mon(mon, (1,))
-        sigma._block_partials((("x", mon[0]),), "x", "phi", 0, 1)
         tensor._by_parts(mon, (), "x", (1,))
     for rule in CACHED:
         assert rule.cache_info().currsize <= RULE_CACHE_SIZE
@@ -121,7 +124,8 @@ def test_caches_stay_within_their_bound():
 
 
 def _entries(keys) -> int:
-    return len(keys.ids) + len(keys.rests) + sum(map(len, keys.atoms.values()))
+    return len(keys.ids) + len(keys.rests) + len(keys.rules) \
+        + sum(map(len, keys.atoms.values()))
 
 
 def _generator(f: FieldExpr, g: FieldExpr, P: Kernel):
@@ -189,3 +193,24 @@ def test_each_thread_captures_its_own_table():
     assert len({id(t) for t in [here, *tables.values()]}) == 4
     assert sigma._keys() is here
     assert list(outputs.values()) == [want] * 3
+
+
+def test_a_rule_holds_for_the_dimension_it_was_derived_in():
+    # the block U(phi)@x has one value, and so one id, in every dimension,
+    # while its partial by phi adds the zero index of the dimension: one
+    # thread's table brackets it with pi@y in dim 1 and then in dim 3, and
+    # each bracket equals the one a cold table makes
+    def bracket(dim):
+        U = FieldExpr(dim, {(func_atom("U", "phi"),): ONE})
+        pi = FieldExpr.jet("pi", (0,) * dim)
+        return _json(bracket_fn(U, pi, Kernel.delta(dim), real_system(dim)))
+
+    cold = {}
+    for dim in (1, 3):
+        sigma._local.keys = sigma._Keys()
+        cold[dim] = bracket(dim)
+    assert cold[1] != cold[3]
+    for dims in ((1, 3), (3, 1)):
+        table = sigma._local.keys = sigma._Keys()
+        assert [bracket(dim) for dim in dims] == [cold[dim] for dim in dims]
+        assert sigma._keys() is table

@@ -248,7 +248,8 @@ def test_powers_match_per_monomial_reference(case):
 def _gaussian_integer_path(T, a, b, P, system) -> bool:
     """Whether the operator on T over (a, b) runs on Gaussian-integer
     numerators over a common denominator above 1."""
-    real, D, _setups = _setup([(_factor(T, a), a, b)], P, system)
+    real, D, _setups = _setup([(_factor(T, a), a, b)], P, system,
+                              sigma._keys())
     return not real and D > 1
 
 
@@ -261,6 +262,79 @@ def test_mixed_denominators_case_runs_on_gaussian_integers():
 def test_empty_blocks_case_reaches_three_powers():
     T, a, b, P, system = build(EMPTY_BLOCKS)
     assert len(reference_powers(T, a, b, P, system, POWERS)) == POWERS
+
+
+# -- work terms keyed by the ids of one table ---------------------------------
+
+def _three_label_case(rng, dim: int, gaussian: bool):
+    """A ``build`` case on three labels: jets, U(sort) and constants at
+    each label, one term with no atom, one with a repeated delta atom, and
+    Q[i] coefficients when ``gaussian``."""
+    indices = multi_indices(dim, 2)
+
+    def atom():
+        kind = rng.choice("jjjfc")
+        if kind == "j":
+            return ("j", rng.randint(0, 1), rng.choice(indices))
+        return ("f", rng.randint(0, 1), rng.randint(0, 1)) if kind == "f" \
+            else ("c",)
+
+    def delta():
+        return (*rng.sample(LABELS, 2), rng.choice(indices))
+
+    specs = []
+    for n in range(6):
+        re = Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 3)))
+        im = Fraction(int(n == 0) or rng.randint(-2, 2), 2) if gaussian else 0
+        atoms = {lab: [atom() for _ in range(rng.randint(0, 3) if n else 0)]
+                 for lab in LABELS}
+        deltas = [delta()] * 2 if n == 1 \
+            else [delta() for _ in range(rng.randint(0, 2))]
+        specs.append(((re, im), atoms, deltas))
+    return (dim, "real", 0, ("x", "y"), specs)
+
+
+def _decoded(works: dict, keys, real: bool, d: int) -> dict:
+    """Work terms as {(located monomial, deltas, gamma): GRat}."""
+    return {(sum([keys.values[i] for i in ids], ()), keys.values[did], gamma):
+            GRat(Fraction(c, d)) if real
+            else GRat(Fraction(c[0], d), Fraction(c[1], d))
+            for (ids, did, gamma), c in works.items()}
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_work_terms_decode_through_the_key_table(dim, gaussian):
+    rng = random.Random(f"work-keys:{dim}:{gaussian}")
+    for _ in range(4):
+        T, _a, _b, _P, system = build(_three_label_case(rng, dim, gaussian))
+        assert any(not mon for mon, _deltas in T.terms)
+        assert any(len(set(deltas)) < len(deltas) for _mon, deltas in T.terms)
+        real, d, keys = not gaussian, sigma._denominator(T), sigma._Keys()
+        assert real == all(not c._b for c in T.terms.values())
+        works = sigma._works(T, real, d, keys)
+        zero = mi_zero(dim)
+        assert _decoded(works, keys, real, d) \
+            == {(mon, deltas, zero): c for (mon, deltas), c in T.terms.items()}
+        for ids, did, _gamma in works:
+            labels = [keys.labels[i] for i in ids]
+            assert labels == sorted(set(labels)) and None not in labels
+            assert all(lab == keys.labels[i] for i in ids
+                       for lab, _atom in keys.values[i])
+            assert keys.labels[did] is None
+        # a pass splices the rule's block ids into the key: it decodes to
+        # the reference derivation, and each block a rule reached has the
+        # id that rest() reads for it
+        for label in LABELS:
+            for sort in (system.primary, system.conjugate):
+                for side in (0, 1):
+                    out = sigma._derive(works, label, sort, side, dim, real,
+                                        keys)
+                    assert _decoded(out, keys, real, d) == _ref_derive(
+                        _decoded(works, keys, real, d), label, sort, side, dim)
+                    for ids, _did, _gamma in out:
+                        mon = sum([keys.values[i] for i in ids], ())
+                        assert keys.rest(mon) == ids
 
 
 # -- fixed cases: how T splits into products ----------------------------------
@@ -666,9 +740,9 @@ def test_shared_factor_is_derived_once_per_sort(c, monkeypatch):
     derive = sigma._derive
     passes = []
 
-    def counting(works, label, sort, side, dim, real):
+    def counting(works, label, sort, side, dim, real, keys):
         passes.append((label, sort, side))
-        return derive(works, label, sort, side, dim, real)
+        return derive(works, label, sort, side, dim, real, keys)
 
     f, g, h = F, G, jet("phi", (1,)) * jet("pi", (0,)) ** 2
     for P in default_kernels(1):
@@ -730,19 +804,19 @@ def test_star_degree_shape_matches_the_reference():
 
 def test_one_label_factor_and_two_label_factor_match_the_reference(
         monkeypatch):
-    # L's atoms are all at its label, so _derive takes each of its terms
-    # whole; R = g@b * h@z * K(b, z) has atoms at two labels and a delta
-    # atom, so _derive finds R's label block by bisection (by atom label;
-    # _product's cut of a rest's block labels is not counted)
-    bisect = sigma.bisect_left
+    # L's atoms are all at its label, so _derive takes each of its keys
+    # whole, one block id; R = g@b * h@z * K(b, z) has atoms at two labels
+    # and a delta atom, so _derive scans R's keys for the block at b among
+    # several ids (the labels of the passes that meet such keys are counted)
+    derive = sigma._derive
     calls = []
 
-    def counting(*args, **kwargs):
-        if "key" in kwargs and args[0]:  # an empty monomial has no block
-            calls.append(args[1])
-        return bisect(*args, **kwargs)
+    def counting(works, label, *args):
+        if any(len(ids) > 1 for ids, _did, _gamma in works):
+            calls.append(label)
+        return derive(works, label, *args)
 
-    monkeypatch.setattr(sigma, "bisect_left", counting)
+    monkeypatch.setattr(sigma, "_derive", counting)
     K = Kernel.delta(1) + Kernel.derivative_delta(1, (1,), Fraction(1, 3))
     h = jet("phi", (1,), 2) * jet("pi", (0,)) + jet("pi", (2,), GRat(0, 1))
     for P in default_kernels(1):
@@ -755,7 +829,7 @@ def test_one_label_factor_and_two_label_factor_match_the_reference(
             assert powers == reference_powers(L * R, a, b, P, SYSTEM, POWERS)
             assert len(powers) == POWERS
             assert set(calls) == {b}
-            # a product of two one-label factors takes no bisection
+            # a product of two one-label factors has no key of several blocks
             calls.clear()
             assert [power.terms for power in islice(
                 sigma_terms([([(L, at(G, b))], a, b)], P, SYSTEM), POWERS)] \
