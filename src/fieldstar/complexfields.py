@@ -3,8 +3,8 @@
 The bracket and star machinery is parameterized over the (primary,
 conjugate) pair, so the complex case is an instantiation, not a second
 implementation: the holomorphic sort plays the primary role.  This module
-adds the change-of-variables equivalence with a real pair and the cubic
-Schrodinger equation example.
+adds the change-of-variables equivalence with a real pair; the cubic
+Schrodinger equation example is the session config ``configs/nls.json``.
 """
 
 from __future__ import annotations
@@ -14,15 +14,12 @@ from .jets import (
     FieldSystem,
     _acc,
     _canon_monomial,
-    complex_system,
     conjugate_atom,
-    mi_unit,
     real_system,
 )
 from .kernels import Kernel
-from .poisson import Functional, bracket_fn
+from .poisson import bracket_fn
 from .rationals import I
-from .star import equation_of_motion
 from .tensor import TensorExpr
 
 
@@ -51,40 +48,20 @@ def real_complex_equivalence(P: Kernel, dim: int) -> list:
     return [mixed, holo, anti]
 
 
-def nls_hamiltonian(dim: int) -> Functional:
-    """H = integral of |grad psi|^2 + kappa |psi|^4 as a jet polynomial."""
-    kappa = FieldExpr.const_symbol("kappa", dim)
-    z0 = FieldExpr.jet("psi", (0,) * dim)
-    zb0 = FieldExpr.jet("psibar", (0,) * dim)
-    density = kappa * (z0 * zb0) ** 2
-    for i in range(1, dim + 1):
-        e = mi_unit(dim, i)
-        density = density + FieldExpr.jet("psi", e) * FieldExpr.jet("psibar", e)
-    return Functional(density, complex_system(dim))
-
-
-def nls_equation_of_motion(dim: int = 3) -> FieldExpr:
-    """Right-hand side of i psi_t = i {H, psi}_{i delta} for the NLS
-    Hamiltonian: -laplacian(psi) + 2 kappa |psi|^2 psi."""
-    H = nls_hamiltonian(dim)
-    psi = FieldExpr.jet("psi", (0,) * dim)
-    return equation_of_motion(H, psi, Kernel.delta(dim, I), H.system)
-
-
 def conjugation_residual(f: FieldExpr, g: FieldExpr, P: Kernel,
                          system: FieldSystem) -> TensorExpr:
     """Anti-automorphism residual of conjugation: zero on all inputs.
 
     Conjugation swaps each sort with its partner, conjugates coefficients,
-    and reverses the bracket's arguments (with their labels), while the
-    kernel transposes and conjugates:
+    and reverses the bracket's arguments, each kept at its label (the label
+    pair in reverse order), while the kernel transposes and conjugates:
 
-        swap_labels(conj {f@x, g@y}_P) = {conj g @x, conj f @y}_{conj P^t}.
+        conj {f@x, g@y}_P = {conj g @y, conj f @x}_{conj P^t}.
     """
     lhs = _conjugate_tensor(bracket_fn(f, g, P, system), system)
-    lhs = lhs.relabel("x", "_t").relabel("y", "x").relabel("_t", "y")
     Q = Kernel(P.dim, {gm: c.conjugate() for gm, c in P.transpose().terms.items()})
-    rhs = bracket_fn(g.conjugate(system), f.conjugate(system), Q, system)
+    rhs = bracket_fn(g.conjugate(system), f.conjugate(system), Q, system,
+                     "y", "x")
     return lhs - rhs
 
 

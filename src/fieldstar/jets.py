@@ -358,9 +358,6 @@ class FieldExpr(TermDict):
                 terms[mon] = c
         return FieldExpr(self.dim, terms)
 
-    def satisfies_condition_b(self) -> bool:
-        return not self.eval_at_origin()
-
     # -- structure queries --------------------------------------------------
 
     def jet_variables(self, sort: str | None = None) -> set:

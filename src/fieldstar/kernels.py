@@ -52,12 +52,6 @@ class Kernel(TermDict):
             return ANTISYMMETRIC
         return SYMMETRIC
 
-    def split(self) -> tuple["Kernel", "Kernel"]:
-        """Parity split P = P_sym + P_anti."""
-        sym = {g: c for g, c in self.terms.items() if mi_order(g) % 2 == 0}
-        anti = {g: c for g, c in self.terms.items() if mi_order(g) % 2 == 1}
-        return Kernel(self.dim, sym), Kernel(self.dim, anti)
-
     def transpose(self) -> "Kernel":
         """P(b,a) expressed on the original label order: c_gamma -> (-1)^|gamma| c_gamma."""
         return Kernel(self.dim, {

@@ -24,6 +24,7 @@ import numpy as np
 from .jets import FieldExpr, TermDict, _acc, real_system
 from .kernels import Kernel
 from .rationals import GRat, ZERO
+from .render import render_grat
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +66,7 @@ class TrigPoly(TermDict):
             if p:
                 factors.append(f"w^{p}")
             body = "*".join(factors) or "1"
-            parts.append(f"{self.terms[key]}*{body}")
+            parts.append(f"{render_grat(self.terms[key])}*{body}")
         return " + ".join(parts)
 
 
@@ -139,19 +140,10 @@ def peierls_bracket_residual() -> TrigPoly:
     return peierls_bracket() + green_mode_diff()
 
 
-def peierls_star() -> dict:
-    """phi(t,x) * phi(s,y) as an hbar series of mode symbols.
-
-    Order 0 is the plain product of the smeared fields; order 1 is the
-    bracket (the series terminates: the fields are linear in the time-zero
-    pair).  The order-1 coefficient equals -G(t-s) exactly.
-    """
-    return {0: _smeared_products(), 1: peierls_bracket()}
-
-
 def peierls_commutator() -> TrigPoly:
-    """hbar coefficient of phi(t,x)*phi(s,y) - phi(s,y)*phi(t,x)."""
-    forward = peierls_star()[1]
+    """hbar coefficient of phi(t,x)*phi(s,y) - phi(s,y)*phi(t,x): the star
+    product of the linear fields is their product plus hbar * bracket."""
+    forward = peierls_bracket()
     swapped = forward._like({(c, d, a, b, p): v
                              for (a, b, c, d, p), v in forward.terms.items()})
     return forward - swapped
@@ -198,11 +190,6 @@ class SpectralField:
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         k = self.wavenumbers()[:, None]
         return (self.coeffs[:, None] * np.exp(1j * k * x[None, :])).sum(axis=0)
-
-    def is_real(self) -> bool:
-        """Hermitian mode data (c_-k = conj c_k) to within 1e-12."""
-        flipped = np.conj(self.coeffs[::-1])
-        return bool(np.max(np.abs(self.coeffs - flipped)) < 1e-12)
 
 
 def frequencies(m: float, cutoff: int) -> np.ndarray:

@@ -132,17 +132,6 @@ class GRat:
     def __repr__(self):
         return f"GRat({self.re!r}, {self.im!r})"
 
-    def __str__(self):
-        re, im = self.re, self.im
-        if im == 0:
-            return str(re)
-        if re == 0:
-            return f"{im}i" if im != 1 else "i"
-        sign = "+" if im > 0 else "-"
-        mag = abs(im)
-        istr = "i" if mag == 1 else f"{mag}i"
-        return f"({re}{sign}{istr})"
-
 
 # The slot setters write the fields without going through __setattr__.
 _set_a = GRat._a.__set__

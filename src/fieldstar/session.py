@@ -21,6 +21,7 @@ property suites.  Example:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .jets import FieldSystem, real_system
@@ -73,6 +74,9 @@ def _build_system(dim: int, entries: list) -> FieldSystem:
         return real_system(dim)
     pairs = []
     for entry in entries:
+        for key in entry:
+            if key not in ("name", "kind", "pair"):
+                raise ConfigError(f"unknown field entry key {key!r}")
         name = entry.get("name")
         kind = entry.get("kind", "real")
         if not name:
@@ -107,7 +111,8 @@ _STR = (lambda v: type(v) is str, "a string")
 # the JSON type each key must have, and its name in the error message
 _TYPES = {
     "dim": _INT, "order": _INT, "seed": _INT, "kernel": _STR, "hamiltonian": _STR,
-    "tolerance": (lambda v: type(v) in (int, float), "a number"),
+    "tolerance": (lambda v: type(v) in (int, float) and math.isfinite(v),
+                  "a finite number"),  # json reads NaN, which no drift exceeds
     "constants": (lambda v: type(v) is list and all(type(s) is str for s in v),
                   "a list of strings"),
     # true: the function symbol vanishes at zero (condition B)
@@ -130,6 +135,9 @@ _SETTINGS = {
 def load_config(data: dict) -> SessionConfig:
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
+    for key in data:
+        if key not in _TYPES:  # a misspelt key would be dropped unread
+            raise ConfigError(f"unknown config key {key!r}")
     for key, (ok, kind) in _TYPES.items():
         if key in data and not ok(data[key]):
             raise ConfigError(f"config {key!r} must be {kind}, "

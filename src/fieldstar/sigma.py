@@ -72,10 +72,10 @@ import threading
 from itertools import groupby
 from math import comb, factorial, lcm
 
-from .jets import (RULE_CACHE_SIZE, FieldSystem, _acc, _partial_mon, mi_add,
-                   mi_order, mi_zero)
+from .jets import (RULE_CACHE_SIZE, FieldExpr, FieldSystem, _acc, _partial_mon,
+                   mi_add, mi_order, mi_zero)
 from .kernels import Kernel, bracket_sign
-from .rationals import _make
+from .rationals import ONE, _make
 from .tensor import TensorExpr, _label, _locate
 
 
@@ -160,17 +160,13 @@ class _Keys:
         at = (bid, sort, side, dim)
         rule = self.rules.get(at)
         if rule is None:
-            label, indices = self.labels[bid], set()
+            label = self.labels[bid]
             bare = tuple([atom for _lab, atom in self.values[bid]])
-            for atom in bare:
-                if atom[0] == "j" and atom[1] == sort:
-                    indices.add(atom[2])
-                elif atom[0] == "f" and atom[3] == sort:
-                    indices.add(mi_zero(dim))
             rule = self.rules[at] = tuple([
                 ((self.intern(_locate(label, new), label),) if new else (),
                  index, -mult if side == 1 and mi_order(index) % 2 else mult)
-                for index in sorted(indices)
+                for _sort, index in sorted(
+                    FieldExpr(dim, {bare: ONE}).jet_variables(sort))
                 for new, mult in _partial_mon(bare, sort, index)])
         return rule
 

@@ -213,7 +213,8 @@ def _closed_tail(F: Functional, P: Kernel, system: FieldSystem, order: int,
     and their partners on the x side, a term is ``act(y-side sorts,
     paired)`` of weight binom(k, i) * sign^j / k!, where ``paired`` is the
     kernel pairing of the joint dual derivative of F's density by the
-    x-side sorts.
+    x-side sorts, sum_g c_g (-D)^g of it: jet calculus, not the definitions'
+    integration by parts.
     """
     sign = bracket_sign(P)
     p, q = system.primary, system.conjugate
@@ -224,12 +225,10 @@ def _closed_tail(F: Functional, P: Kernel, system: FieldSystem, order: int,
             fi = _joint_dual(F.density, [q] * j + [p] * i)
             if fi.is_zero():
                 continue
-            T = TensorExpr.from_field(fi, "x") * TensorExpr.from_kernel(P, "x", "y")
-            c = GRat(comb(k, i)) / GRat(factorial(k))
-            if sign < 0 and j % 2 == 1:
-                c = -c
-            paired = T.integrate_out("x").to_field_expr("y")
-            _acc(tail, k, act([p] * j + [q] * i, paired).scale(c))
+            paired = sum((fi.total_derivative_multi(g, negate=True).scale(c)
+                          for g, c in P.terms.items()), FieldExpr.zero(fi.dim))
+            weight = GRat(comb(k, i) * sign ** j) / factorial(k)
+            _acc(tail, k, act([p] * j + [q] * i, paired).scale(weight))
     return {k: v for k, v in tail.items() if v}
 
 

@@ -235,16 +235,6 @@ class TensorExpr(TermDict):
                          _times(c, mult))
         return TensorExpr(self.dim, terms)
 
-    def relabel(self, old: str, new: str) -> "TensorExpr":
-        """Rename a point label, re-canonicalizing delta atoms."""
-        terms: dict = {}
-        for (mon, deltas), c in self.terms.items():
-            located = _canon_monomial(
-                ((new if lab == old else lab), atom) for lab, atom in mon)
-            moved, sign = _relabel_deltas(deltas, old, new)
-            _acc(terms, (located, moved), _times(c, sign))
-        return TensorExpr(self.dim, terms)
-
     def integrate_out(self, label: str) -> "TensorExpr":
         """Formal integration over one label by parts against a delta atom.
 

@@ -187,8 +187,6 @@ def verify_peierls(drift_tol: float = 1e-8) -> VerifyReport:
     def checks():
         yield None if pz.peierls_bracket_residual().is_zero() \
             else "symbolic bracket != -G(t-s)"
-        yield None if (pz.peierls_star()[1] + pz.green_mode_diff()).is_zero() \
-            else "star hbar^1 != -G(t-s)"
         yield None if (pz.peierls_commutator()
                        + pz.green_mode_diff().scale(2)).is_zero() \
             else "commutator != -2 G(t-s)"

@@ -8,6 +8,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from fieldstar.kernels import Kernel
 from fieldstar.poisson import Functional, bracket_fn
 from fieldstar.rationals import GRat, I
 from fieldstar.render import render_field_expr
+from fieldstar.session import load_config_file
 from fieldstar.star import equation_of_motion
 from fieldstar.tensor import TensorExpr
 from fieldstar.verify import (
@@ -152,11 +154,12 @@ def test_criterion_07_wave_equation():
 
 
 def test_criterion_08_nls_example():
-    """Cubic Schrodinger equation of motion and the real-complex
-    change-of-variables identities."""
-    from fieldstar.complexfields import nls_equation_of_motion
-
-    rhs = nls_equation_of_motion(dim=3)
+    """Cubic Schrodinger equation of motion, from configs/nls.json, and the
+    real-complex change-of-variables identities."""
+    cfg = load_config_file(
+        str(Path(__file__).resolve().parent.parent / "configs" / "nls.json"))
+    rhs = equation_of_motion(cfg.hamiltonian(), FieldExpr.jet("psi", (0, 0, 0)),
+                             cfg.kernel(), cfg.system)
     ok = render_field_expr(rhs) == "-laplacian(psi) + 2*kappa*psi^2*psibar"
     kappa = FieldExpr.const_symbol("kappa", 3)
     z0 = FieldExpr.jet("psi", (0, 0, 0))
@@ -193,7 +196,7 @@ def test_criterion_09_complex_pairing_suites():
 def test_criterion_10_peierls_numerics():
     """64-mode torus, m in {0, 1}: PDE residual < 1e-10 mode-wise, the
     d'Alembert closed form < 1e-10, energy drift < 1e-8 over [0, 10], and
-    the star identity (product + hbar bracket) exact symbolically."""
+    the bracket and commutator identities exact symbolically."""
     report = verify_peierls(drift_tol=1e-8)
     _report(10, "peierls numerics", report.ok)
 

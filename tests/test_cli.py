@@ -430,6 +430,9 @@ def test_config_density_with_a_constant_at_the_origin_exits_two(tmp_path,
 @pytest.mark.parametrize("key,value", [
     ("dim", "x"), ("dim", 3.5), ("dim", True), ("order", [1]), ("seed", "x"),
     ("tolerance", "tight"), ("constants", 5), ("constants", ["m", 1]),
+    # json reads these, and no energy drift is >= a nan tolerance
+    ("tolerance", float("nan")), ("tolerance", float("inf")),
+    ("tolerance", float("-inf")),
     ("functions", 5), ("functions", {"U": "no"}), ("functions", {"U": 0}),
     ("kernel", 5), ("hamiltonian", 5), ("fields", ["phi"]),
     ("fields", [{"name": 3, "kind": "real", "pair": "pi"}]),
@@ -442,6 +445,19 @@ def test_config_value_of_the_wrong_json_type_exits_two(key, value, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith(f"error: config {key!r} must be ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("config,message", [
+    # read as it is, the kernel would be dropped and the default classified
+    ({"dim": 1, "kernal": "d1 delta"}, "unknown config key 'kernal'"),
+    (dict(KG_CONFIG, fields=[{"name": "phi", "kind": "real", "pair": "pi",
+                              "mass": 1}]), "unknown field entry key 'mass'"),
+])
+def test_a_key_outside_the_config_format_exits_two(config, message, tmp_path,
+                                                   capsys):
+    path = _write(tmp_path, "keys.json", config)
+    assert main(["classify", "--config", path]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_exponent_at_the_bound_succeeds(capsys):

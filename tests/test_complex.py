@@ -1,11 +1,10 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from fieldstar.complexfields import (
     conjugation_residual,
-    nls_equation_of_motion,
-    nls_hamiltonian,
     real_complex_equivalence,
 )
 from fieldstar.jets import FieldExpr, complex_system
@@ -13,6 +12,10 @@ from fieldstar.kernels import Kernel
 from fieldstar.poisson import Functional, bracket_functional_density
 from fieldstar.randexpr import random_expr
 from fieldstar.rationals import GRat, I
+from fieldstar.session import load_config_file
+from fieldstar.star import equation_of_motion
+
+NLS = Path(__file__).resolve().parent.parent / "configs" / "nls.json"
 
 
 def test_change_of_variables_reproduces_complex_brackets():
@@ -28,7 +31,10 @@ def test_change_of_variables_needs_symmetric_kernel():
 
 
 def test_nls_equation_of_motion_full():
-    rhs = nls_equation_of_motion(dim=3)
+    cfg = load_config_file(str(NLS))
+    assert cfg.kernel() == Kernel.delta(3, I)
+    rhs = equation_of_motion(cfg.hamiltonian(), FieldExpr.jet("psi", (0, 0, 0)),
+                             cfg.kernel(), cfg.system)
     kappa = FieldExpr.const_symbol("kappa", 3)
     z0 = FieldExpr.jet("psi", (0, 0, 0))
     zb0 = FieldExpr.jet("psibar", (0, 0, 0))
@@ -59,12 +65,6 @@ def test_nls_specializations():
     assert rhs(gradient) == -laplacian
     interaction = rhs(kappa * (z0 * zb0) ** 2)
     assert interaction == (kappa * z0 * z0 * zb0).scale(2)
-
-
-def test_nls_hamiltonian_density_shape():
-    H = nls_hamiltonian(2)
-    assert H.density.satisfies_condition_b()
-    assert ("psi", (1, 0)) in H.density.jet_variables("psi")
 
 
 def test_conjugation_is_an_anti_automorphism():

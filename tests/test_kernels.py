@@ -49,14 +49,6 @@ def test_symmetric_kernels_are_transpose_fixed():
     assert A.transpose() == A.scale(-1)
 
 
-def test_split_separates_parities():
-    P = Kernel.delta(1) + Kernel.derivative_delta(1, (1,), GRat(2))
-    sym, anti = P.split()
-    assert sym == Kernel.delta(1)
-    assert anti == Kernel.derivative_delta(1, (1,), GRat(2))
-    assert sym + anti == P
-
-
 def test_linear_structure():
     P = Kernel.delta(1, I)
     assert P.scale(GRat(2)).terms[(0,)] == GRat(0, 2)

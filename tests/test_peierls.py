@@ -14,7 +14,6 @@ from fieldstar.peierls import (
     peierls_bracket,
     peierls_bracket_residual,
     peierls_commutator,
-    peierls_star,
 )
 
 
@@ -38,12 +37,6 @@ def test_equal_times_give_zero_bracket():
         key = (a + c, b + d, p)
         collapsed[key] = collapsed.get(key, 0) + v
     assert all(v == 0 for v in collapsed.values())
-
-
-def test_star_product_is_product_plus_hbar_bracket():
-    star = peierls_star()
-    assert (star[1] + green_mode_diff()).is_zero()
-    assert set(star) == {0, 1}
 
 
 def test_commutator_is_twice_the_bracket():
@@ -98,7 +91,8 @@ def test_energy_conservation(m):
 def test_real_sample_is_conjugate_symmetric():
     rng = np.random.default_rng(9)
     field = SpectralField.sample(rng.normal(size=32), 8)
-    assert field.is_real()
+    # Hermitian mode data: c_-k = conj c_k
+    assert np.max(np.abs(field.coeffs - np.conj(field.coeffs[::-1]))) < 1e-12
 
 
 def test_cutoff_mismatch_rejected():

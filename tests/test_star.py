@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 import fieldstar.sigma
 import fieldstar.star
+import fieldstar.tensor
 from fieldstar.jets import (
     DimensionMismatch,
     FieldExpr,
@@ -19,6 +21,7 @@ from fieldstar.rationals import GRat, I
 from fieldstar.star import (
     HbarSeries,
     assoc_residuals,
+    closed_form_residuals,
     commutator_semiclassical,
     equation_of_motion,
     exp_sigma,
@@ -524,6 +527,33 @@ def test_star_closed_forms_cross_check_random():
             g = random_expr(SYS1, rng, max_degree=2, max_jet_order=1, terms=2)
             star_functional_density(F, g, P, SYS1, cross_check=True)
             star_functionals(F, G, P, SYS1, cross_check=True)
+
+
+def test_closed_forms_catch_a_negated_integration_by_parts(monkeypatch):
+    # the closed forms pair the kernel with jet calculus alone, so a sign
+    # error in the by-parts rule of the definitions shows as a residual
+    rng = random.Random(29)
+    F, G = (Functional(random_density(SYS1, rng, max_degree=2,
+                                      max_jet_order=1, terms=2), SYS1)
+            for _ in range(2))
+    g = random_expr(SYS1, rng, max_degree=2, max_jet_order=1, terms=2)
+    P = Kernel.delta(1)
+    forms = closed_form_residuals(F, G, g, P, SYS1, order=2)
+    assert all(r.is_zero() for rs in forms.values() for r in rs)
+    by_parts = fieldstar.tensor._by_parts.__wrapped__
+
+    @lru_cache(maxsize=None)
+    def negated(block, carried, label, gamma):
+        rule = by_parts(block, carried, label, gamma)
+        if gamma is not None or rule is None:
+            return rule
+        partner, rows = rule
+        return partner, tuple([(blk, dl, -m) for blk, dl, m in rows])
+
+    monkeypatch.setattr(fieldstar.tensor, "_by_parts", negated)
+    forms = closed_form_residuals(F, G, g, P, SYS1, order=2)
+    assert {name: any(not r.is_zero() for r in rs)
+            for name, rs in forms.items()} == dict.fromkeys(forms, True)
 
 
 def test_functional_star_of_densities_nonlinear_in_derivatives():

@@ -89,15 +89,6 @@ def test_total_derivative_at_differentiates_kernel_with_sign():
     assert not dx.is_zero()
 
 
-def test_relabel_recanonicalizes_deltas():
-    T = TensorExpr.from_kernel(Kernel.derivative_delta(1, (1,)), "y", "z")
-    moved = T.relabel("z", "a")
-    ((mon, deltas),) = moved.terms
-    assert deltas[0][:2] == ("a", "y")
-    # odd derivative order picks up the orientation sign
-    assert moved.terms[(mon, deltas)] == -T.terms[next(iter(T.terms))]
-
-
 def test_integrate_out_substitutes_partner_label():
     # int dx phi(x) delta(x-y) = phi(y)
     T = TensorExpr.from_field(u(), "x") * TensorExpr.from_kernel(

@@ -250,7 +250,7 @@ FAILING = {
         lambda: V.verify_peierls(),
         [(fieldstar.peierls, "peierls_bracket_residual", {1: ONE_TERM}, ZERO),
          (fieldstar.peierls, "energy_drift", {2: 1.0}, 0.0)],
-        2, "FAIL peierls: 6/8 checks (symbolic bracket != -G(t-s))"),
+        2, "FAIL peierls: 5/7 checks (symbolic bracket != -G(t-s))"),
     "variational-oracle": (
         lambda: V.verify_variational_oracle(),
         [(fieldstar.numeric, "variational_oracle_error",
