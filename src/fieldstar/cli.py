@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success (and zero residual for verify), 1 nonzero residual,
-2 usage, parse, or configuration error.
+2 usage, parse, or configuration error, or a coefficient past the digit
+limit of rendering.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .kernels import MixedKernelError
 from .parser import ParseError, parse_expr
 from .poisson import ConditionBViolation, bracket_fn
 from .render import (
+    DigitLimitError,
     dumps_canonical,
     render_field_expr,
     render_tensor_expr,
@@ -77,10 +79,14 @@ def cmd_star(args) -> int:
     if args.json:
         print(dumps_canonical(to_json(series)))
     else:
-        for k in sorted(series.terms):
-            print(f"hbar^{k}: {render_tensor_expr(series.coefficient(k))}")
+        # every line is rendered before the first is printed, so a
+        # coefficient past the digit limit prints nothing to stdout
+        lines = [f"hbar^{k}: {render_tensor_expr(series.coefficient(k))}"
+                 for k in sorted(series.terms)]
         if not series.exact:
-            print(f"(truncated at order {series.order})")
+            lines.append(f"(truncated at order {series.order})")
+        for line in lines:
+            print(line)
     return 0
 
 
@@ -253,7 +259,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ParseError, ConfigError, ConditionBViolation,
-            MixedKernelError) as exc:
+            MixedKernelError, DigitLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,7 +10,8 @@ Expressions:
     i                 imaginary unit
     3, 1/2            rationals
     + - * ^ ( )       ring operations, natural powers up to MAX_EXPONENT,
-                      expansions up to MAX_TERMS terms
+                      expansions up to MAX_TERMS terms, nesting up to
+                      MAX_DEPTH levels
 
 Kernels:
     delta, d1 delta, d1^2 d2 delta, i*delta + 2*d1 delta, ...
@@ -75,6 +76,12 @@ MAX_EXPONENT = 100
 # nested total derivatives such as d1(d1(...d1(phi^40)...)).
 MAX_TERMS = 10_000
 
+# The deepest nesting of '(' accepted: grouping parentheses, d1(...),
+# laplacian(...) and function arguments.  Each level recurses through the
+# grammar's functions, so without a bound some 230 nested parentheses
+# would exhaust Python's recursion limit.
+MAX_DEPTH = 100
+
 _DERIV = re.compile(r"^d([1-9][0-9]*)$")
 
 
@@ -96,6 +103,7 @@ class _Parser:
         self.dim = cfg.system.dim
         self.tokens = _tokenize(text)
         self.i = 0
+        _check_depth(self.tokens)
 
     # -- token plumbing -----------------------------------------------------
 
@@ -297,6 +305,19 @@ class _Parser:
             coeff = coeff * value
             if self.peek()[1] == "*":
                 self.next()
+
+
+def _check_depth(tokens):
+    """Refuse input nested deeper than MAX_DEPTH, before any recursion:
+    the grammar recurses only after a '(' token."""
+    depth = 0
+    for _kind, text, pos in tokens:
+        if text == "(":
+            depth += 1
+            if depth > MAX_DEPTH:
+                raise ParseError(f"nesting exceeds {MAX_DEPTH} levels", pos)
+        elif text == ")":
+            depth -= 1
 
 
 def _bound(terms: int, pos: int):

@@ -18,6 +18,7 @@ and all object keys sorted.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 from .jets import FieldExpr, mi_order
@@ -29,8 +30,18 @@ from .tensor import TensorExpr
 # ---------------------------------------------------------------------------
 # coefficient rendering
 
+class DigitLimitError(ValueError):
+    """A coefficient too long to render: Python's int-to-str conversion
+    refuses more than sys.get_int_max_str_digits() digits."""
+
+
 def _frac(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    try:
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        raise DigitLimitError(
+            f"coefficient exceeds the {sys.get_int_max_str_digits()}-digit "
+            "limit of int-to-str conversion") from None
 
 
 def render_grat(c: GRat) -> str:

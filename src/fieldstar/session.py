@@ -159,6 +159,9 @@ def load_config_file(path: str) -> SessionConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # a file that is not UTF-8, or JSON nested past Python's recursion
+    # limit, is as unreadable as a missing one
+    except (OSError, UnicodeDecodeError, RecursionError,
+            json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     return load_config(data)

@@ -68,9 +68,6 @@ class HbarSeries(TermDict):
         total.exact = self.exact and other.exact
         return total
 
-    def scale(self, c) -> "HbarSeries":
-        return self._like({k: v.scale(c) for k, v in self.terms.items()})
-
     def __repr__(self):
         ks = sorted(self.terms)
         return f"HbarSeries(orders={ks}, K={self.order}, exact={self.exact})"

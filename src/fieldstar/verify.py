@@ -17,7 +17,7 @@ from .euler_lagrange import (
     duality_residual,
     el_power_duality_residual,
 )
-from .jets import FieldExpr, FieldSystem, complex_system, real_system
+from .jets import FieldExpr, FieldSystem, complex_system
 from .kernels import Kernel
 from .poisson import Functional, jacobi_residual
 from .randexpr import multi_indices, random_coeff, random_density, random_expr
@@ -211,21 +211,3 @@ def verify_peierls(drift_tol: float = 1e-8) -> VerifyReport:
             yield f"energy drift m={m}: {drift:.2e}" \
                 if drift >= drift_tol else None
     return _report("peierls", checks())
-
-
-def verify_variational_oracle(seed: int = 0) -> VerifyReport:
-    from .numeric import GridSampler, variational_oracle_error
-
-    rng = random.Random(seed)
-    system = real_system(1)
-    sampler = GridSampler(1, random.Random(seed + 1))
-
-    def checks():
-        for _ in range(20):
-            density = random_density(system, rng, max_degree=3, max_jet_order=2,
-                                     terms=3, constants=("m", "kappa"),
-                                     functions=(("U", "phi"),), complex_ok=False)
-            sort = rng.choice(system.sort_names())
-            err = variational_oracle_error(density, sort, system, sampler)
-            yield f"relative error {err:.2e}" if err >= 1e-6 else None
-    return _report("variational-oracle", checks())

@@ -1,10 +1,12 @@
-"""Floating-point oracles for the symbolic calculus.
+"""The floating-point oracle for the symbolic variational derivative.
 
 Random band-limited periodic field profiles are sampled on a uniform grid
 over the 2*pi torus (any session dimension; jets evaluate spectrally, so
 derivatives of band-limited data are exact up to rounding).  Function
 symbols evaluate as shifted sines, whose derivative tower is closed and
-which vanish at zero as condition B requires.
+which vanish at zero as condition B requires.  ``verify_variational_oracle``
+compares ``variational_derivative`` with a finite-difference Gateaux
+derivative on random densities, and reports as the engine's suites do.
 """
 
 from __future__ import annotations
@@ -14,7 +16,10 @@ import random
 
 import numpy as np
 
-from .jets import FieldExpr, FieldSystem, mi_order
+from fieldstar.euler_lagrange import variational_derivative
+from fieldstar.jets import FieldExpr, FieldSystem, mi_order, real_system
+from fieldstar.randexpr import random_density
+from fieldstar.verify import VerifyReport, _report
 
 
 DEFAULT_CONSTANTS = {"m": 1.25, "kappa": 0.75}
@@ -130,8 +135,6 @@ def variational_oracle_error(density: FieldExpr, sort: str,
                              system: FieldSystem, sampler: GridSampler) -> float:
     """Relative disagreement between the symbolic variational derivative and
     the finite-difference Gateaux derivative on random profiles."""
-    from .euler_lagrange import variational_derivative
-
     profiles = {s: sampler.profile() for s in system.sort_names()}
     direction = sampler.profile()
     numeric = gateaux_derivative(density, sort, profiles, direction)
@@ -139,3 +142,19 @@ def variational_oracle_error(density: FieldExpr, sort: str,
                                    profiles, direction)
     scale = max(abs(numeric), abs(symbolic), 1.0)
     return abs(numeric - symbolic) / scale
+
+
+def verify_variational_oracle(seed: int = 0) -> VerifyReport:
+    rng = random.Random(seed)
+    system = real_system(1)
+    sampler = GridSampler(1, random.Random(seed + 1))
+
+    def checks():
+        for _ in range(20):
+            density = random_density(system, rng, max_degree=3, max_jet_order=2,
+                                     terms=3, constants=("m", "kappa"),
+                                     functions=(("U", "phi"),), complex_ok=False)
+            sort = rng.choice(system.sort_names())
+            err = variational_oracle_error(density, sort, system, sampler)
+            yield f"relative error {err:.2e}" if err >= 1e-6 else None
+    return _report("variational-oracle", checks())

@@ -30,8 +30,8 @@ from fieldstar.verify import (
     verify_jacobi,
     verify_peierls,
     verify_semiclassical,
-    verify_variational_oracle,
 )
+from numeric_oracle import verify_variational_oracle
 
 
 def _report(number: int, name: str, ok: bool):

@@ -1,11 +1,13 @@
 import dataclasses
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from fieldstar.cli import MAX_MODES, build_parser, main
 from fieldstar.jets import complex_system, real_system
+from fieldstar.parser import MAX_DEPTH
 from fieldstar.session import ConfigError, SessionConfig, load_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -398,6 +400,70 @@ def test_literal_past_the_int_digit_limit_is_a_parse_error(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert captured.err.startswith("error: number is too long")
+
+
+@pytest.mark.parametrize("argv", [
+    # the square of a 3,000-digit coefficient has 6,000 digits
+    ["vardiff", "(" + "9" * 3000 + "*phi)^2", "--field", "phi", "--dim", "1"],
+    ["vardiff", "(" + "9" * 3000 + "*phi)^2", "--field", "phi", "--dim", "1",
+     "--json"],
+    # 1/1560! has more digits than the limit; no line of the series prints
+    ["star", "U(phi)", "U(pi)", "--dim", "1", "--order", "1560"],
+])
+def test_coefficient_past_the_int_digit_limit_exits_two(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"error: coefficient exceeds the {sys.get_int_max_str_digits()}"
+            "-digit limit of int-to-str conversion\n")
+
+
+def _nested(depth: int, inner: str, opening: str = "(") -> str:
+    return opening * depth + inner + ")" * depth
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: ["bracket", _nested(n, "phi"), "pi", "--dim", "1"],
+    lambda n: ["bracket", _nested(n, "phi", "d1("), "pi", "--dim", "1"],
+    lambda n: ["classify", "--dim", "1", "--kernel", _nested(n, "1") + "*delta"],
+], ids=["parentheses", "derivatives", "kernel-scalar"])
+def test_nesting_past_the_depth_bound_is_a_parse_error(build, capsys):
+    assert main(build(MAX_DEPTH)) == 0
+    capsys.readouterr()
+    # without the bound, MAX_DEPTH + 1 levels parse and 300 overflow the stack
+    for depth in (MAX_DEPTH + 1, 300):
+        assert main(build(depth)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith(f"error: nesting exceeds {MAX_DEPTH} levels")
+
+
+def test_config_hamiltonian_past_the_depth_bound_exits_two(tmp_path, capsys):
+    path = _write(tmp_path, "deep.json",
+                  dict(KG_CONFIG, hamiltonian=_nested(MAX_DEPTH, "pi^2")))
+    assert main(["eom", "--config", path, "--field", "phi"]) == 0
+    assert capsys.readouterr() == ("2*pi\n", "")
+    for depth in (MAX_DEPTH + 1, 300):
+        path = _write(tmp_path, "deeper.json",
+                      dict(KG_CONFIG, hamiltonian=_nested(depth, "pi^2")))
+        assert main(["eom", "--config", path, "--field", "phi"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: nesting exceeds {MAX_DEPTH} levels")
+
+
+@pytest.mark.parametrize("content", [
+    b'{"dim": 1, "kernel": "\xff"}',  # not UTF-8
+    # nested past Python's recursion limit
+    b"[" * 1000 + b"]" * 1000,
+    b'{"dim": ' + b"[" * 5000 + b"]" * 5000 + b"}",
+], ids=["not-utf-8", "array-depth-1000", "value-depth-5000"])
+def test_an_unreadable_config_exits_two(content, tmp_path, capsys):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    assert main(["classify", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith(f"error: cannot read config {str(path)!r}: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_kernel_without_delta_names_the_missing_delta(capsys):

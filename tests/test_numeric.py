@@ -4,7 +4,10 @@ import random
 import numpy as np
 
 from fieldstar.jets import FieldExpr, real_system
-from fieldstar.numeric import (
+from fieldstar.parser import parse_expr
+from fieldstar.randexpr import random_density
+from fieldstar.session import SessionConfig
+from numeric_oracle import (
     GridSampler,
     eval_field_expr,
     gateaux_derivative,
@@ -12,9 +15,6 @@ from fieldstar.numeric import (
     spectral_derivative,
     variational_oracle_error,
 )
-from fieldstar.parser import parse_expr
-from fieldstar.randexpr import random_density
-from fieldstar.session import SessionConfig
 
 
 def test_spectral_derivative_exact_on_band_limited_data():
