@@ -8,7 +8,6 @@ limit of rendering.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import random
 import sys
@@ -17,43 +16,38 @@ from .jets import FieldExpr, complex_system, mi_zero
 from .kernels import MixedKernelError
 from .parser import ParseError, parse_expr
 from .poisson import ConditionBViolation, bracket_fn
-from .render import (
-    DigitLimitError,
-    dumps_canonical,
-    render_field_expr,
-    render_tensor_expr,
-    to_json,
-)
-from .session import ConfigError, SessionConfig, load_config_file
+from .render import DigitLimitError, dumps_canonical, to_json, to_text
+from .session import ConfigError, SessionConfig, load_config, read_config_file
 from .star import equation_of_motion, star_fn
 from .euler_lagrange import variational_derivative
 
 
+# The largest --trials of verify: jacobi in dim 3, the slowest suite per
+# trial, takes about a second per 200 trials, so a run stays near a minute.
+MAX_TRIALS = 10_000
+# The largest --modes of peierls eval: green_eval allocates arrays of
+# 2M+1 modes, and the command prints one line per mode.
+MAX_MODES = 10_000
+
+
 def _session(args) -> SessionConfig:
-    cfg = load_config_file(args.config) if args.config else SessionConfig()
-    changes = {}
-    dim = getattr(args, "dim", None)
-    if dim is not None:
-        if dim < 1:
-            raise ConfigError("session dimension must be >= 1")
-        # keep the declared fields, at the new dimension
-        changes["system"] = dataclasses.replace(cfg.system, dim=dim)
-    for option, name in (("kernel", "kernel_text"), ("order", "order"),
-                         ("seed", "seed")):
-        value = getattr(args, option, None)
+    data = read_config_file(args.config) if args.config else {}
+    # each flag given is read as the config key it overrides, so the two
+    # are checked by one path
+    for key in ("dim", "kernel", "order", "seed"):
+        value = getattr(args, key, None)
         if value is not None:
-            changes[name] = value
-    return dataclasses.replace(cfg, **changes)
+            data[key] = value
+    return load_config(data)
 
 
 def _emit(value, args) -> None:
-    """Print a FieldExpr or a TensorExpr, as text or canonical JSON."""
-    if args.json:
-        print(dumps_canonical(to_json(value)))
-    elif isinstance(value, FieldExpr):
-        print(render_field_expr(value))
-    else:
-        print(render_tensor_expr(value))
+    """Print an expression or a series, as text or canonical JSON; all of
+    it is rendered before any of it is printed, and an empty exact series
+    prints nothing."""
+    text = dumps_canonical(to_json(value)) if args.json else to_text(value)
+    if text:
+        print(text)
 
 
 def _check_field(cfg: SessionConfig, name: str) -> None:
@@ -75,18 +69,7 @@ def cmd_star(args) -> int:
     cfg = _session(args)
     f = parse_expr(args.f, cfg)
     g = parse_expr(args.g, cfg)
-    series = star_fn(f, g, cfg.kernel(), cfg.system, order=cfg.order)
-    if args.json:
-        print(dumps_canonical(to_json(series)))
-    else:
-        # every line is rendered before the first is printed, so a
-        # coefficient past the digit limit prints nothing to stdout
-        lines = [f"hbar^{k}: {render_tensor_expr(series.coefficient(k))}"
-                 for k in sorted(series.terms)]
-        if not series.exact:
-            lines.append(f"(truncated at order {series.order})")
-        for line in lines:
-            print(line)
+    _emit(star_fn(f, g, cfg.kernel(), cfg.system, order=cfg.order), args)
     return 0
 
 
@@ -118,10 +101,10 @@ def cmd_verify(args) -> int:
     from . import verify as V
 
     trials = args.trials
-    if trials < 1:
-        # a suite run that checks nothing must not report PASS
-        print("error: --trials must be >= 1", file=sys.stderr)
-        return 2
+    if trials < 1:  # a suite run that checks nothing must not report PASS
+        raise ConfigError("--trials must be >= 1")
+    if trials > MAX_TRIALS:
+        raise ConfigError(f"--trials must be <= {MAX_TRIALS}")
     cfg = _session(args)
     rng = random.Random(cfg.seed)
     system = complex_system(cfg.dim) if args.pairing == "complex" \
@@ -151,11 +134,6 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-# The largest --modes of peierls eval: green_eval allocates arrays of
-# 2M+1 modes, and the command prints one line per mode.
-MAX_MODES = 10_000
-
-
 def cmd_peierls_eval(args) -> int:
     for bad, message in (
             (args.modes < 0, "--modes must be >= 0"),
@@ -163,8 +141,7 @@ def cmd_peierls_eval(args) -> int:
             (not math.isfinite(args.mass), "--mass must be finite"),
             (not math.isfinite(args.time), "--time must be finite")):
         if bad:
-            print(f"error: {message}", file=sys.stderr)
-            return 2
+            raise ConfigError(message)
     import numpy as np
     from .peierls import green_eval
 
@@ -172,8 +149,7 @@ def cmd_peierls_eval(args) -> int:
         with np.errstate(over="raise", invalid="raise"):
             field = green_eval(args.mass, args.time, args.modes)
     except (OverflowError, FloatingPointError):
-        print("error: --mass or --time overflows the modes", file=sys.stderr)
-        return 2
+        raise ConfigError("--mass or --time overflows the modes") from None
     if args.json:
         data = {"kind": "spectral", "cutoff": args.modes,
                 "data": [[int(k), field.mode(int(k)).real]

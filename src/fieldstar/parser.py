@@ -125,19 +125,18 @@ class _Parser:
 
     # -- expression grammar -------------------------------------------------
 
-    def parse_sum(self) -> FieldExpr:
-        kind, text, _ = self.peek()
-        negate = False
-        if text in ("+", "-"):
-            self.next()
-            negate = text == "-"
-        result = self.parse_product()
+    def parse_sum(self, term=None):
+        """A signed sum of the terms ``term`` reads: products by default,
+        kernel terms for a kernel."""
+        term = term or self.parse_product
+        negate = self.peek()[1] in ("+", "-") and self.next()[1] == "-"
+        result = term()
         if negate:
             result = -result
         while self.peek()[1] in ("+", "-"):
             op = self.next()[1]
-            term = self.parse_product()
-            result = result - term if op == "-" else result + term
+            right = term()
+            result = result - right if op == "-" else result + right
         return result
 
     def parse_product(self) -> FieldExpr:
@@ -260,21 +259,6 @@ class _Parser:
 
     # -- kernel grammar -----------------------------------------------------
 
-    def parse_kernel(self) -> Kernel:
-        result = Kernel.zero(self.dim)
-        negate = False
-        if self.peek()[1] in ("+", "-"):
-            negate = self.next()[1] == "-"
-        while True:
-            term = self.parse_kernel_term()
-            result = result - term if negate else result + term
-            kind, text, _ = self.peek()
-            if text in ("+", "-"):
-                negate = self.next()[1] == "-"
-                continue
-            break
-        return result
-
     def parse_kernel_term(self) -> Kernel:
         dim = self.dim
         coeff = ONE
@@ -352,7 +336,7 @@ def parse_expr(text: str, cfg: SessionConfig) -> FieldExpr:
 
 def parse_kernel(text: str, cfg: SessionConfig) -> Kernel:
     p = _Parser(text, cfg)
-    result = p.parse_kernel()
+    result = p.parse_sum(p.parse_kernel_term)
     if not p.at_end():
         raise ParseError(f"trailing input {p.peek()[1]!r}", p.peek()[2])
     return result

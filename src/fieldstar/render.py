@@ -229,6 +229,26 @@ def render_tensor_expr(T: TensorExpr) -> str:
     return _join_terms(entries)
 
 
+def to_text(value) -> str:
+    """The text of what a command prints: a field expression, a tensor
+    expression, or a series as one ``hbar^k:`` line per order and then,
+    unless it is exact, its truncation line (an empty exact series has
+    no text)."""
+    from .star import HbarSeries
+
+    if isinstance(value, FieldExpr):
+        return render_field_expr(value)
+    if isinstance(value, TensorExpr):
+        return render_tensor_expr(value)
+    if isinstance(value, HbarSeries):
+        lines = [f"hbar^{k}: {render_tensor_expr(value.terms[k])}"
+                 for k in sorted(value.terms)]
+        if not value.exact:
+            lines.append(f"(truncated at order {value.order})")
+        return "\n".join(lines)
+    raise TypeError(f"no text form for {type(value).__name__}")
+
+
 # ---------------------------------------------------------------------------
 # canonical JSON
 

@@ -133,8 +133,6 @@ _SETTINGS = {
 
 
 def load_config(data: dict) -> SessionConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
     for key in data:
         if key not in _TYPES:  # a misspelt key would be dropped unread
             raise ConfigError(f"unknown config key {key!r}")
@@ -155,7 +153,8 @@ def load_config(data: dict) -> SessionConfig:
                                     if key in data})
 
 
-def load_config_file(path: str) -> SessionConfig:
+def read_config_file(path: str) -> dict:
+    """The JSON object of a config file, its keys not yet checked."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -164,4 +163,10 @@ def load_config_file(path: str) -> SessionConfig:
     except (OSError, UnicodeDecodeError, RecursionError,
             json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    return load_config(data)
+    if not isinstance(data, dict):
+        raise ConfigError("config must be a JSON object")
+    return data
+
+
+def load_config_file(path: str) -> SessionConfig:
+    return load_config(read_config_file(path))

@@ -68,6 +68,10 @@ class HbarSeries(TermDict):
         total.exact = self.exact and other.exact
         return total
 
+    def scale(self, c) -> "HbarSeries":
+        # each coefficient is a TensorExpr, which scales its own terms
+        return self._like({k: v.scale(c) for k, v in self.terms.items()})
+
     def __repr__(self):
         ks = sorted(self.terms)
         return f"HbarSeries(orders={ks}, K={self.order}, exact={self.exact})"

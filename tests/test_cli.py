@@ -214,12 +214,35 @@ def test_out_of_range_order_or_dim_exits_two(argv, capsys):
     ["verify", "jacobi", "--trials", "-1"],
     ["verify", "duality", "--dim", "1", "--trials", "0"],
     ["peierls", "eval", "--modes", "-1"],
+    ["verify", "jacobi", "--trials", "10001"],
+    ["verify", "assoc", "--dim", "1", "--trials", "100000000000"],
 ])
 def test_out_of_range_trials_or_modes_exits_two(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("dim", 0), ("order", -1), ("kernel", "1/0*delta")])
+def test_a_flag_and_its_config_key_are_refused_with_one_message(
+        key, value, tmp_path, capsys):
+    # star reads --dim, --kernel and --order
+    path = _write(tmp_path, "bad.json", {key: value})
+    errors = []
+    for extra in (["--config", path], [f"--{key}", str(value)]):
+        assert main(["star", "phi", "pi", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == errors[1]
+
+
+def test_a_flag_wins_over_its_config_key(tmp_path, capsys):
+    path = _write(tmp_path, "kernel.json", {"kernel": "d1 delta"})
+    assert main(["classify", "--config", path, "--kernel", "delta"]) == 0
+    assert capsys.readouterr().out == "symmetric\n"
 
 
 @pytest.mark.parametrize("flag", ["--mass", "--time"])
@@ -464,6 +487,15 @@ def test_an_unreadable_config_exits_two(content, tmp_path, capsys):
     assert captured.out == "" and "Traceback" not in captured.err
     assert captured.err.startswith(f"error: cannot read config {str(path)!r}: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("content", ["[1]", '"dim"', "1"])
+def test_a_config_that_is_no_json_object_exits_two(content, tmp_path, capsys):
+    path = tmp_path / "scalar.json"
+    path.write_text(content)
+    # a flag is put over its key only once the file is known to be an object
+    assert main(["classify", "--config", str(path), "--dim", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: config must be a JSON object\n")
 
 
 def test_kernel_without_delta_names_the_missing_delta(capsys):

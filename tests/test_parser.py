@@ -63,6 +63,40 @@ def test_kernel_grammar():
         == Kernel.derivative_delta(3, (2, 0, 1))
 
 
+D1 = Kernel.derivative_delta(1, (1,))
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("+delta", Kernel.delta(1)),
+    ("-(1/2)*d1 delta", D1.scale(GRat(-1) / GRat(2))),
+    ("- d1 delta + 2*delta", Kernel.delta(1, 2) - D1),
+    ("-delta - d1 delta", -Kernel.delta(1) - D1),
+])
+def test_signed_kernel_sums(text, expected):
+    assert parse_kernel(text, CFG1) == expected
+
+
+# expressions and kernels read a signed sum by one loop, so a sign before
+# a term is read once, and a second sign is a term that does not parse
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_kernel, "delta - - d1 delta",
+     "unexpected token '-' (at position 8)"),
+    (parse_kernel, "+ -delta", "unexpected token '-' (at position 2)"),
+    (parse_kernel, "", "kernel term must end in 'delta' (at position 0)"),
+    (parse_kernel, "-", "kernel term must end in 'delta' (at position 1)"),
+    (parse_kernel, "delta -",
+     "kernel term must end in 'delta' (at position 7)"),
+    (parse_expr, "phi - + pi", "unexpected token '+' (at position 6)"),
+    (parse_expr, "+ -phi", "unexpected token '-' (at position 2)"),
+    (parse_expr, "", "unexpected token '' (at position 0)"),
+    (parse_expr, "-", "unexpected token '' (at position 1)"),
+])
+def test_signed_sum_errors_carry_positions(parse, text, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text, CFG1)
+    assert str(exc.value) == message
+
+
 def test_parse_errors_carry_positions():
     with pytest.raises(ParseError):
         parse_expr("phi +", CFG1)

@@ -80,6 +80,21 @@ def test_truncated_grouped_star_is_not_exact():
     assert star_grouped(fg, ["x", "y"], m, ["z"], P, SYS1, order=2).exact
 
 
+@pytest.mark.parametrize("order", [6, 1])
+def test_scaling_a_series_scales_every_order(order):
+    P = Kernel.delta(1)
+    S = star_fn((u() + xi()) ** 2, (u() - xi()) ** 2, P, SYS1, order=order)
+    assert len(S.terms) == min(order, 2) + 1 and S.exact == (order == 6)
+    assert S.scale(2) == S + S
+    scaled = S.scale(I)
+    assert sorted(scaled.terms) == sorted(S.terms)
+    for k in S.terms:
+        assert scaled.coefficient(k) == S.coefficient(k).scale(I)
+    for c in (2, I, 0):
+        assert (S.scale(c).order, S.scale(c).exact) == (S.order, S.exact)
+    assert S.scale(0).is_zero()
+
+
 def test_star_reversed_pair_uses_the_sign():
     P = Kernel.delta(1)
     series = star_fn(xi(), u(), P, SYS1)
