@@ -8,7 +8,7 @@ are the variational (Euler) operators.
 
 from __future__ import annotations
 
-from .jets import FieldExpr, TermDict, _acc, mi_add, mi_zero
+from .jets import FieldExpr, TermDict, _product, mi_add, mi_zero
 from .rationals import ONE
 from .tensor import TensorExpr, _apply_by_parts
 
@@ -55,14 +55,8 @@ class ELOperator(TermDict):
             return NotImplemented
         return (self.dim, self.label, self.terms) == (other.dim, other.label, other.terms)
 
-    def compose(self, other: "ELOperator") -> "ELOperator":
-        """Operator product: generator multisets merge, coefficients multiply."""
-        self._check(other)
-        terms: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                _acc(terms, tuple(sorted(m1 + m2)), c1 * c2)
-        return ELOperator(self.dim, self.label, terms)
+    # operator product: generator multisets merge, coefficients multiply
+    compose = _product
 
 
 def apply_el(op: ELOperator, T: TensorExpr) -> TensorExpr:

@@ -251,6 +251,18 @@ class TermDict:
         return hash((self.dim, frozenset(self.terms.items())))
 
 
+def _product(self, other):
+    """The commutative product of two term dicts whose keys are sorted
+    tuples of factors: keys concatenate and re-sort, coefficients multiply.
+    ``FieldExpr.__mul__`` and ``ELOperator.compose`` are this function."""
+    self._check(other)
+    terms: dict = {}
+    for m1, c1 in self.terms.items():
+        for m2, c2 in other.terms.items():
+            _acc(terms, _canon_monomial(m1 + m2), c1 * c2)
+    return self._like(terms)
+
+
 class FieldExpr(TermDict):
     """A commutative polynomial in jet variables over Q[i]."""
 
@@ -282,13 +294,7 @@ class FieldExpr(TermDict):
 
     # -- ring structure -----------------------------------------------------
 
-    def __mul__(self, other: "FieldExpr") -> "FieldExpr":
-        self._check(other)
-        terms: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                _acc(terms, _canon_monomial(m1 + m2), c1 * c2)
-        return FieldExpr(self.dim, terms)
+    __mul__ = _product
 
     def __pow__(self, k: int) -> "FieldExpr":
         if k < 0:

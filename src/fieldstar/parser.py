@@ -198,10 +198,7 @@ class _Parser:
             return FieldExpr.const(I, dim)
         deriv = _DERIV.match(name)
         if deriv and self.peek()[1] == "(":
-            direction = _natural(deriv.group(1), pos)
-            if not 1 <= direction <= dim:
-                raise ParseError(f"derivative direction {direction} exceeds "
-                                 f"dimension {dim}", pos)
+            direction = self.direction(deriv, pos)
             self.next()
             inner = self.parse_sum()
             self.expect(")")
@@ -240,6 +237,14 @@ class _Parser:
             return FieldExpr.const_symbol(name, dim)
         raise ParseError(f"unknown symbol {name!r}", pos)
 
+    def direction(self, deriv, pos: int) -> int:
+        """The n of a matched ``d<n>`` name, refused beyond the dimension."""
+        direction = _natural(deriv.group(1), pos)
+        if not 1 <= direction <= self.dim:
+            raise ParseError(f"derivative direction {direction} exceeds "
+                             f"dimension {self.dim}", pos)
+        return direction
+
     def parse_index(self):
         entries = []
         while True:
@@ -268,10 +273,7 @@ class _Parser:
             deriv = _DERIV.match(text) if kind == "name" else None
             if deriv and self.tokens[self.i + 1][1] != "(":
                 self.next()
-                direction = _natural(deriv.group(1), pos)
-                if not 1 <= direction <= dim:
-                    raise ParseError(f"derivative direction {direction} exceeds "
-                                     f"dimension {dim}", pos)
+                direction = self.direction(deriv, pos)
                 power = 1
                 if self.peek()[1] == "^":
                     self.next()

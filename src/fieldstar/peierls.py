@@ -6,9 +6,12 @@ time-zero pair,
     phi(t, x) = (G(t) * pi0)(x) + (d_t G(t) * phi0)(x)
 
 (sine convention: G(0) = 0, d_t G(0) = delta).  Mode-wise on a torus
-every object is a polynomial in the commuting symbols sin(w t), cos(w t),
-sin(w s), cos(w s) with Laurent powers of the frequency w, so bracket and
-star identities are decided exactly as polynomial identities.
+every object is a ``FieldExpr`` polynomial in the constant symbols st, ct,
+ss, cs for sin(w t), cos(w t), sin(w s), cos(w s) and w_inv for 1/w, so
+bracket and star identities are decided exactly as polynomial identities,
+with no trig relation imposed.  The frequency enters only as w_inv: G
+carries one 1/w and d_t G none, so no positive power of w appears and the
+relation w * (1/w) = 1 is never needed.
 
 Numeric side: a 1-dimensional spatial torus of circumference 2*pi with a
 mode cutoff, frequencies w_k = sqrt(k^2 + m^2), provides a desk-scale
@@ -21,69 +24,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import FieldExpr, TermDict, _acc, real_system
+from .jets import FieldExpr, _acc, _canon_monomial, const_atom, real_system
 from .kernels import Kernel
-from .rationals import GRat, ZERO
-from .render import render_grat
+from .rationals import ZERO
 
 
 # ---------------------------------------------------------------------------
-# trig polynomials: the per-mode symbol algebra
+# mode symbols: polynomials in constant symbols
 
-class TrigPoly(TermDict):
-    """Polynomial in sin(wt), cos(wt), sin(ws), cos(ws) and w^±1.
-
-    Monomial key: (a, b, c, d, p) for st^a ct^b ss^c cs^d w^p; coefficients
-    are GRats, and ``dim`` is always 0 (the symbols have no spatial index).
-    No trig relations are imposed beyond ring structure, so equality
-    certifies identities that hold as addition-free consequences of the
-    mode decomposition.
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def monomial(cls, a=0, b=0, c=0, d=0, p=0, coeff=1) -> "TrigPoly":
-        coeff = GRat(coeff)
-        return cls(0, {(a, b, c, d, p): coeff} if coeff else {})
-
-    def __mul__(self, other: "TrigPoly") -> "TrigPoly":
-        terms: dict = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                _acc(terms, tuple(x + y for x, y in zip(k1, k2)), v1 * v2)
-        return self._like(terms)
-
-    def __repr__(self):
-        names = ("st", "ct", "ss", "cs")
-        if not self.terms:
-            return "0"
-        parts = []
-        for key in sorted(self.terms):
-            a, b, c, d, p = key
-            factors = [f"{n}^{e}" if e > 1 else n
-                       for n, e in zip(names, (a, b, c, d)) if e]
-            if p:
-                factors.append(f"w^{p}")
-            body = "*".join(factors) or "1"
-            parts.append(f"{render_grat(self.terms[key])}*{body}")
-        return " + ".join(parts)
+ST, CT, SS, CS, W_INV = (FieldExpr.const_symbol(name, 1)
+                         for name in ("st", "ct", "ss", "cs", "w_inv"))
 
 
-def green_mode(label: str) -> TrigPoly:
-    """The mode symbol sin(w t)/w of G at formal time t or s."""
-    return TrigPoly.monomial(a=1, p=-1) if label == "t" else TrigPoly.monomial(c=1, p=-1)
+def rename(expr: FieldExpr, names: dict) -> FieldExpr:
+    """The mode symbol with each constant symbol renamed by ``names``;
+    terms whose monomials become equal are summed."""
+    terms: dict = {}
+    for mon, c in expr.terms.items():
+        _acc(terms, _canon_monomial(const_atom(names.get(atom[1], atom[1]))
+                                    for atom in mon), c)
+    return FieldExpr(expr.dim, terms)
 
 
-def green_mode_dt(label: str) -> TrigPoly:
-    """The mode symbol cos(w t) of d_t G at formal time t or s."""
-    return TrigPoly.monomial(b=1) if label == "t" else TrigPoly.monomial(d=1)
-
-
-def green_mode_diff() -> TrigPoly:
+def green_mode_diff() -> FieldExpr:
     """The mode symbol of G(t - s): sin(w(t-s))/w expanded by the addition
     theorem, st*cs/w - ct*ss/w."""
-    return TrigPoly.monomial(a=1, d=1, p=-1) - TrigPoly.monomial(b=1, c=1, p=-1)
+    return (ST * CS - CT * SS) * W_INV
 
 
 # ---------------------------------------------------------------------------
@@ -112,41 +78,40 @@ def _equal_time_brackets():
 
 def _smeared_products() -> dict:
     """The products of the smearing weights of phi(t,x) and phi(s,y), keyed
-    by the pair of time-zero fields each one multiplies."""
-    Gt, Gs = green_mode("t"), green_mode("s")
-    Gt_d, Gs_d = green_mode_dt("t"), green_mode_dt("s")
+    by the pair of time-zero fields each one multiplies: G(t) = st/w
+    weights pi0 and d_t G(t) = ct weights phi0, and likewise at s."""
+    Gt, Gs = ST * W_INV, SS * W_INV
     return {
         ("pi", "pi"): Gt * Gs,
-        ("pi", "phi"): Gt * Gs_d,
-        ("phi", "pi"): Gt_d * Gs,
-        ("phi", "phi"): Gt_d * Gs_d,
+        ("pi", "phi"): Gt * CS,
+        ("phi", "pi"): CT * Gs,
+        ("phi", "phi"): CT * CS,
     }
 
 
-def peierls_bracket() -> TrigPoly:
+def peierls_bracket() -> FieldExpr:
     """{phi(t,x), phi(s,y)} as a mode symbol, from the smearing expansion
     and the equal-time brackets; exactly -G(t-s) mode-wise."""
     eq = _equal_time_brackets()
-    total = TrigPoly.zero(0)
+    total = FieldExpr.zero(1)
     for pair, weight in _smeared_products().items():
         total = total + weight.scale(eq[pair])
     return total
 
 
-def peierls_bracket_residual() -> TrigPoly:
+def peierls_bracket_residual() -> FieldExpr:
     """peierls_bracket + G(t-s), identically zero.  The cosine normalization
     G(0) = delta, d_t G(0) = 0 fails this identity (and its own initial
     data), which is why G is the sine pair G(0) = 0, d_t G(0) = delta."""
     return peierls_bracket() + green_mode_diff()
 
 
-def peierls_commutator() -> TrigPoly:
+def peierls_commutator() -> FieldExpr:
     """hbar coefficient of phi(t,x)*phi(s,y) - phi(s,y)*phi(t,x): the star
     product of the linear fields is their product plus hbar * bracket."""
     forward = peierls_bracket()
-    swapped = forward._like({(c, d, a, b, p): v
-                             for (a, b, c, d, p), v in forward.terms.items()})
-    return forward - swapped
+    return forward - rename(forward, {"st": "ss", "ct": "cs",
+                                      "ss": "st", "cs": "ct"})
 
 
 # ---------------------------------------------------------------------------

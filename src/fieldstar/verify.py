@@ -17,12 +17,12 @@ from .euler_lagrange import (
     duality_residual,
     el_power_duality_residual,
 )
-from .jets import FieldExpr, FieldSystem, complex_system
+from .jets import FieldSystem, complex_system
 from .kernels import Kernel
 from .poisson import Functional, jacobi_residual
 from .randexpr import multi_indices, random_coeff, random_density, random_expr
 from .rationals import GRat, I
-from .render import render_field_expr, render_kernel, render_tensor_expr
+from .render import render_kernel, to_text
 from .star import assoc_residuals, closed_form_residuals, commutator_semiclassical
 
 # the truncation order of the associativity and closed-form suites, and the
@@ -74,8 +74,7 @@ def _first_nonzero(residuals, prefix: str) -> str | None:
     bad = next((r for r in residuals if not r.is_zero()), None)
     if bad is None:
         return None
-    render = render_field_expr if isinstance(bad, FieldExpr) else render_tensor_expr
-    return prefix + re.split(r" \+ (?![^()]*\))", render(bad))[0]
+    return prefix + re.split(r" \+ (?![^()]*\))", to_text(bad))[0]
 
 
 def verify_jacobi(system: FieldSystem, P: Kernel, trials: int,

@@ -182,12 +182,11 @@ def test_total_derivative_multi_with_negation():
 def test_term_dict_values_keep_slots_and_their_class():
     from fieldstar.euler_lagrange import ELOperator
     from fieldstar.kernels import Kernel
-    from fieldstar.peierls import TrigPoly
     from fieldstar.star import HbarSeries, star_fn
     from fieldstar.tensor import TensorExpr
 
     values = [FieldExpr.zero(1), Kernel.zero(1), TensorExpr.zero(1),
-              ELOperator.zero(1, "x"), HbarSeries.zero(1), TrigPoly.zero(0)]
+              ELOperator.zero(1, "x"), HbarSeries.zero(1)]
     for value in values:
         assert not hasattr(value, "__dict__")
         assert not value
@@ -195,7 +194,7 @@ def test_term_dict_values_keep_slots_and_their_class():
     for i, a in enumerate(values):
         for b in values[i + 1:]:
             assert a != b and b != a
-    assert u() and Kernel.delta(1) and TrigPoly.monomial(a=1)
+    assert u() and Kernel.delta(1)
     # a series keeps its order and exactness through sums
     S = star_fn(u() * u(), xi() * xi(), Kernel.delta(1), real_system(1))
     assert S and S.exact and S.order == 6 and (S - S).is_zero()
@@ -208,3 +207,18 @@ def test_term_dict_values_keep_slots_and_their_class():
         ELOperator.identity(1, "x") + ELOperator.identity(1, "y")
     with pytest.raises(DimensionMismatch):
         Kernel.delta(1) + Kernel.delta(2)
+
+
+def test_products_refuse_operands_of_another_shape():
+    from fieldstar.euler_lagrange import ELOperator
+
+    # one product serves both rings, and each keeps its own shape check
+    assert FieldExpr.__mul__ is ELOperator.compose
+    gen = ELOperator.generator("phi", (1,), "x")
+    assert gen.compose(gen) == ELOperator(1, "x", {(("phi", (1,)),) * 2: GRat(1)})
+    for other in (ELOperator.generator("phi", (1,), "y"),
+                  ELOperator.generator("phi", (1, 0), "x")):
+        with pytest.raises(ValueError, match="operator label or dimension"):
+            gen.compose(other)
+    with pytest.raises(DimensionMismatch):
+        u() * u((0, 0))
