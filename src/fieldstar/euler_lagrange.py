@@ -9,6 +9,7 @@ are the variational (Euler) operators.
 from __future__ import annotations
 
 from .jets import FieldExpr, TermDict, _product, mi_add, mi_zero
+from .kernels import Kernel
 from .rationals import ONE
 from .tensor import TensorExpr, _apply_by_parts
 
@@ -131,8 +132,6 @@ def variational_derivative(f: FieldExpr, sort: str) -> FieldExpr:
 
 def duality_residual(op: ELOperator, f: FieldExpr, partner: str) -> FieldExpr:
     """Pairing route minus dual route; identically zero by the duality law."""
-    from .kernels import Kernel
-
     T = TensorExpr.from_field(f, op.label) * TensorExpr.from_kernel(
         Kernel.delta(f.dim), op.label, partner)
     lhs = apply_el(op, T).integrate_out(op.label).to_field_expr(partner)

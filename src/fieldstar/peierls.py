@@ -26,6 +26,7 @@ import numpy as np
 
 from .jets import FieldExpr, _acc, _canon_monomial, const_atom, real_system
 from .kernels import Kernel
+from .poisson import bracket_fn
 from .rationals import ZERO
 
 
@@ -59,8 +60,6 @@ def _equal_time_brackets():
     """Basic equal-time delta-kernel brackets pulled from the core engine:
     coefficients of delta(x-y) in {phi,phi}, {phi,pi}, {pi,phi}, {pi,pi}."""
     system = real_system(1)
-    from .poisson import bracket_fn
-
     P = Kernel.delta(1)
     u = FieldExpr.jet("phi", (0,))
     xi = FieldExpr.jet("pi", (0,))

@@ -6,13 +6,19 @@ are the same algebra under the substitution reading of jet variables.
 Functional levels integrate one or both labels out; on request they are
 compared with independently computed closed forms, the order-one terms of
 the functional star closed forms in ``star``.
+
+The complex field is an instantiation of the one (primary, conjugate) sort
+pair, not a second implementation.  Beside Jacobi sit its two identities,
+change of variables with a real pair and conjugation; the cubic Schrodinger
+equation example is the session config ``configs/nls.json``.
 """
 
 from __future__ import annotations
 
 from .euler_lagrange import variational_derivative
-from .jets import ConditionBError, FieldExpr, FieldSystem
-from .kernels import Kernel
+from .jets import ConditionBError, FieldExpr, FieldSystem, real_system
+from .kernels import SYMMETRIC, Kernel
+from .rationals import I
 from .sigma import _check_dims, sigma_terms
 from .tensor import TensorExpr
 
@@ -68,6 +74,46 @@ def jacobi_residual(f: FieldExpr, g: FieldExpr, h: FieldExpr, P: Kernel,
     calls += _tensor_calls(g, "y", bracket_fn(h, f, P, system, "z", "x"), P, system)
     calls += _tensor_calls(f, "x", bracket_fn(g, h, P, system, "y", "z"), P, system)
     return _first_power(calls, P, system)
+
+
+def real_complex_equivalence(P: Kernel, dim: int) -> list:
+    """Residuals of the complex basic brackets realized inside the real pair
+    phi, pi.
+
+    With psi = phi + i*pi and psibar = phi - i*pi, the real brackets with a
+    symmetric kernel give {psi, psibar} = -2i P(x,y) and
+    {psi, psi} = {psibar, psibar} = 0.  Returns the three residual
+    TensorExprs; the identity is specific to the symmetric class.
+    """
+    if P.classify() != SYMMETRIC:
+        raise ValueError("the change-of-variables identity needs a symmetric kernel")
+    system = real_system(dim)
+    u = FieldExpr.jet("phi", (0,) * dim)
+    xi = FieldExpr.jet("pi", (0,) * dim)
+    psi = u + xi.scale(I)
+    psibar = u - xi.scale(I)
+    mixed = bracket_fn(psi, psibar, P, system) \
+        + TensorExpr.from_kernel(P.scale(I + I), "x", "y")
+    holo = bracket_fn(psi, psi, P, system)
+    anti = bracket_fn(psibar, psibar, P, system)
+    return [mixed, holo, anti]
+
+
+def conjugation_residual(f: FieldExpr, g: FieldExpr, P: Kernel,
+                         system: FieldSystem) -> TensorExpr:
+    """Anti-automorphism residual of conjugation: zero on all inputs.
+
+    Conjugation swaps each sort with its partner, conjugates coefficients,
+    and reverses the bracket's arguments, each kept at its label (the label
+    pair in reverse order), while the kernel transposes and conjugates:
+
+        conj {f@x, g@y}_P = {conj g @y, conj f @x}_{conj P^t}.
+    """
+    lhs = bracket_fn(f, g, P, system).conjugate(system)
+    Q = Kernel(P.dim, {gm: c.conjugate() for gm, c in P.transpose().terms.items()})
+    rhs = bracket_fn(g.conjugate(system), f.conjugate(system), Q, system,
+                     "y", "x")
+    return lhs - rhs
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from fractions import Fraction
 from .jets import FieldExpr, mi_order
 from .kernels import Kernel
 from .rationals import GRat
+from .star import HbarSeries
 from .tensor import TensorExpr
 
 
@@ -234,8 +235,6 @@ def to_text(value) -> str:
     expression, or a series as one ``hbar^k:`` line per order and then,
     unless it is exact, its truncation line (an empty exact series has
     no text)."""
-    from .star import HbarSeries
-
     if isinstance(value, FieldExpr):
         return render_field_expr(value)
     if isinstance(value, TensorExpr):
@@ -286,8 +285,6 @@ def series_json(coeffs: dict, dim: int, order: int, exact: bool) -> dict:
 def to_json(value) -> dict:
     """The canonical JSON of what a command prints: a field expression, a
     tensor expression or a series."""
-    from .star import HbarSeries
-
     if isinstance(value, FieldExpr):
         return field_expr_json(value)
     if isinstance(value, TensorExpr):

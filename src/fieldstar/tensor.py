@@ -16,12 +16,14 @@ from operator import itemgetter
 from .jets import (
     RULE_CACHE_SIZE,
     FieldExpr,
+    FieldSystem,
     TermDict,
     _acc,
     _canon_monomial,
     _derivative_mon,
     _partial_mon,
     _times,
+    conjugate_atom,
     mi_add,
     mi_order,
     mi_unit,
@@ -191,6 +193,14 @@ class TensorExpr(TermDict):
         from .render import render_tensor_expr
 
         return f"TensorExpr({render_tensor_expr(self)!r})"
+
+    def conjugate(self, system: FieldSystem) -> "TensorExpr":
+        """Complex conjugation: swap paired sorts, conjugate coefficients."""
+        terms: dict = {}
+        for (mon, deltas), c in self.terms.items():
+            mon = _canon_monomial((lab, conjugate_atom(a, system)) for lab, a in mon)
+            _acc(terms, (mon, deltas), c.conjugate())
+        return TensorExpr(self.dim, terms)
 
     # -- structure queries --------------------------------------------------
 

@@ -19,7 +19,8 @@ from .euler_lagrange import (
 )
 from .jets import FieldSystem, complex_system
 from .kernels import Kernel
-from .poisson import Functional, jacobi_residual
+from .poisson import (Functional, conjugation_residual, jacobi_residual,
+                      real_complex_equivalence)
 from .randexpr import multi_indices, random_coeff, random_density, random_expr
 from .rationals import GRat, I
 from .render import render_kernel, to_text
@@ -158,8 +159,6 @@ def verify_closed_forms(system: FieldSystem, P: Kernel, trials: int,
 
 
 def verify_complex_equiv(dim: int, trials: int, rng: random.Random) -> VerifyReport:
-    from .complexfields import conjugation_residual, real_complex_equivalence
-
     def checks():
         for P in (Kernel.delta(dim), Kernel.delta(dim, I),
                   Kernel.derivative_delta(dim, (2,) + (0,) * (dim - 1))):

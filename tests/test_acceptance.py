@@ -12,10 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from fieldstar.complexfields import real_complex_equivalence
 from fieldstar.jets import FieldExpr, complex_system, mi_unit, real_system
 from fieldstar.kernels import Kernel
-from fieldstar.poisson import Functional, bracket_fn
+from fieldstar.poisson import Functional, bracket_fn, real_complex_equivalence
 from fieldstar.rationals import GRat, I
 from fieldstar.render import render_field_expr
 from fieldstar.session import load_config_file

@@ -3,17 +3,19 @@ from pathlib import Path
 
 import pytest
 
-from fieldstar.complexfields import (
+from fieldstar.jets import FieldExpr, complex_system
+from fieldstar.kernels import Kernel
+from fieldstar.poisson import (
+    Functional,
+    bracket_functional_density,
     conjugation_residual,
     real_complex_equivalence,
 )
-from fieldstar.jets import FieldExpr, complex_system
-from fieldstar.kernels import Kernel
-from fieldstar.poisson import Functional, bracket_functional_density
 from fieldstar.randexpr import random_expr
 from fieldstar.rationals import GRat, I
 from fieldstar.session import load_config_file
 from fieldstar.star import equation_of_motion
+from fieldstar.tensor import TensorExpr
 
 NLS = Path(__file__).resolve().parent.parent / "configs" / "nls.json"
 
@@ -77,3 +79,50 @@ def test_conjugation_is_an_anti_automorphism():
             f = random_expr(system, rng, max_degree=3, max_jet_order=1)
             g = random_expr(system, rng, max_degree=3, max_jet_order=1)
             assert conjugation_residual(f, g, P, system).is_zero()
+
+
+# conjugation on function symbols and constant symbols: the function's
+# argument sort swaps with its partner, a constant stays
+FUNCTIONS = (("U", "psi"), ("V", "psibar"))
+
+
+def test_conjugation_residual_with_functions_and_constants():
+    rng = random.Random(23)
+    for dim in (1, 3):
+        system = complex_system(dim)
+        d1 = (1,) + (0,) * (dim - 1)
+        for P in (Kernel.delta(dim, I), Kernel.derivative_delta(dim, d1)):
+            for _ in range(10):
+                f, g = (random_expr(system, rng, max_degree=3, max_jet_order=1,
+                                    constants=("m",), functions=FUNCTIONS)
+                        for _ in range(2))
+                assert conjugation_residual(f, g, P, system).is_zero()
+
+
+def _u_m_psi1(sort: str, c: GRat) -> FieldExpr:
+    """c*U(sort)*m*sort[1] in dim 1."""
+    return (FieldExpr.const(c, 1) * FieldExpr.function("U", sort, 1)
+            * FieldExpr.const_symbol("m", 1) * FieldExpr.jet(sort, (1,)))
+
+
+def test_field_conjugation_swaps_function_arguments_and_keeps_constants():
+    system = complex_system(1)
+    f = _u_m_psi1("psi", GRat(1, 2))
+    assert f.conjugate(system) == _u_m_psi1("psibar", GRat(1, -2))
+
+
+def test_tensor_conjugation():
+    system = complex_system(1)
+    psibar = FieldExpr.jet("psibar", (0,))
+    kernel = Kernel.delta(1, I) + Kernel.derivative_delta(1, (1,))
+    T = (TensorExpr.from_field(_u_m_psi1("psi", GRat(1, 2)), "x")
+         * TensorExpr.from_field(psibar.scale(GRat(3, -1)), "y")
+         * TensorExpr.from_kernel(kernel, "x", "y"))
+    conj = Kernel(1, {g: c.conjugate() for g, c in kernel.terms.items()})
+    expected = (TensorExpr.from_field(_u_m_psi1("psibar", GRat(1, -2)), "x")
+                * TensorExpr.from_field(
+                    FieldExpr.jet("psi", (0,)).scale(GRat(3, 1)), "y")
+                * TensorExpr.from_kernel(conj, "x", "y"))
+    assert T.conjugate(system) == expected
+    assert {d for _, d in T.conjugate(system).terms} == {d for _, d in T.terms}
+    assert T.conjugate(system).conjugate(system) == T
